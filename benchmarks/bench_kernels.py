@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels: numba-jitted path vs pure-numpy fallback.
+"""Benchmark the histogram kernel: numba-jitted path vs pure-numpy fallback.
 
 Runs both implementations directly (regardless of which backend the package
-selected) and prints per-call timings. The ellipse map dominates the
-baseline-sweep runtime; the Gaussian accumulator dominates histogram
-synthesis with many emitters.
+selected) and prints per-call timings. The Gaussian accumulator dominates
+histogram synthesis with many emitters.
 
     python benchmarks/bench_kernels.py [--repeats 200]
 """
@@ -23,16 +22,6 @@ def time_call(fn, repeats, *args):
     for _ in range(repeats):
         fn(*args)
     return (time.perf_counter() - t0) / repeats
-
-
-def bench_ellipse_map(repeats):
-    xs = np.linspace(-3.0, 3.0, 300)
-    ys = np.linspace(0.0, 4.0, 200)
-    args = (xs, ys, 1.0, -0.5, 0.0, 1.15, -0.9, 0.0, 1.0, 4.0, 0.036)
-    rows = [("ellipse_map numpy", time_call(_kernels._ellipse_map_numpy, repeats, *args))]
-    if _kernels.HAVE_NUMBA:
-        rows.append(("ellipse_map numba", time_call(_kernels._ellipse_map_numba, repeats, *args)))
-    return rows
 
 
 def bench_gaussian_mass(repeats):
@@ -61,7 +50,7 @@ def main():
     if not _kernels.HAVE_NUMBA:
         print("(numba unavailable or disabled; numpy rows only)")
     print(f"{'kernel':<28}{'per call':>12}")
-    all_rows = bench_ellipse_map(args.repeats) + bench_gaussian_mass(args.repeats)
+    all_rows = bench_gaussian_mass(args.repeats)
     by_name = {}
     for name, dt in all_rows:
         print(f"{name:<28}{dt * 1e3:>10.3f} ms")

@@ -1,9 +1,9 @@
-"""Hot numeric kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Histogram accumulation kernel: numba-jitted fast path with a pure-numpy fallback.
 
 The numpy path is selected automatically when numba is not importable, or
 explicitly by setting the environment variable ``NLOSTRACK_NO_NUMBA=1``
-before the package is imported. Both implementations of each kernel are
-importable directly so they can be benchmarked and cross-checked.
+before the package is imported. Both implementations are importable
+directly so they can be benchmarked and cross-checked.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ def _numba_disabled() -> bool:
 try:
     if _numba_disabled():
         raise ImportError("numba disabled via " + _ENV_FLAG)
-    from numba import config as _numba_config
-    from numba import njit, prange
-
-    # The bundled TBB is often too old; prefer layers that are always present.
-    _numba_config.THREADING_LAYER_PRIORITY = ["omp", "workqueue", "tbb"]
+    from numba import njit
     HAVE_NUMBA = True
 except ImportError:
     HAVE_NUMBA = False
@@ -37,56 +33,6 @@ except ImportError:
 def active_backend() -> str:
     """Name of the kernel backend in use: ``"numba"`` or ``"numpy"``."""
     return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Elliptical time-of-flight likelihood over a grid.
-#
-# For every cell center (x, y, z) the kernel evaluates
-#     exp(-0.5 * ((|r - r_l| + |r - r_i| - ct) / c_sigma)^2)
-# i.e. a Gaussian in path-length mismatch whose ridge is the ellipse with
-# the laser spot and the pixel spot as foci.
-# ---------------------------------------------------------------------------
-
-
-def _ellipse_map_numpy(xs, ys, z, lx, ly, lz, ix, iy, iz, ct, c_sigma):
-    x = xs[np.newaxis, :]
-    y = ys[:, np.newaxis]
-    d1 = np.sqrt((x - lx) ** 2 + (y - ly) ** 2 + (z - lz) ** 2)
-    d2 = np.sqrt((x - ix) ** 2 + (y - iy) ** 2 + (z - iz) ** 2)
-    e = (d1 + d2 - ct) / c_sigma
-    return np.exp(-0.5 * e * e)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _ellipse_map_numba(xs, ys, z, lx, ly, lz, ix, iy, iz, ct, c_sigma):  # pragma: no cover
-        out = np.empty((ys.shape[0], xs.shape[0]))
-        for r in prange(ys.shape[0]):
-            y = ys[r]
-            for c in range(xs.shape[0]):
-                x = xs[c]
-                d1 = math.sqrt((x - lx) ** 2 + (y - ly) ** 2 + (z - lz) ** 2)
-                d2 = math.sqrt((x - ix) ** 2 + (y - iy) ** 2 + (z - iz) ** 2)
-                e = (d1 + d2 - ct) / c_sigma
-                out[r, c] = math.exp(-0.5 * e * e)
-        return out
-
-
-def ellipse_map(xs, ys, z, laser_xyz, pixel_xyz, ct, c_sigma):
-    """Evaluate the ellipse likelihood on the (len(ys), len(xs)) cell grid."""
-    lx, ly, lz = laser_xyz
-    ix, iy, iz = pixel_xyz
-    args = (
-        np.ascontiguousarray(xs, dtype=np.float64),
-        np.ascontiguousarray(ys, dtype=np.float64),
-        float(z), float(lx), float(ly), float(lz),
-        float(ix), float(iy), float(iz), float(ct), float(c_sigma),
-    )
-    if HAVE_NUMBA:
-        return _ellipse_map_numba(*args)
-    return _ellipse_map_numpy(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ which collapses the problem from a volume to an area.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,15 +133,62 @@ class TrackEstimate:
             raise ValueError("sigma_x and sigma_y must be >= 0")
 
 
-def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) -> ProbabilityMap:
+@functools.lru_cache(maxsize=4)
+def path_length_map(r_l: Point3, r_i: Point3, grid: GridSpec) -> np.ndarray:
+    """Two-bounce path |r - r_l| + |r - r_i| through every cell center, in meters.
+
+    The only place ellipse geometry is built: the time window and every
+    back-projection for one (laser spot, pixel, grid) share one read-only
+    (ny, nx) array. The cache is small because a scene has a few pixels
+    (the bundled layout four, a sweep step two) and holds 8 bytes per cell.
+    """
+    x = grid.x_centers()[np.newaxis, :]
+    y = grid.y_centers()[:, np.newaxis]
+    z = grid.z_plane
+    d1 = np.sqrt((x - r_l.x) ** 2 + (y - r_l.y) ** 2 + (z - r_l.z) ** 2)
+    d2 = np.sqrt((x - r_i.x) ** 2 + (y - r_i.y) ** 2 + (z - r_i.z) ** 2)
+    paths = d1 + d2
+    paths.setflags(write=False)
+    return paths
+
+
+def _exp_underflow_bound() -> float:
+    # Largest float whose np.exp is 0.0: bisect until the bracket is two adjacent floats.
+    lo, hi = -800.0, -700.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if np.exp(np.array([mid]))[0] == 0.0 else (lo, mid)
+    return lo
+
+
+_EXP_UNDERFLOW = _exp_underflow_bound()
+
+
+class EllipseBand(ProbabilityMap):
+    """One ellipse band, held as its exponent.
+
+    ``log_values`` is -inf exactly where exp underflows to 0.0. ``values``
+    (its exp) is built on first read, so association never pays for it.
+    """
+
+    def __init__(self, grid: GridSpec, log_values: np.ndarray):
+        log_values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "log_values", log_values)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = np.exp(self.log_values)
+        values.setflags(write=False)
+        return values
+
+
+def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) -> EllipseBand:
     """Map one fitted return time onto its ellipse band over the grid.
 
     Cell value is exp(-(path - c t)^2 / (2 (c sigma)^2)) with path the
     two-bounce distance through the cell center; the fitted time width is
     converted to meters so the exponent is dimensionless.
     """
-    from . import _kernels
-
     ct = SPEED_OF_LIGHT * peak.t_s
     c_sigma = SPEED_OF_LIGHT * peak.sigma_s
     baseline = r_l.distance_to(r_i)
@@ -148,11 +196,12 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
         raise InfeasibleTimeError(
             f"c*t = {ct:.4f} m does not exceed the focus separation {baseline:.4f} m"
         )
-    values = _kernels.ellipse_map(
-        grid.x_centers(), grid.y_centers(), grid.z_plane,
-        r_l.as_tuple(), r_i.as_tuple(), ct, c_sigma,
-    )
-    return ProbabilityMap(grid=grid, values=values, normalized=False)
+    log_values = path_length_map(r_l, r_i, grid) - ct
+    log_values /= c_sigma
+    np.square(log_values, out=log_values)
+    log_values *= -0.5
+    log_values[log_values <= _EXP_UNDERFLOW] = -np.inf
+    return EllipseBand(grid, log_values)
 
 
 def _log_product(maps: list[ProbabilityMap]) -> np.ndarray:
@@ -203,16 +252,19 @@ def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstim
     labels, _ = _ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     region = labels == labels[iy0, ix0]
 
-    xx, yy = np.meshgrid(grid.x_centers(), grid.y_centers())
-    w_region = values[region]
-    pos_x = float((w_region * xx[region]).sum() / w_region.sum())
-    pos_y = float((w_region * yy[region]).sum() / w_region.sum())
+    xc, yc = grid.x_centers(), grid.y_centers()
+    iy, ix = np.nonzero(region)
+    w_region = values[iy, ix]
+    pos_x = float((w_region * xc[ix]).sum() / w_region.sum())
+    pos_y = float((w_region * yc[iy]).sum() / w_region.sum())
 
-    cell_mass = values * grid.cell_area
-    mean_x = float((cell_mass * xx).sum())
-    mean_y = float((cell_mass * yy).sum())
-    var_x = float((cell_mass * (xx - mean_x) ** 2).sum())
-    var_y = float((cell_mass * (yy - mean_y) ** 2).sum())
+    # The moments are separable: each axis needs only its marginal mass.
+    mass_x = values.sum(axis=0) * grid.cell_area
+    mass_y = values.sum(axis=1) * grid.cell_area
+    mean_x = float((mass_x * xc).sum())
+    mean_y = float((mass_y * yc).sum())
+    var_x = float((mass_x * (xc - mean_x) ** 2).sum())
+    var_y = float((mass_y * (yc - mean_y) ** 2).sum())
 
     return TrackEstimate(
         position=(pos_x, pos_y),
@@ -320,13 +372,10 @@ def associate_and_localize(
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
             try:
-                m = backproject(peak, r_l, pixel, grid)
+                log_maps[(ipix, ipk)] = backproject(peak, r_l, pixel, grid).log_values
             except InfeasibleTimeError as exc:
                 infeasible.add((ipix, ipk))
                 last_error = exc
-                continue
-            with np.errstate(divide="ignore"):
-                log_maps[(ipix, ipk)] = np.log(m.values)
 
     def _measurements(det):
         return [
@@ -349,6 +398,7 @@ def associate_and_localize(
             total -= 0.5 * ((d1 + d2 - ct) / c_sigma) ** 2
         return total
 
+    xc, yc = grid.x_centers(), grid.y_centers()
     candidates = {}
     for combo in itertools.product(
         *(_pixel_assignments(len(p), k_targets) for p in peaks_per_pixel)
@@ -377,13 +427,15 @@ def associate_and_localize(
         positions = []
         valid = True
         for det in detections:
-            log_prod = np.sum([log_maps[pair] for pair in det], axis=0)
+            log_prod = log_maps[det[0]].copy()
+            for pair in det[1:]:
+                log_prod += log_maps[pair]
             if not np.isfinite(np.max(log_prod)):
                 valid = False
                 break
             per_target_logs.append(log_prod)
             iy0, ix0 = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
-            seed = (float(grid.x_centers()[ix0]), float(grid.y_centers()[iy0]))
+            seed = (float(xc[ix0]), float(yc[iy0]))
             meas = _measurements(det)
             pos = _refine_position(seed, grid.z_plane, meas, grid)
             positions.append(pos)

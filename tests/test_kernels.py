@@ -21,28 +21,6 @@ def test_env_flag_forces_numpy_backend():
     assert out.stdout.strip() == "numpy"
 
 
-def test_ellipse_map_matches_closed_form():
-    xs = np.linspace(-2, 2, 101)
-    ys = np.linspace(0, 3, 77)
-    ct, cs = 5.0, 0.04
-    laser, pixel = (-0.5, 0.0, 1.15), (-0.9, 0.0, 1.0)
-    got = _kernels.ellipse_map(xs, ys, 1.0, laser, pixel, ct, cs)
-    d1 = np.sqrt((xs[None, :] - laser[0]) ** 2 + (ys[:, None] - laser[1]) ** 2 + (1.0 - laser[2]) ** 2)
-    d2 = np.sqrt((xs[None, :] - pixel[0]) ** 2 + (ys[:, None] - pixel[1]) ** 2 + (1.0 - pixel[2]) ** 2)
-    want = np.exp(-0.5 * ((d1 + d2 - ct) / cs) ** 2)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-def test_ellipse_map_backend_parity():
-    xs = np.linspace(-3, 3, 300)
-    ys = np.linspace(0, 4, 200)
-    args = (xs, ys, 1.0, -0.5, 0.0, 1.15, -0.9, 0.0, 1.0, 4.0, 0.036)
-    a = _kernels._ellipse_map_numpy(*args)
-    b = _kernels._ellipse_map_numba(*args)
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-300)
-
-
 class TestGaussianMass:
     def test_total_mass_conserved(self):
         out = np.zeros(6250)

@@ -22,6 +22,8 @@ from nlostrack import (
     path_length,
     tof,
 )
+from nlostrack import localization
+from nlostrack.localization import _EXP_UNDERFLOW, path_length_map
 
 C = SPEED_OF_LIGHT
 
@@ -95,6 +97,57 @@ class TestBackproject:
             )
             got = pmap.values[iy, ix]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_matches_closed_form_on_full_grid(self):
+        grid = GridSpec(-2, 2, 0, 3, 0.04, 1.0)
+        xs, ys = grid.x_centers(), grid.y_centers()
+        t, sigma = 5.0 / C, 0.04 / C
+        ct, cs = C * t, C * sigma
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.9, 0.0, 1.0)
+        got = backproject(peak(t, sigma), r_l, r_i, grid).values
+        d1 = np.sqrt((xs[None, :] - r_l.x) ** 2 + (ys[:, None] - r_l.y) ** 2 + (1.0 - r_l.z) ** 2)
+        d2 = np.sqrt((xs[None, :] - r_i.x) ** 2 + (ys[:, None] - r_i.y) ** 2 + (1.0 - r_i.z) ** 2)
+        want = np.exp(-0.5 * ((d1 + d2 - ct) / cs) ** 2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sigma", [20e-12, 120e-12, 1200e-12])
+    def test_log_core_is_log_of_backproject(self, sigma):
+        # A narrow band on a wide grid underflows exp over most cells.
+        grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.1, 0.0, 1.05)
+        p = peak(4.0 / C, sigma)
+        band = backproject(p, r_l, r_i, grid)
+        core, values = band.log_values, band.values
+        np.testing.assert_array_equal(np.exp(core), values)
+        zero = values == 0.0
+        np.testing.assert_array_equal(np.isneginf(core), zero)
+        assert sigma > 100e-12 or zero.any()
+        # Subnormal values keep too few digits for np.log to round-trip.
+        normal = values >= np.finfo(np.float64).tiny
+        np.testing.assert_allclose(core[normal], np.log(values[normal]), rtol=1e-12, atol=1e-12)
+
+    def test_band_is_a_read_only_map_built_on_first_read(self):
+        grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
+        band = backproject(peak(3.0 / C), Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0), grid)
+        assert isinstance(band, ProbabilityMap) and not band.normalized
+        assert "values" not in vars(band)
+        assert band.values is band.values
+        for arr in (band.values, band.log_values):
+            assert not arr.flags.writeable
+
+    def test_underflow_bound_brackets_exp_zero(self):
+        assert np.exp(np.array([_EXP_UNDERFLOW]))[0] == 0.0
+        assert np.exp(np.array([np.nextafter(_EXP_UNDERFLOW, 0.0)]))[0] > 0.0
+
+    def test_path_length_map_is_cached_and_read_only(self):
+        grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.9, 0.0, 1.0)
+        paths = path_length_map(r_l, r_i, grid)
+        assert path_length_map(Point3(-0.5, 0.0, 1.15), r_i, grid) is paths
+        assert not paths.flags.writeable
+        with pytest.raises(ValueError):
+            paths[0, 0] = 0.0
+        assert path_length_map.cache_info().maxsize <= 8
 
     def test_degenerate_foci_circle(self):
         # coincident foci: the ridge is a circle of radius c*t/2 = 2.998 m
@@ -281,6 +334,21 @@ class TestAssociate:
         for (gx, gy), (tx, ty) in zip(got, sorted(truths)):
             assert abs(gx - tx) <= self.grid.resolution
             assert abs(gy - ty) <= self.grid.resolution
+
+    def test_backprojects_each_peak_once_in_the_log_domain(self, monkeypatch):
+        # Association resolves the module-level backproject and reads only
+        # the bands' logs, so no band's exp is ever built.
+        bands = []
+
+        def recording(*args):
+            bands.append(backproject(*args))
+            return bands[-1]
+
+        monkeypatch.setattr(localization, "backproject", recording)
+        peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
+        associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        assert len(bands) == sum(len(p) for p in peaks)
+        assert not any("values" in vars(b) for b in bands)
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]

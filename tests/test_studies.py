@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlostrack import (
+    SPEED_OF_LIGHT,
     AcquisitionParams,
     GridSpec,
     HiddenObject,
@@ -31,6 +32,20 @@ class TestAutoWindow:
             t = tof(scene.laser_spot, scene.objects[0].position, pix)
             assert w.start_s < t < w.end_s
             assert 0.0 <= w.start_s < w.end_s <= p.window_s
+
+    def test_equals_closed_form_window(self):
+        p = AcquisitionParams()
+        g = DEFAULT_GRID
+        xs, ys = g.x_centers()[None, :], g.y_centers()[:, None]
+        margin = 6.0 * p.irf_sigma_s + 25.0 * p.bin_width_s
+        for pix in DEFAULT_PIXELS:
+            d1 = np.sqrt((xs - DEFAULT_LASER.x) ** 2 + (ys - DEFAULT_LASER.y) ** 2
+                         + (g.z_plane - DEFAULT_LASER.z) ** 2)
+            d2 = np.sqrt((xs - pix.x) ** 2 + (ys - pix.y) ** 2 + (g.z_plane - pix.z) ** 2)
+            paths = d1 + d2
+            w = auto_time_window(DEFAULT_LASER, pix, g, p)
+            assert w.start_s == max(0.0, float(paths.min()) / SPEED_OF_LIGHT - margin)
+            assert w.end_s == min(p.window_s, float(paths.max()) / SPEED_OF_LIGHT + margin)
 
     def test_grid_beyond_range_rejected(self):
         far_grid = GridSpec(20, 26, 20, 24, 0.5, 1.0)
@@ -85,6 +100,41 @@ class TestRunScenario:
         b = run_scenario(scene, AcquisitionParams(rng_seed=11), DEFAULT_GRID)
         assert a.tracks[0].position == b.tracks[0].position
         assert a.tracks[0].sigma_x == b.tracks[0].sigma_x
+
+
+# Tracks from the implementation that rebuilt each ellipse for every window
+# and back-projection, without the shared path-length maps:
+# (seed, k_targets) -> [(x, y, sigma_x, sigma_y, peak_value)].
+REFERENCE_TRACKS = {
+    (5, 1): [(0.6028541269953275, 1.197303513922427,
+              0.0982869772521406, 0.09273934152337117, 133.1713643274908)],
+    (6, 1): [(0.6029915124973746, 1.197432781790934,
+              0.10294983820922368, 0.09713204348094472, 123.1459884388335)],
+    (5, 2): [(0.39876563387870184, 1.0008931179333562,
+              0.08263471390835332, 0.07516107909946378, 156.730010845232),
+             (0.9873465977004687, 1.809261833898645,
+              0.14421939800277836, 0.12159889920155414, 94.449885438336)],
+    (6, 2): [(0.3977426401708715, 1.0020125971807514,
+              0.08237993560397967, 0.0747987221419629, 157.24447659786657),
+             (0.9774175329861304, 1.8184929083764183,
+              0.1404450676158293, 0.11689508368710262, 97.9140271989333)],
+}
+
+
+@pytest.mark.parametrize("seed,k_targets", sorted(REFERENCE_TRACKS))
+def test_tracks_match_reference_values(seed, k_targets):
+    params = AcquisitionParams(rng_seed=seed)
+    if k_targets == 1:
+        res = run_scenario(corner_scene([(0.6, 1.2)]), params, DEFAULT_GRID)
+    else:
+        res = run_two_person(corner_scene([(0.4, 1.0), (1.0, 1.8)]), params, DEFAULT_GRID)
+    assert res.status == "ok"
+    want = REFERENCE_TRACKS[(seed, k_targets)]
+    assert len(res.tracks) == len(want)
+    for track, (x, y, sx, sy, pv) in zip(res.tracks, want):
+        assert track.position == pytest.approx((x, y), rel=0, abs=1e-9)
+        assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
+            (sx, sy, pv), rel=1e-9)
 
 
 class TestRunTwoPerson:
