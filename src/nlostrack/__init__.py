@@ -1,6 +1,5 @@
 """Around-the-corner localization from single-photon flight-time histograms."""
 
-from ._kernels import active_backend
 from .acquisition import (
     AcquisitionParams,
     AliasingError,
@@ -51,6 +50,7 @@ from .studies import (
     run_baseline_sweep,
     run_scenario,
     run_two_person,
+    simulate_scene,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf as _erf
 
-from . import _kernels
 from .geometry import SPEED_OF_LIGHT, HiddenObject, Scene, tof
 
 
@@ -173,6 +173,26 @@ def calibration_offset_s(scene: Scene, params: AcquisitionParams) -> float:
     return -math.fmod(round_trip, params.window_s)
 
 
+def _add_gaussian_mass(out, bin_width, mu, sigma, total):
+    """Add total * Integral_bin N(t; mu, sigma) dt to each bin of ``out`` in place.
+
+    Bin indices fold modulo the histogram length (the timebase is periodic
+    with the laser repetition). sigma == 0 drops the whole mass into the
+    single bin containing mu.
+    """
+    nbins = out.shape[0]
+    if sigma <= 0.0:
+        out[int(math.floor(mu / bin_width)) % nbins] += total
+        return
+    lo = int(math.floor((mu - 8.0 * sigma) / bin_width))
+    hi = int(math.ceil((mu + 8.0 * sigma) / bin_width))
+    edges = np.arange(lo, hi + 2, dtype=np.float64) * bin_width
+    cdf = _erf((edges - mu) / (sigma * math.sqrt(2.0)))
+    mass = 0.5 * total * (cdf[1:] - cdf[:-1])
+    idx = np.arange(lo, hi + 1, dtype=np.int64) % nbins
+    np.add.at(out, idx, mass)
+
+
 def expected_counts(
     scene: Scene,
     pixel_index: int,
@@ -198,7 +218,7 @@ def expected_counts(
             )
         total = expected_signal_rate(scene, pixel_index, obj, params) * params.acq_time_s
         if total > 0.0:
-            _kernels.add_gaussian_mass(
+            _add_gaussian_mass(
                 mu, params.bin_width_s, math.fmod(t + sync_delay, window),
                 params.irf_sigma_s, total,
             )

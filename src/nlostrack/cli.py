@@ -24,6 +24,7 @@ from .studies import (
     PipelineError,
     reconstruct_from_histograms,
     run_baseline_sweep,
+    simulate_scene,
 )
 
 EXIT_IO = 1
@@ -176,8 +177,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
                 Path(hist_dir), scene.num_pixels, background
             )
         else:
-            signals = [simulate_histogram(scene, i, params) for i in range(scene.num_pixels)]
-            backgrounds = [simulate_background(scene, i, params) for i in range(scene.num_pixels)]
+            signals, backgrounds = simulate_scene(scene, params)
         result = reconstruct_from_histograms(
             signals, backgrounds, scene.laser_spot, list(scene.pixels), grid, params,
             offset_s=calibration_offset_s(scene, params),
@@ -193,7 +193,9 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
     out_dir = Path(out)
     outputs = ["tracks.json"]
     if write_maps:
-        outputs += [f"fused_map_{t.target_label}.csv" for t in result.tracks]
+        outputs += [
+            f"fused_map_{t.target_label}.csv" for t, _ in zip(result.tracks, result.fused_maps)
+        ]
         outputs += [
             f"pixel{pix:02d}_peak{j}_map.csv"
             for pix, peaks in zip(result.used_pixels, result.peaks_per_pixel)

@@ -86,9 +86,6 @@ class GridSpec:
     def y_centers(self) -> np.ndarray:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.resolution
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
 
 @dataclass(frozen=True)
 class ProbabilityMap:
@@ -112,6 +109,14 @@ class ProbabilityMap:
                 raise ValueError(f"normalized map must integrate to 1, got {total!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def log_values(self) -> np.ndarray:
+        """Cellwise log of ``values``, -inf where a value is 0."""
+        with np.errstate(divide="ignore"):
+            log_values = np.log(self.values)
+        log_values.setflags(write=False)
+        return log_values
 
     def argmax_cell(self) -> tuple[int, int]:
         iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
@@ -167,7 +172,7 @@ class EllipseBand(ProbabilityMap):
     """One ellipse band, held as its exponent.
 
     ``log_values`` is -inf exactly where exp underflows to 0.0. ``values``
-    (its exp) is built on first read, so association never pays for it.
+    (its exp) is built on first read, so fusion never pays for it.
     """
 
     def __init__(self, grid: GridSpec, log_values: np.ndarray):
@@ -204,31 +209,30 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
     return EllipseBand(grid, log_values)
 
 
-def _log_product(maps: list[ProbabilityMap]) -> np.ndarray:
-    # Cellwise product accumulated in log space; map order is fixed by the
-    # caller so the summation order (and hence the result) is deterministic.
-    with np.errstate(divide="ignore"):
-        logs = [np.log(m.values) for m in maps]
-    return np.sum(logs, axis=0)
+def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
+    # exp of a log-product, scaled to integrate to 1 over the grid.
+    peak_log = float(np.max(log_prod))
+    if math.exp(peak_log) == 0.0:
+        raise EmptyIntersectionError(
+            "product of densities underflowed to zero everywhere; measurements are inconsistent"
+        )
+    work = np.exp(log_prod - peak_log)
+    return ProbabilityMap(grid=grid, values=work / (work.sum() * grid.cell_area), normalized=True)
 
 
 def fuse(maps: list[ProbabilityMap]) -> ProbabilityMap:
-    """Cellwise product of per-pixel densities, normalized to integrate to 1."""
+    """Cellwise product of per-pixel densities, normalized to integrate to 1.
+
+    The product is a sum of ``log_values`` in map order, so the result is
+    deterministic and an ``EllipseBand`` is never exponentiated.
+    """
     if len(maps) < 1:
         raise ValueError("need at least one map to fuse")
     grid = maps[0].grid
     for m in maps[1:]:
         if m.grid != grid:
             raise ValueError("all maps must share the same grid")
-    log_prod = _log_product(maps)
-    peak_log = float(np.max(log_prod))
-    if not np.isfinite(peak_log) or math.exp(peak_log) == 0.0:
-        raise EmptyIntersectionError(
-            "product of densities underflowed to zero everywhere; measurements are inconsistent"
-        )
-    work = np.exp(log_prod - peak_log)
-    values = work / (work.sum() * grid.cell_area)
-    return ProbabilityMap(grid=grid, values=values, normalized=True)
+    return _normalized(np.sum([m.log_values for m in maps], axis=0), grid)
 
 
 def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstimate:
@@ -455,15 +459,7 @@ def associate_and_localize(
         _, detections, per_target_logs, positions = entry
         solved = []
         for log_prod, pos in zip(per_target_logs, positions):
-            peak_log = float(np.max(log_prod))
-            if math.exp(peak_log) == 0.0:
-                raise EmptyIntersectionError(
-                    "fused density underflowed to zero for one target"
-                )
-            work = np.exp(log_prod - peak_log)
-            fused = ProbabilityMap(
-                grid=grid, values=work / (work.sum() * grid.cell_area), normalized=True
-            )
+            fused = _normalized(log_prod, grid)
             coarse = localize(fused)
             solved.append((
                 TrackEstimate(
@@ -481,9 +477,6 @@ def associate_and_localize(
             for i, (tr, _) in enumerate(solved)
         ]
         return tracks, [fused for _, fused in solved]
-
-    def _tracks_for(entry):
-        return _solve(entry)[0]
 
     ranked = sorted(candidates.values(), key=lambda e: e[0], reverse=True)
     # Prefer assignments whose targets resolve to distinct positions; fall
@@ -507,8 +500,8 @@ def associate_and_localize(
         if best[0] - second[0] < -math.log1p(-ambiguity_margin):
             raise AmbiguousAssociationError(
                 f"top assignments score within {ambiguity_margin:.0%} of each other",
-                best=_tracks_for(best),
-                second=_tracks_for(second),
+                best=_solve(best)[0],
+                second=_solve(second)[0],
                 best_score=best[0],
                 second_score=second[0],
             )

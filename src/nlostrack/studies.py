@@ -171,7 +171,7 @@ def reconstruct_from_histograms(
                 sig, bg, laser_spot, pixels[i], offset_s, grid, params,
                 k_targets, min_snr, window=window,
             )
-        except Exception as exc:
+        except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"pixel {i}: {exc}") from exc
         subtracted.append(cleaned)
         if peaks:
@@ -213,6 +213,23 @@ def reconstruct_from_histograms(
     return result
 
 
+def simulate_scene(
+    scene: Scene, params: AcquisitionParams
+) -> tuple[list[TransientHistogram], list[TransientHistogram]]:
+    """Signal and background histograms for every pixel, in pixel order.
+
+    Simulation failures propagate as PipelineError naming the pixel.
+    """
+    signal, background = [], []
+    for i in range(scene.num_pixels):
+        try:
+            signal.append(simulate_histogram(scene, i, params))
+            background.append(simulate_background(scene, i, params))
+        except (ValueError, RuntimeError) as exc:
+            raise PipelineError(f"pixel {i}: {exc}") from exc
+    return signal, background
+
+
 def run_scenario(
     scene: Scene,
     params: AcquisitionParams,
@@ -222,13 +239,7 @@ def run_scenario(
     on_ambiguous: str = "raise",
 ) -> ScenarioResult:
     """Simulate the scene and run the full retrieval on the result."""
-    signal, background = [], []
-    for i in range(scene.num_pixels):
-        try:
-            signal.append(simulate_histogram(scene, i, params))
-            background.append(simulate_background(scene, i, params))
-        except Exception as exc:
-            raise PipelineError(f"pixel {i}: {exc}") from exc
+    signal, background = simulate_scene(scene, params)
     return reconstruct_from_histograms(
         signal, background, scene.laser_spot, list(scene.pixels), grid, params,
         offset_s=calibration_offset_s(scene, params),
@@ -320,9 +331,6 @@ class SweepRow:
 class SweepResult:
     config: SweepConfig
     rows: tuple[SweepRow, ...]
-
-    def rows_for_object(self, object_index: int) -> list[SweepRow]:
-        return [r for r in self.rows if r.object_index == object_index]
 
 
 def _trial_seed(master: int, step: int, obj: int, trial: int) -> int:

@@ -20,6 +20,7 @@ from nlostrack import (
     simulate_histogram,
     tof,
 )
+from nlostrack.acquisition import _add_gaussian_mass
 
 
 def make_scene(objects=(), scatterers=(), pixels=None, standoff=2.0):
@@ -106,6 +107,27 @@ class TestSignalRate:
         on_pixel = HiddenObject(one_person_scene.pixels[0], 1.0)
         with pytest.raises(ValueError, match="zero length"):
             expected_signal_rate(one_person_scene, 0, on_pixel, p)
+
+
+class TestGaussianMass:
+    def test_total_mass_conserved(self):
+        out = np.zeros(6250)
+        _add_gaussian_mass(out, 4e-12, 12.0e-9, 120e-12, 750.0)
+        assert out.sum() == pytest.approx(750.0, rel=1e-12)
+
+    def test_zero_sigma_single_bin(self):
+        out = np.zeros(1000)
+        _add_gaussian_mass(out, 4e-12, 500.5 * 4e-12, 0.0, 42.0)
+        assert out[500] == 42.0
+        assert out.sum() == 42.0
+
+    def test_wraps_across_period_edge(self):
+        out = np.zeros(6250)
+        window = 6250 * 4e-12
+        _add_gaussian_mass(out, 4e-12, window - 100e-12, 120e-12, 100.0)
+        assert out.sum() == pytest.approx(100.0, rel=1e-12)
+        assert out[:200].sum() > 5.0  # tail folded onto the start
+        assert out[-200:].sum() > 50.0
 
 
 class TestSimulate:

@@ -161,6 +161,33 @@ class TestReconstruct:
         assert (rec / "fused_map_target-1.csv").exists()
         assert len(list(rec.glob("pixel*_peak*_map.csv"))) == 4
 
+    def test_ambiguous_maps_manifest_lists_only_written_files(self, runner, tmp_path):
+        # mirror-symmetric pixels and targets: the association is ambiguous,
+        # so no fused map is written and the manifest must not name one
+        doc = dict(
+            SCENE,
+            laser_spot=[0.0, 0.0, 1.0],
+            pixels=[[-0.6, 0.0, 1.0], [0.6, 0.0, 1.0]],
+            objects=[
+                {"position": [-0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p1"},
+                {"position": [0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p2"},
+            ],
+            acquisition={"rng_seed": 0, "system_throughput": 1.0e5},
+        )
+        scene = tmp_path / "mirror.json"
+        scene.write_text(json.dumps(doc))
+        rec = tmp_path / "rec"
+        result = runner.invoke(
+            main, ["reconstruct", str(scene), "--out", str(rec), "--targets", "2", "--maps"]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((rec / "tracks.json").read_text())["status"] == "ambiguous"
+        manifest = json.loads((rec / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert manifest["outputs"]
+        for name in manifest["outputs"]:
+            assert (rec / name).exists(), name
+
     def test_bad_window_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
             main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),

@@ -77,6 +77,17 @@ class TestProbabilityMap:
         ok = np.full((g.ny, g.nx), 1.0 / (g.ny * g.nx * g.cell_area))
         ProbabilityMap(grid=g, values=ok, normalized=True)
 
+    def test_log_values_is_read_only_log(self):
+        g = GridSpec(0, 1, 0, 1, 0.1)
+        values = np.ones((g.ny, g.nx))
+        values[0, 0] = 0.0
+        values[1, 1] = 2.5
+        m = ProbabilityMap(grid=g, values=values)
+        assert m.log_values[0, 0] == -np.inf
+        assert m.log_values[1, 1] == np.log(2.5)
+        assert not m.log_values.flags.writeable
+        assert m.log_values is m.log_values
+
 
 class TestBackproject:
     def test_matches_closed_form_everywhere(self):
@@ -242,6 +253,15 @@ class TestFuse:
         iy, ix = out.argmax_cell()
         assert abs(self.grid.x_centers()[ix] - self.truth.x) <= self.grid.resolution
         assert abs(self.grid.y_centers()[iy] - self.truth.y) <= self.grid.resolution
+
+    def test_bands_are_fused_from_their_logs(self):
+        bands = [
+            backproject(peak(tof(self.r_l, self.truth, pix)), self.r_l, pix, self.grid)
+            for pix in self.pixels
+        ]
+        out = fuse(bands)
+        assert all("values" not in vars(band) for band in bands)
+        assert out.argmax_cell() == fuse(self.maps).argmax_cell()
 
     def test_grid_mismatch_rejected(self):
         other = GridSpec(-1, 1, 0, 2, 0.1, 1.0)

@@ -20,6 +20,7 @@ from nlostrack import (
     run_two_person,
     tof,
 )
+from nlostrack import studies
 from nlostrack.studies import DEFAULT_GRID, DEFAULT_LASER, DEFAULT_PIXELS, _trial_seed
 
 
@@ -228,6 +229,24 @@ class TestSweep:
         result = run_baseline_sweep(config)
         assert all(not row.valid for row in result.rows)
         assert all(row.n_failed == row.n_trials for row in result.rows)
+
+    def test_programming_error_is_not_a_failed_trial(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the fit stage")
+
+        monkeypatch.setattr(studies, "fit_peaks", broken)
+        with pytest.raises(TypeError, match="bug in the fit stage"):
+            run_baseline_sweep(self.small_config(d2_x_range=(-0.4, -1.2, 2)))
+
+    def test_pipeline_error_is_a_failed_trial(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(studies, "fit_peaks", failing)
+        result = run_baseline_sweep(self.small_config(d2_x_range=(-0.4, -1.2, 2)))
+        assert len(result.rows) == 2
+        assert all(row.n_failed == row.n_trials == 10 for row in result.rows)
+        assert not any(row.valid for row in result.rows)
 
     def test_trial_seed_stable(self):
         assert _trial_seed(42, 1, 2, 3) == _trial_seed(42, 1, 2, 3)
