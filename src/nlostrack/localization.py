@@ -212,7 +212,7 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
 def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
     # exp of a log-product, scaled to integrate to 1 over the grid.
     peak_log = float(np.max(log_prod))
-    if math.exp(peak_log) == 0.0:
+    if peak_log <= _EXP_UNDERFLOW:
         raise EmptyIntersectionError(
             "product of densities underflowed to zero everywhere; measurements are inconsistent"
         )

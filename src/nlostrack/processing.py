@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import signal as _signal
@@ -192,6 +193,19 @@ def _mixture_jacobian(tau, params):
     return jac
 
 
+class FloorBins(NamedTuple):
+    """Bins outside the fitted windows, where the model is the floor alone.
+
+    ``count`` bins with mean ``mean`` and scatter ``sum((y - mean)**2)``.
+    Their share of the squared residual at floor f is exactly
+    ``count * (f - mean)**2 + scatter``.
+    """
+
+    count: int = 0
+    mean: float = 0.0
+    scatter: float = 0.0
+
+
 def fit_gaussian_mixture(
     tau: np.ndarray,
     y: np.ndarray,
@@ -199,25 +213,40 @@ def fit_gaussian_mixture(
     lower: np.ndarray,
     upper: np.ndarray,
     max_iter: int = 200,
+    floor_bins: FloorBins = FloorBins(),
 ):
     """Bounded least-squares fit of a constant floor plus Gaussian peaks.
 
     Levenberg-damped Gauss-Newton with parameter clipping to the box
-    bounds. Returns (params, residual_norm, covariance). Raises
+    bounds. ``tau`` and ``y`` are the bins where the Gaussians are evaluated;
+    ``floor_bins`` summarises further bins where the model is the floor
+    alone, so the cost, the normal equations and the degrees of freedom
+    cover both. Returns (params, residual_norm, covariance). Raises
     NonConvergenceError when no acceptable step is found within max_iter.
     """
+    n_far, y_far, scatter_far = floor_bins
+
+    def total_cost(r, floor):
+        return float(r @ r) + n_far * (floor - y_far) ** 2 + scatter_far
+
+    def normal_equations(r, p):
+        jac = _mixture_jacobian(tau, p)
+        jtj = jac.T @ jac
+        jtj[0, 0] += n_far
+        g = jac.T @ r
+        g[0] += n_far * (p[0] - y_far)
+        return jtj, g
+
     p = np.clip(np.asarray(p0, dtype=np.float64), lower, upper)
     r = _mixture(tau, p) - y
-    cost = float(r @ r)
+    cost = total_cost(r, p[0])
     lam = 1e-3
     converged = cost <= 1e-30
     stalled = 0
     for _ in range(max_iter):
         if converged:
             break
-        jac = _mixture_jacobian(tau, p)
-        jtj = jac.T @ jac
-        g = jac.T @ r
+        jtj, g = normal_equations(r, p)
         accepted = False
         for _ in range(60):
             damp = jtj + lam * np.diag(np.diag(jtj) + 1e-12)
@@ -228,7 +257,7 @@ def fit_gaussian_mixture(
                 continue
             p_new = np.clip(p + step, lower, upper)
             r_new = _mixture(tau, p_new) - y
-            cost_new = float(r_new @ r_new)
+            cost_new = total_cost(r_new, p_new[0])
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 moved = float(np.max(np.abs(p_new - p)))
@@ -249,14 +278,34 @@ def fit_gaussian_mixture(
             converged = True
     if not converged:
         raise NonConvergenceError(f"no convergence within {max_iter} iterations, cost={cost:.3e}")
-    jac = _mixture_jacobian(tau, p)
-    jtj = jac.T @ jac
-    dof = max(tau.size - p.size, 1)
+    jtj, _ = normal_equations(r, p)
+    dof = max(tau.size + n_far - p.size, 1)
     try:
         cov = np.linalg.inv(jtj) * (cost / dof)
     except np.linalg.LinAlgError:
         cov = np.full((p.size, p.size), np.nan)
     return p, math.sqrt(cost), cov
+
+
+# Each seed is fitted on the bins within WINDOW_SIGMAS instrument sigmas of
+# it. Beyond COVER_SIGMAS of its own width a Gaussian is below exp(-32) of its
+# peak, so where every fitted component has that much room inside the
+# windows, the bins outside them hold the floor alone.
+WINDOW_SIGMAS = 10.0
+COVER_SIGMAS = 8.0
+
+
+def _span(center: float, half: float, bw: float, n: int) -> tuple[int, int]:
+    # Bin index range [lo, hi) covering center +- half on an axis with bins at k * bw.
+    return max(0, math.floor((center - half) / bw)), min(n, math.ceil((center + half) / bw) + 1)
+
+
+def _floor_bins(y: np.ndarray, local: np.ndarray) -> FloorBins:
+    far = y[~local]
+    if far.size == 0:
+        return FloorBins()
+    mean = float(far.mean())
+    return FloorBins(far.size, mean, float(np.sum((far - mean) ** 2)))
 
 
 def fit_peaks(
@@ -270,6 +319,14 @@ def fit_peaks(
     Seeded by detect_peaks output. Centers are bounded to the histogram
     extent and sigmas to [bin width, 10 * irf_sigma_guess]. Components
     whose amplitude fits to zero are dropped.
+
+    The fit solves the least-squares problem over every bin of ``hist``, but
+    evaluates the Gaussians only on the bins within +-10 irf_sigma_guess of
+    a seed. The other bins, where the model is the floor alone, enter as
+    three numbers: their count, mean and scatter (see ``FloorBins``). If a
+    fitted component's +-8 fitted sigmas reach outside those bins (a return
+    much broader than the instrument response), the fit is rerun from the
+    same start on every bin.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
@@ -285,15 +342,26 @@ def fit_peaks(
     p0 = [float(np.median(y))]
     lower = [0.0]
     upper = [max(float(y.max()), 1.0)]
+    local = np.zeros(y.size, dtype=bool)
     for bin_idx, amp in seeds:
         p0 += [max(float(amp), 1.0), float(tau[bin_idx]), sig0]
         lower += [1e-12, float(tau[0]), bw]
         upper += [np.inf, float(tau[-1]), sig_hi]
-    params, _, cov = fit_gaussian_mixture(
-        tau, y, np.array(p0), np.array(lower), np.array(upper), max_iter=max_iter
-    )
-
+        lo, hi = _span(float(tau[bin_idx]), WINDOW_SIGMAS * irf_sigma_guess / scale, bw, y.size)
+        local[lo:hi] = True
+    p0, lower, upper = np.array(p0), np.array(lower), np.array(upper)
     n_peaks = len(seeds)
+    params, _, cov = fit_gaussian_mixture(
+        tau[local], y[local], p0, lower, upper,
+        max_iter=max_iter, floor_bins=_floor_bins(y, local),
+    )
+    for k in range(n_peaks):
+        lo, hi = _span(params[2 + 3 * k], COVER_SIGMAS * params[3 + 3 * k], bw, y.size)
+        if not local[lo:hi].all():
+            # A broad return: refit on every bin, from the same start.
+            params, _, cov = fit_gaussian_mixture(tau, y, p0, lower, upper, max_iter=max_iter)
+            break
+
     centers = [params[2 + 3 * k] for k in range(n_peaks)]
     for a in range(n_peaks):
         for b in range(a + 1, n_peaks):

@@ -177,9 +177,10 @@ class TestReconstruct:
         scene = tmp_path / "mirror.json"
         scene.write_text(json.dumps(doc))
         rec = tmp_path / "rec"
-        result = runner.invoke(
-            main, ["reconstruct", str(scene), "--out", str(rec), "--targets", "2", "--maps"]
-        )
+        with pytest.warns(UserWarning, match="top assignments score within 1%"):
+            result = runner.invoke(
+                main, ["reconstruct", str(scene), "--out", str(rec), "--targets", "2", "--maps"]
+            )
         assert result.exit_code == 0, result.output
         assert json.loads((rec / "tracks.json").read_text())["status"] == "ambiguous"
         manifest = json.loads((rec / "manifest.json").read_text())

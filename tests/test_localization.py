@@ -263,6 +263,14 @@ class TestFuse:
         assert all("values" not in vars(band) for band in bands)
         assert out.argmax_cell() == fuse(self.maps).argmax_cell()
 
+    def test_large_valued_maps_fuse_to_uniform(self):
+        # the summed log-density (about 921) is far past exp's overflow
+        g = GridSpec(0, 1, 0, 1, 0.1)
+        m = ProbabilityMap(grid=g, values=np.full((g.ny, g.nx), 1e200))
+        out = fuse([m, m])
+        assert out.normalized
+        np.testing.assert_allclose(out.values, 1.0 / (g.nx * g.ny * g.cell_area), rtol=1e-12)
+
     def test_grid_mismatch_rejected(self):
         other = GridSpec(-1, 1, 0, 2, 0.1, 1.0)
         m = ProbabilityMap(grid=other, values=np.ones((other.ny, other.nx)))

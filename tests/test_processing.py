@@ -301,6 +301,82 @@ class TestFit:
             PeakEstimate(t_s=1e-9, sigma_s=1e-10, amplitude=0.0, pixel_index=0)
 
 
+IRF = 120e-12
+
+
+def full_window_fit(h, seeds, irf_sigma_guess=IRF):
+    # fit_peaks's problem solved the direct way: every bin evaluated, no floor-only bins
+    t = h.bin_centers_s()
+    tau = (t - t[0]) / 1e-9
+    y = h.counts.astype(np.float64)
+    bw = BW / 1e-9
+    p0, lower, upper = [float(np.median(y))], [0.0], [max(float(y.max()), 1.0)]
+    for b, amp in seeds:
+        p0 += [max(float(amp), 1.0), float(tau[b]), max(irf_sigma_guess / 1e-9, bw)]
+        lower += [1e-12, float(tau[0]), bw]
+        upper += [np.inf, float(tau[-1]), 10 * irf_sigma_guess / 1e-9]
+    params, _, cov = fit_gaussian_mixture(tau, y, np.array(p0), np.array(lower), np.array(upper))
+    peaks = [
+        (t[0] + params[2 + 3 * k] * 1e-9, params[3 + 3 * k] * 1e-9, params[1 + 3 * k],
+         math.sqrt(cov[2 + 3 * k, 2 + 3 * k]) * 1e-9)
+        for k in range(len(seeds))
+    ]
+    return params[0], peaks
+
+
+def noisy_histogram(seed, pulses, floor, n_bins=5800):
+    # Poisson counts of a floor plus (center, sigma, peak height) Gaussian pulses
+    t = (np.arange(n_bins) + 0.5) * BW
+    lam = np.full(n_bins, float(floor))
+    for mu, sigma, amp in pulses:
+        lam += amp * np.exp(-0.5 * ((t - mu) / sigma) ** 2)
+    return hist_from(np.random.default_rng(seed).poisson(lam))
+
+
+class TestFitWindows:
+    CASES = {
+        "one_peak": ([(8e-9, IRF, 60.0)], 2.0),
+        "two_peaks": ([(8e-9, IRF, 60.0), (14e-9, 1.1 * IRF, 40.0)], 1.0),
+        "floor_at_zero": ([(8e-9, IRF, 30.0)], 0.0),
+        "broad_4x": ([(10e-9, 4 * IRF, 30.0)], 1.0),
+        "broad_8x": ([(12e-9, 8 * IRF, 20.0)], 1.0),
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_window_fit(self, case, seed):
+        pulses, floor = self.CASES[case]
+        h = noisy_histogram(seed, pulses, floor)
+        seeds = detect_peaks(h, max_peaks=len(pulses), min_snr=4.0)
+        assert len(seeds) == len(pulses)
+        ref_floor, want = full_window_fit(h, seeds)
+        if case == "floor_at_zero" and seed == 1:
+            assert ref_floor == 0.0  # the floor sits at its lower bound
+        got = fit_peaks(h, seeds)
+        assert len(got) == len(want)
+        for est, ref in zip(got, want):
+            assert (est.t_s, est.sigma_s, est.amplitude, est.center_stderr_s) == pytest.approx(
+                ref, rel=1e-9, abs=0)
+
+    def test_gaussians_evaluated_only_near_seeds(self, monkeypatch):
+        from nlostrack import processing
+
+        handed = []
+
+        def spy(tau, y, p0, lower, upper, max_iter=200, floor_bins=processing.FloorBins()):
+            handed.append((tau.size, floor_bins))
+            return fit_gaussian_mixture(tau, y, p0, lower, upper, max_iter, floor_bins)
+
+        monkeypatch.setattr(processing, "fit_gaussian_mixture", spy)
+        h = noisy_histogram(0, self.CASES["two_peaks"][0], 1.0)
+        fit_peaks(h, detect_peaks(h, max_peaks=2, min_snr=4.0))
+        (n_local, far), = handed
+        half = math.ceil(10 * IRF / BW)
+        assert 2 * (2 * half + 1) <= n_local <= 2 * (2 * half + 3)
+        assert n_local + far.count == h.num_bins
+        assert far.mean == pytest.approx(1.0, rel=0.1)
+
+
 class TestEndToEndRecovery:
     def test_tof_recovered_for_snr_10(self):
         # simulate -> offset -> crop -> subtract -> detect -> fit across 100
