@@ -226,9 +226,10 @@ def expected_counts(
     return mu
 
 
-def _draw(scene, pixel_index, params, include_objects, stream):
-    mu = expected_counts(scene, pixel_index, params, include_objects=include_objects)
-    rng = np.random.default_rng([params.rng_seed, pixel_index, stream])
+def _draw(mu, params, pixel_index, *stream):
+    # One Poisson realisation of the intensity mu, from the generator keyed
+    # on [seed, pixel, *stream].
+    rng = np.random.default_rng([params.rng_seed, pixel_index, *stream])
     return TransientHistogram(
         counts=rng.poisson(mu).astype(np.int64),
         bin_width_s=params.bin_width_s,
@@ -240,7 +241,7 @@ def _draw(scene, pixel_index, params, include_objects, stream):
 
 def simulate_histogram(scene: Scene, pixel_index: int, params: AcquisitionParams) -> TransientHistogram:
     """One acquisition with the targets present. Deterministic given the seed."""
-    return _draw(scene, pixel_index, params, include_objects=True, stream=0)
+    return _draw(expected_counts(scene, pixel_index, params), params, pixel_index, 0)
 
 
 def simulate_background(scene: Scene, pixel_index: int, params: AcquisitionParams) -> TransientHistogram:
@@ -249,7 +250,8 @@ def simulate_background(scene: Scene, pixel_index: int, params: AcquisitionParam
     Uses an independent noise stream so the background realization is not
     correlated with the signal acquisition.
     """
-    return _draw(scene, pixel_index, params, include_objects=False, stream=1)
+    mu = expected_counts(scene, pixel_index, params, include_objects=False)
+    return _draw(mu, params, pixel_index, 1)
 
 
 def simulate_frames(
@@ -258,17 +260,5 @@ def simulate_frames(
     """Repeated signal acquisitions with independent noise (median-background input)."""
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    mu = expected_counts(scene, pixel_index, params, include_objects=True)
-    frames = []
-    for k in range(num_frames):
-        rng = np.random.default_rng([params.rng_seed, pixel_index, 2, k])
-        frames.append(
-            TransientHistogram(
-                counts=rng.poisson(mu).astype(np.int64),
-                bin_width_s=params.bin_width_s,
-                t0_offset_s=0.0,
-                pixel_index=pixel_index,
-                acq_time_s=params.acq_time_s,
-            )
-        )
-    return frames
+    mu = expected_counts(scene, pixel_index, params)
+    return [_draw(mu, params, pixel_index, 2, k) for k in range(num_frames)]

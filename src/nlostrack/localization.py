@@ -235,6 +235,20 @@ def fuse(maps: list[ProbabilityMap]) -> ProbabilityMap:
     return _normalized(np.sum([m.log_values for m in maps], axis=0), grid)
 
 
+def _spreads(pmap: ProbabilityMap) -> tuple[float, float]:
+    # Square roots of the map's second central moments. They are separable:
+    # each axis needs only its marginal mass.
+    grid = pmap.grid
+    xc, yc = grid.x_centers(), grid.y_centers()
+    mass_x = pmap.values.sum(axis=0) * grid.cell_area
+    mass_y = pmap.values.sum(axis=1) * grid.cell_area
+    mean_x = float((mass_x * xc).sum())
+    mean_y = float((mass_y * yc).sum())
+    var_x = float((mass_x * (xc - mean_x) ** 2).sum())
+    var_y = float((mass_y * (yc - mean_y) ** 2).sum())
+    return math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0))
+
+
 def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstimate:
     """Extract a point estimate and spreads from a normalized density.
 
@@ -244,8 +258,9 @@ def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstim
     square roots of the second central moments of the whole map.
 
     This is a map-only operation and inherits the grid's sampling limits;
-    associate_and_localize sharpens its tracks afterwards against the
-    continuous density defined by the measured times.
+    associate_and_localize instead places its tracks on the continuous
+    density defined by the measured times, and takes only the spreads and
+    the peak value from the fused map.
     """
     if not pmap.normalized:
         raise ValueError("localize requires a normalized map; fuse() produces one")
@@ -256,24 +271,15 @@ def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstim
     labels, _ = _ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     region = labels == labels[iy0, ix0]
 
-    xc, yc = grid.x_centers(), grid.y_centers()
     iy, ix = np.nonzero(region)
     w_region = values[iy, ix]
-    pos_x = float((w_region * xc[ix]).sum() / w_region.sum())
-    pos_y = float((w_region * yc[iy]).sum() / w_region.sum())
-
-    # The moments are separable: each axis needs only its marginal mass.
-    mass_x = values.sum(axis=0) * grid.cell_area
-    mass_y = values.sum(axis=1) * grid.cell_area
-    mean_x = float((mass_x * xc).sum())
-    mean_y = float((mass_y * yc).sum())
-    var_x = float((mass_x * (xc - mean_x) ** 2).sum())
-    var_y = float((mass_y * (yc - mean_y) ** 2).sum())
-
+    pos_x = float((w_region * grid.x_centers()[ix]).sum() / w_region.sum())
+    pos_y = float((w_region * grid.y_centers()[iy]).sum() / w_region.sum())
+    sigma_x, sigma_y = _spreads(pmap)
     return TrackEstimate(
         position=(pos_x, pos_y),
-        sigma_x=math.sqrt(max(var_x, 0.0)),
-        sigma_y=math.sqrt(max(var_y, 0.0)),
+        sigma_x=sigma_x,
+        sigma_y=sigma_y,
         peak_value=float(values[iy0, ix0]),
         target_label=target_label,
     )
@@ -285,41 +291,61 @@ def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
     ``measurements`` is a list of (r_l, r_i, ct, c_sigma). The grid only
     samples the density at cell centers, which lets the argmax slide along
     a narrow ridge by a few cells; solving on the continuous coordinates
-    removes that quantization. Returns the seed unchanged on breakdown.
+    removes that quantization. Returns ``(position, log_score)``, the
+    log-density -0.5 * sum(r^2) of the residuals r = (path - ct) / c_sigma
+    at that position. On breakdown (a zero-length path leg or a singular
+    step) the position is the seed.
     """
     x, y = seed_xy
-    for _ in range(max_iter):
-        jac = np.empty((len(measurements), 2))
-        res = np.empty(len(measurements))
-        for k, (r_l, r_i, ct, c_sigma) in enumerate(measurements):
+    limit = 10.0 * grid.resolution
+    for it in range(max_iter + 1):
+        score = jxx = jxy = jyy = gx = gy = 0.0
+        degenerate = False
+        for r_l, r_i, ct, c_sigma in measurements:
             d1 = math.sqrt((x - r_l.x) ** 2 + (y - r_l.y) ** 2 + (z - r_l.z) ** 2)
             d2 = math.sqrt((x - r_i.x) ** 2 + (y - r_i.y) ** 2 + (z - r_i.z) ** 2)
+            r = (d1 + d2 - ct) / c_sigma
+            score -= 0.5 * r ** 2
             if d1 == 0.0 or d2 == 0.0:
-                return seed_xy
-            res[k] = (d1 + d2 - ct) / c_sigma
-            jac[k, 0] = ((x - r_l.x) / d1 + (x - r_i.x) / d2) / c_sigma
-            jac[k, 1] = ((y - r_l.y) / d1 + (y - r_i.y) / d2) / c_sigma
-        jtj = jac.T @ jac
-        try:
-            step = np.linalg.solve(jtj + 1e-12 * np.eye(2), -(jac.T @ res))
-        except np.linalg.LinAlgError:
-            return seed_xy
-        limit = 10.0 * grid.resolution
-        norm = float(np.hypot(step[0], step[1]))
+                degenerate = True
+                continue
+            jx = ((x - r_l.x) / d1 + (x - r_i.x) / d2) / c_sigma
+            jy = ((y - r_l.y) / d1 + (y - r_i.y) / d2) / c_sigma
+            jxx += jx * jx
+            jxy += jx * jy
+            jyy += jy * jy
+            gx += jx * r
+            gy += jy * r
+        if it == 0:
+            seed_score = score
+        if it == max_iter:
+            break
+        # Solve (J^T J + 1e-12 I) step = -J^T r in closed form.
+        jxx += 1e-12
+        jyy += 1e-12
+        det = jxx * jyy - jxy * jxy
+        if degenerate or det <= 0.0:
+            return seed_xy, seed_score
+        step_x = (jxy * gy - jyy * gx) / det
+        step_y = (jxy * gx - jxx * gy) / det
+        norm = math.hypot(step_x, step_y)
         if norm > limit:
-            step *= limit / norm
-        x_new, y_new = x + float(step[0]), y + float(step[1])
-        x_new = min(max(x_new, grid.x_min), grid.x_max)
-        y_new = min(max(y_new, grid.y_min), grid.y_max)
+            step_x *= limit / norm
+            step_y *= limit / norm
+        x_new = min(max(x + step_x, grid.x_min), grid.x_max)
+        y_new = min(max(y + step_y, grid.y_min), grid.y_max)
         if abs(x_new - x) < 1e-12 and abs(y_new - y) < 1e-12:
             break
         x, y = x_new, y_new
-    return x, y
+    return (x, y), score
 
 
 # ---------------------------------------------------------------------------
 # Peak-to-target association
 # ---------------------------------------------------------------------------
+
+# Relative score gap below which the two best assignments count as ambiguous.
+AMBIGUITY_MARGIN = 0.01
 
 
 def _pixel_assignments(n_peaks: int, k_targets: int):
@@ -343,19 +369,18 @@ def associate_and_localize(
     pixels: list[Point3],
     grid: GridSpec,
     k_targets: int = 1,
-    ambiguity_margin: float = 0.01,
-    return_maps: bool = False,
-):
+) -> tuple[list[TrackEstimate], list[ProbabilityMap]]:
     """Assign per-pixel peaks to targets and localize each target.
 
     Exhaustively enumerates peak-to-target assignments (tiny at this
-    scale), scores each by the product over targets of the peak value of
-    the target's fused density, evaluated at its continuous optimum (a
-    pure consistency measure), and localizes the winner. Targets must be
-    seen by at least two pixels.
+    scale) and scores each by the product over targets of the target's
+    continuous density at its optimum (a pure consistency measure). Each
+    winning target is placed at that optimum; its spreads and peak value
+    come from its fused map. Targets must be seen by at least two pixels.
+    Returns the tracks, sorted by position, and their fused maps.
 
     Raises AmbiguousAssociationError when the runner-up assignment scores
-    within ``ambiguity_margin`` (relative) of the winner, carrying both
+    within AMBIGUITY_MARGIN (relative) of the winner, carrying both
     solutions; TooManyTargetsError for k_targets > 2.
     """
     if k_targets > 2:
@@ -370,83 +395,56 @@ def associate_and_localize(
         raise ValueError("every pixel must contribute at least one peak")
 
     # Back-project each (pixel, peak) once; associations only recombine them.
-    log_maps: dict[tuple[int, int], np.ndarray] = {}
-    infeasible: set[tuple[int, int]] = set()
+    # Each feasible measurement keeps its band's log-density and the
+    # (r_l, r_i, ct, c_sigma) that _refine_position works on.
+    measurements = {}
     last_error: Exception | None = None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
             try:
-                log_maps[(ipix, ipk)] = backproject(peak, r_l, pixel, grid).log_values
+                band = backproject(peak, r_l, pixel, grid).log_values
             except InfeasibleTimeError as exc:
-                infeasible.add((ipix, ipk))
                 last_error = exc
-
-    def _measurements(det):
-        return [
-            (
-                r_l,
-                pixels[ipix],
-                SPEED_OF_LIGHT * peaks_per_pixel[ipix][ipk].t_s,
-                SPEED_OF_LIGHT * peaks_per_pixel[ipix][ipk].sigma_s,
+                continue
+            measurements[(ipix, ipk)] = (
+                band, (r_l, pixel, SPEED_OF_LIGHT * peak.t_s, SPEED_OF_LIGHT * peak.sigma_s)
             )
-            for ipix, ipk in det
-        ]
-
-    def _continuous_score(pos, measurements):
-        x, y = pos
-        z = grid.z_plane
-        total = 0.0
-        for m_l, m_i, ct, c_sigma in measurements:
-            d1 = math.sqrt((x - m_l.x) ** 2 + (y - m_l.y) ** 2 + (z - m_l.z) ** 2)
-            d2 = math.sqrt((x - m_i.x) ** 2 + (y - m_i.y) ** 2 + (z - m_i.z) ** 2)
-            total -= 0.5 * ((d1 + d2 - ct) / c_sigma) ** 2
-        return total
 
     xc, yc = grid.x_centers(), grid.y_centers()
     candidates = {}
     for combo in itertools.product(
         *(_pixel_assignments(len(p), k_targets) for p in peaks_per_pixel)
     ):
-        detections = []
-        for t in range(k_targets):
-            det = tuple(
-                (ipix, combo[ipix][t])
-                for ipix in range(len(pixels))
-                if combo[ipix][t] is not None
-            )
-            detections.append(det)
+        detections = [
+            tuple((ipix, combo[ipix][t]) for ipix in range(len(pixels)) if combo[ipix][t] is not None)
+            for t in range(k_targets)
+        ]
         key = frozenset(detections)  # quotient out target relabeling
-        if key in candidates:
+        if key in candidates or any(len(det) < 2 for det in detections):
             continue
-        if any(len(det) < 2 for det in detections):
-            continue
-        if any(pair in infeasible for det in detections for pair in det):
+        if any(pair not in measurements for det in detections for pair in det):
             continue
         # Score each target at the continuous optimum of its fused density
         # (seeded at the grid argmax): the sampled cell maximum wobbles by a
         # few percent with cell alignment, which would swamp the 1 percent
         # ambiguity margin.
         score = 0.0
-        per_target_logs = []
-        positions = []
-        valid = True
+        targets = []  # (position, log-product of the target's bands)
         for det in detections:
-            log_prod = log_maps[det[0]].copy()
+            log_prod = measurements[det[0]][0].copy()
             for pair in det[1:]:
-                log_prod += log_maps[pair]
-            if not np.isfinite(np.max(log_prod)):
-                valid = False
-                break
-            per_target_logs.append(log_prod)
+                log_prod += measurements[pair][0]
             iy0, ix0 = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
-            seed = (float(xc[ix0]), float(yc[iy0]))
-            meas = _measurements(det)
-            pos = _refine_position(seed, grid.z_plane, meas, grid)
-            positions.append(pos)
-            score += _continuous_score(pos, meas)
-        if not valid:
-            continue
-        candidates[key] = (score, detections, per_target_logs, positions)
+            if not np.isfinite(log_prod[iy0, ix0]):
+                break  # this target's bands never overlap: drop the assignment
+            pos, log_score = _refine_position(
+                (float(xc[ix0]), float(yc[iy0])), grid.z_plane,
+                [measurements[pair][1] for pair in det], grid,
+            )
+            targets.append((pos, log_prod))
+            score += log_score
+        else:
+            candidates[key] = (score, targets)
 
     if not candidates:
         if last_error is not None:
@@ -455,55 +453,39 @@ def associate_and_localize(
             ) from last_error
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
-    def _solve(entry):
-        _, detections, per_target_logs, positions = entry
-        solved = []
-        for log_prod, pos in zip(per_target_logs, positions):
+    def _solve(targets):
+        tracks, maps = [], []
+        for i, (pos, log_prod) in enumerate(sorted(targets, key=lambda t: t[0])):
             fused = _normalized(log_prod, grid)
-            coarse = localize(fused)
-            solved.append((
-                TrackEstimate(
-                    position=pos, sigma_x=coarse.sigma_x, sigma_y=coarse.sigma_y,
-                    peak_value=coarse.peak_value,
-                ),
-                fused,
+            sigma_x, sigma_y = _spreads(fused)
+            tracks.append(TrackEstimate(
+                position=pos, sigma_x=sigma_x, sigma_y=sigma_y,
+                peak_value=float(fused.values.max()), target_label=f"target-{i + 1}",
             ))
-        solved.sort(key=lambda pair: pair[0].position)
-        tracks = [
-            TrackEstimate(
-                position=tr.position, sigma_x=tr.sigma_x, sigma_y=tr.sigma_y,
-                peak_value=tr.peak_value, target_label=f"target-{i + 1}",
-            )
-            for i, (tr, _) in enumerate(solved)
-        ]
-        return tracks, [fused for _, fused in solved]
+            maps.append(fused)
+        return tracks, maps
+
+    def _distinct(targets):
+        # Every pair of targets resolves to positions more than a cell apart.
+        return all(
+            math.dist(a, b) > grid.resolution
+            for (a, _), (b, _) in itertools.combinations(targets, 2)
+        )
 
     ranked = sorted(candidates.values(), key=lambda e: e[0], reverse=True)
     # Prefer assignments whose targets resolve to distinct positions; fall
     # back to the full ranking when none do.
-    def _distinct(entry):
-        positions = entry[3]
-        for a in range(len(positions)):
-            for b in range(a + 1, len(positions)):
-                dx = positions[a][0] - positions[b][0]
-                dy = positions[a][1] - positions[b][1]
-                if math.hypot(dx, dy) <= grid.resolution:
-                    return False
-        return True
-
-    pool = [e for e in ranked if _distinct(e)] or ranked
-    best = pool[0]
-    if len(pool) > 1:
-        second = pool[1]
-        # Scores are log products; a relative gap below the margin in linear
-        # space means a log difference below about the margin itself.
-        if best[0] - second[0] < -math.log1p(-ambiguity_margin):
-            raise AmbiguousAssociationError(
-                f"top assignments score within {ambiguity_margin:.0%} of each other",
-                best=_solve(best)[0],
-                second=_solve(second)[0],
-                best_score=best[0],
-                second_score=second[0],
-            )
-    tracks, maps = _solve(best)
-    return (tracks, maps) if return_maps else tracks
+    pool = [e for e in ranked if _distinct(e[1])] or ranked
+    best_score, best = pool[0]
+    second_score, second = pool[1] if len(pool) > 1 else (-math.inf, None)
+    # Scores are log products; a relative gap below the margin in linear
+    # space means a log difference below about the margin itself.
+    if best_score - second_score < -math.log1p(-AMBIGUITY_MARGIN):
+        raise AmbiguousAssociationError(
+            f"top assignments score within {AMBIGUITY_MARGIN:.0%} of each other",
+            best=_solve(best)[0],
+            second=_solve(second)[0],
+            best_score=best_score,
+            second_score=second_score,
+        )
+    return _solve(best)

@@ -171,26 +171,23 @@ def detect_peaks(
 
 
 def _mixture(tau, params):
+    # The model and its Jacobian, evaluating each Gaussian once.
     # params: [floor, A_0, mu_0, s_0, A_1, mu_1, s_1, ...] on the tau axis
-    y = np.full_like(tau, params[0])
-    for k in range((len(params) - 1) // 3):
-        a, mu, s = params[1 + 3 * k : 4 + 3 * k]
-        y += a * np.exp(-0.5 * ((tau - mu) / s) ** 2)
-    return y
-
-
-def _mixture_jacobian(tau, params):
     n_peaks = (len(params) - 1) // 3
+    y = np.full_like(tau, params[0])
     jac = np.empty((tau.size, 1 + 3 * n_peaks))
     jac[:, 0] = 1.0
     for k in range(n_peaks):
         a, mu, s = params[1 + 3 * k : 4 + 3 * k]
         u = (tau - mu) / s
         g = np.exp(-0.5 * u * u)
+        ag = a * g
+        y += ag
+        agu = ag * u
         jac[:, 1 + 3 * k] = g
-        jac[:, 2 + 3 * k] = a * g * u / s
-        jac[:, 3 + 3 * k] = a * g * u * u / s
-    return jac
+        jac[:, 2 + 3 * k] = agu / s
+        jac[:, 3 + 3 * k] = agu * u / s
+    return y, jac
 
 
 class FloorBins(NamedTuple):
@@ -229,8 +226,7 @@ def fit_gaussian_mixture(
     def total_cost(r, floor):
         return float(r @ r) + n_far * (floor - y_far) ** 2 + scatter_far
 
-    def normal_equations(r, p):
-        jac = _mixture_jacobian(tau, p)
+    def normal_equations(jac, r, p):
         jtj = jac.T @ jac
         jtj[0, 0] += n_far
         g = jac.T @ r
@@ -238,7 +234,8 @@ def fit_gaussian_mixture(
         return jtj, g
 
     p = np.clip(np.asarray(p0, dtype=np.float64), lower, upper)
-    r = _mixture(tau, p) - y
+    model, jac = _mixture(tau, p)
+    r = model - y
     cost = total_cost(r, p[0])
     lam = 1e-3
     converged = cost <= 1e-30
@@ -246,7 +243,7 @@ def fit_gaussian_mixture(
     for _ in range(max_iter):
         if converged:
             break
-        jtj, g = normal_equations(r, p)
+        jtj, g = normal_equations(jac, r, p)
         accepted = False
         for _ in range(60):
             damp = jtj + lam * np.diag(np.diag(jtj) + 1e-12)
@@ -256,12 +253,13 @@ def fit_gaussian_mixture(
                 lam *= 10.0
                 continue
             p_new = np.clip(p + step, lower, upper)
-            r_new = _mixture(tau, p_new) - y
+            model, jac_new = _mixture(tau, p_new)
+            r_new = model - y
             cost_new = total_cost(r_new, p_new[0])
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 moved = float(np.max(np.abs(p_new - p)))
-                p, r, cost = p_new, r_new, cost_new
+                p, r, jac, cost = p_new, r_new, jac_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 # A run of negligible improvements (typical with a parameter
@@ -278,7 +276,7 @@ def fit_gaussian_mixture(
             converged = True
     if not converged:
         raise NonConvergenceError(f"no convergence within {max_iter} iterations, cost={cost:.3e}")
-    jtj, _ = normal_equations(r, p)
+    jtj, _ = normal_equations(jac, r, p)
     dof = max(tau.size + n_far - p.size, 1)
     try:
         cov = np.linalg.inv(jtj) * (cost / dof)

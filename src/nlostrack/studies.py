@@ -1,8 +1,8 @@
 """End-to-end experiment runners: single target, two targets, baseline sweep.
 
-Each runner drives the full chain (simulate signal and background, apply
-the calibration offset, crop to the window of interest, subtract, detect
-and fit peaks, back-project and fuse) against the scene's ground truth,
+Each runner drives the full chain (simulate signal and background,
+subtract, apply the calibration offset, crop to the window of interest,
+detect and fit peaks, back-project and fuse) against the scene's ground truth,
 which only the simulation stage is allowed to read.
 """
 
@@ -120,12 +120,10 @@ class ScenarioResult:
 
 def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params,
                    k_targets, min_snr, window=None):
-    signal = apply_offset(signal, offset_s)
-    background = apply_offset(background, offset_s)
+    # Subtraction is per bin and cropping only selects and reorders bins, so
+    # subtracting the raw histograms first needs one offset and one crop.
     win = window if window is not None else auto_time_window(r_l, r_i, grid, params)
-    signal = crop(signal, win)
-    background = crop(background, win)
-    cleaned = subtract_background(signal, background)
+    cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), win)
     seeds = detect_peaks(cleaned, max_peaks=k_targets, min_snr=min_snr,
                          irf_sigma_s=params.irf_sigma_s)
     if not seeds:
@@ -190,8 +188,7 @@ def reconstruct_from_histograms(
 
     try:
         tracks, maps = associate_and_localize(
-            peaks_per_pixel, laser_spot, [pixels[i] for i in used], grid,
-            k_targets=k_targets, return_maps=True,
+            peaks_per_pixel, laser_spot, [pixels[i] for i in used], grid, k_targets=k_targets
         )
         result.status = "ok"
     except AmbiguousAssociationError as exc:

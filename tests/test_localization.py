@@ -337,7 +337,7 @@ class TestAssociate:
     def test_single_target_matches_fuse_localize(self):
         truth = (0.6, 1.2)
         peaks = self.peaks_for([truth])
-        tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
+        tracks, _ = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
         maps = [
             backproject(p[0], self.r_l, pix, self.grid)
             for p, pix in zip(peaks, self.pixels)
@@ -354,7 +354,7 @@ class TestAssociate:
 
     def test_two_targets_correctly_associated(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
-        tracks = associate_and_localize(
+        tracks, _ = associate_and_localize(
             self.peaks_for(truths), self.r_l, self.pixels, self.grid, k_targets=2
         )
         assert len(tracks) == 2
@@ -362,6 +362,23 @@ class TestAssociate:
         for (gx, gy), (tx, ty) in zip(got, sorted(truths)):
             assert abs(gx - tx) <= self.grid.resolution
             assert abs(gy - ty) <= self.grid.resolution
+
+    def test_two_target_spreads_and_peaks_match_fuse_localize(self):
+        # Each track's spreads and peak value are those of the fused map of
+        # its own detections; the map returned with it is that fused map.
+        truths = [(0.5, 0.9), (1.2, 1.6)]
+        peaks = self.peaks_for(truths)
+        tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        assert [t.target_label for t in tracks] == ["target-1", "target-2"]
+        for t, (track, fused) in enumerate(zip(tracks, maps)):
+            reference_map = fuse([
+                backproject(p[t], self.r_l, pix, self.grid)
+                for p, pix in zip(peaks, self.pixels)
+            ])
+            reference = localize(reference_map)
+            assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
+                (reference.sigma_x, reference.sigma_y, reference.peak_value), rel=1e-12)
+            np.testing.assert_allclose(fused.values, reference_map.values, rtol=1e-12, atol=0)
 
     def test_backprojects_each_peak_once_in_the_log_domain(self, monkeypatch):
         # Association resolves the module-level backproject and reads only
@@ -380,11 +397,11 @@ class TestAssociate:
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
-        a = associate_and_localize(
+        a, _ = associate_and_localize(
             self.peaks_for(truths), self.r_l, self.pixels, self.grid, k_targets=2
         )
         swapped = self.peaks_for(truths, order=[(1, 0), (0, 1), (1, 0), (0, 1)])
-        b = associate_and_localize(swapped, self.r_l, self.pixels, self.grid, k_targets=2)
+        b, _ = associate_and_localize(swapped, self.r_l, self.pixels, self.grid, k_targets=2)
         for ta, tb in zip(a, b):
             assert ta.position == pytest.approx(tb.position, rel=1e-9)
             assert ta.target_label == tb.target_label
@@ -416,6 +433,49 @@ class TestAssociate:
             associate_and_localize(peaks, r_l, pixels, grid, k_targets=2)
         assert len(info.value.best) == 2
         assert len(info.value.second) == 2
+
+
+class TestRefinePosition:
+    def setup_method(self):
+        self.grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
+        self.r_l = Point3(-0.5, 0, 1.15)
+        self.pixels = [Point3(-0.9, 0, 1.0), Point3(-0.38, 0, 0.95), Point3(-0.1, 0, 1.05)]
+
+    def measurements(self, truth, sigma_s=120e-12):
+        return [
+            (self.r_l, pix, C * tof(self.r_l, Point3(*truth, 1.0), pix), C * sigma_s)
+            for pix in self.pixels
+        ]
+
+    @staticmethod
+    def score_at(pos, z, measurements):
+        x, y = pos
+        r = [
+            (math.dist((x, y, z), (m_l.x, m_l.y, m_l.z))
+             + math.dist((x, y, z), (m_i.x, m_i.y, m_i.z)) - ct) / c_sigma
+            for m_l, m_i, ct, c_sigma in measurements
+        ]
+        return -0.5 * sum(v * v for v in r)
+
+    def test_score_is_the_log_density_at_the_returned_position(self):
+        # Perturb one time so the optimum is not a perfect fit.
+        meas = self.measurements((0.6, 1.2))
+        meas[1] = meas[1][:2] + (meas[1][2] + 0.01, meas[1][3])
+        pos, score = localization._refine_position((0.64, 1.16), 1.0, meas, self.grid)
+        assert pos != (0.64, 1.16)
+        assert score < 0.0
+        assert score == pytest.approx(self.score_at(pos, 1.0, meas), rel=1e-12)
+        # The seed scores worse than the refined position.
+        assert self.score_at((0.64, 1.16), 1.0, meas) < score
+
+    def test_breakdown_returns_the_seed_and_its_score(self):
+        # Seeded on the laser spot itself: a path leg has zero length there.
+        z = self.r_l.z
+        seed = (self.r_l.x, self.r_l.y)
+        meas = self.measurements((0.6, 1.2))
+        pos, score = localization._refine_position(seed, z, meas, self.grid)
+        assert pos == seed
+        assert score == pytest.approx(self.score_at(seed, z, meas), rel=1e-12)
 
 
 coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

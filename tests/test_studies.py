@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from nlostrack import (
     SweepConfig,
     TooManyTargetsError,
     auto_time_window,
+    calibration_offset_s,
     corner_scene,
     run_baseline_sweep,
     run_scenario,
@@ -94,6 +96,18 @@ class TestRunScenario:
         scene = corner_scene([(0.6, 4.8)])
         with pytest.raises(PipelineError, match="pixel 0"):
             run_scenario(scene, AcquisitionParams(), DEFAULT_GRID)
+
+    def test_background_length_mismatch_names_pixel(self):
+        # The shape check runs on the raw histograms, before offset and crop.
+        scene = corner_scene([(0.6, 1.0)])
+        params = AcquisitionParams(rng_seed=3)
+        signal, background = studies.simulate_scene(scene, params)
+        background[1] = dataclasses.replace(background[1], counts=background[1].counts[:-10])
+        with pytest.raises(PipelineError, match=r"pixel 1: histogram length mismatch"):
+            studies.reconstruct_from_histograms(
+                signal, background, scene.laser_spot, list(scene.pixels), DEFAULT_GRID,
+                params, offset_s=calibration_offset_s(scene, params),
+            )
 
     def test_determinism(self):
         scene = corner_scene([(0.6, 1.0)])
