@@ -18,7 +18,7 @@ from .acquisition import (
     simulate_frames,
     simulate_histogram,
 )
-from .localization import TooManyTargetsError, backproject
+from .localization import InfeasibleTimeError, TooManyTargetsError, backproject
 from .processing import TimeWindow, estimate_background_median
 from .studies import (
     PipelineError,
@@ -37,10 +37,10 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_scene_or_exit(scene_file):
+def _load_or_exit(load, path):
     try:
-        return sceneio.load_scene(scene_file)
-    except FileNotFoundError as exc:
+        return load(path)
+    except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except (sceneio.SceneFormatError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
@@ -60,7 +60,7 @@ def main():
 @click.option("--no-lambertian", is_flag=True, help="Disable wall-angle factors.")
 def simulate(scene_file, out, seed, frames, no_lambertian):
     """Simulate signal and background histograms for SCENE_FILE."""
-    scene, params, _grid = _load_scene_or_exit(scene_file)
+    scene, params, _grid = _load_or_exit(sceneio.load_scene, scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
     if no_lambertian:
@@ -77,26 +77,20 @@ def simulate(scene_file, out, seed, frames, no_lambertian):
             outputs += [f"pixel{i:02d}_frame{k:02d}.csv" for k in range(frames)]
         outputs.append(f"pixel{i:02d}_background.csv")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sceneio.write_manifest(
-            out_dir / "manifest.json", scene_file,
-            dataclasses.asdict(params), params.rng_seed, outputs,
-        )
-        for i in range(scene.num_pixels):
-            if frames == 1:
+        with sceneio.run_manifest(out_dir, scene_file, params, outputs):
+            for i in range(scene.num_pixels):
+                if frames == 1:
+                    sceneio.write_histogram_csv(
+                        out_dir / f"pixel{i:02d}_signal.csv", simulate_histogram(scene, i, params)
+                    )
+                else:
+                    for k, frame in enumerate(simulate_frames(scene, i, params, frames)):
+                        sceneio.write_histogram_csv(
+                            out_dir / f"pixel{i:02d}_frame{k:02d}.csv", frame
+                        )
                 sceneio.write_histogram_csv(
-                    out_dir / f"pixel{i:02d}_signal.csv", simulate_histogram(scene, i, params)
+                    out_dir / f"pixel{i:02d}_background.csv", simulate_background(scene, i, params)
                 )
-            else:
-                for k, frame in enumerate(simulate_frames(scene, i, params, frames)):
-                    sceneio.write_histogram_csv(out_dir / f"pixel{i:02d}_frame{k:02d}.csv", frame)
-            sceneio.write_histogram_csv(
-                out_dir / f"pixel{i:02d}_background.csv", simulate_background(scene, i, params)
-            )
-        sceneio.write_manifest(
-            out_dir / "manifest.json", scene_file,
-            dataclasses.asdict(params), params.rng_seed, outputs, status="complete",
-        )
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except ValueError as exc:
@@ -152,7 +146,7 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str
 def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
                 window, write_maps, no_lambertian):
     """Localize hidden targets from histograms (read from --hist-dir or simulated)."""
-    scene, params, grid = _load_scene_or_exit(scene_file)
+    scene, params, grid = _load_or_exit(sceneio.load_scene, scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
     if no_lambertian:
@@ -181,7 +175,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         result = reconstruct_from_histograms(
             signals, backgrounds, scene.laser_spot, list(scene.pixels), grid, params,
             offset_s=calibration_offset_s(scene, params),
-            k_targets=targets, window=win, on_ambiguous="warn",
+            k_targets=targets, window=win,
         )
     except TooManyTargetsError as exc:
         _fail(EXIT_INVALID, str(exc))
@@ -190,36 +184,27 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
     except (PipelineError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
 
-    out_dir = Path(out)
-    outputs = ["tracks.json"]
+    # Every map is built before the manifest lists it; a peak whose c*t
+    # cannot reach its pixel has no ellipse, so it gets no map (association
+    # skips it too).
+    maps = {}
     if write_maps:
-        outputs += [
-            f"fused_map_{t.target_label}.csv" for t, _ in zip(result.tracks, result.fused_maps)
-        ]
-        outputs += [
-            f"pixel{pix:02d}_peak{j}_map.csv"
-            for pix, peaks in zip(result.used_pixels, result.peaks_per_pixel)
-            for j in range(len(peaks))
-        ]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sceneio.write_manifest(
-            out_dir / "manifest.json", scene_file,
-            dataclasses.asdict(params), params.rng_seed, outputs,
-        )
-        sceneio.write_tracks_json(out_dir / "tracks.json", result.tracks,
-                                  result.notes, result.status)
-        if write_maps:
-            for track, fused in zip(result.tracks, result.fused_maps):
-                sceneio.write_map_csv(out_dir / f"fused_map_{track.target_label}.csv", fused)
-            for pix, peaks in zip(result.used_pixels, result.peaks_per_pixel):
-                for j, peak in enumerate(peaks):
+        for track, fused in zip(result.tracks, result.fused_maps):
+            maps[f"fused_map_{track.target_label}.csv"] = fused
+        for pix, peaks in zip(result.used_pixels, result.peaks_per_pixel):
+            for j, peak in enumerate(peaks):
+                try:
                     pmap = backproject(peak, scene.laser_spot, scene.pixels[pix], grid)
-                    sceneio.write_map_csv(out_dir / f"pixel{pix:02d}_peak{j}_map.csv", pmap)
-        sceneio.write_manifest(
-            out_dir / "manifest.json", scene_file,
-            dataclasses.asdict(params), params.rng_seed, outputs, status="complete",
-        )
+                except InfeasibleTimeError:
+                    continue
+                maps[f"pixel{pix:02d}_peak{j}_map.csv"] = pmap
+    out_dir = Path(out)
+    try:
+        with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):
+            sceneio.write_tracks_json(out_dir / "tracks.json", result.tracks,
+                                      result.notes, result.status)
+            for name, pmap in maps.items():
+                sceneio.write_map_csv(out_dir / name, pmap)
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
 
@@ -241,31 +226,16 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 def sweep(config_file, out, seed):
     """Run the two-detector baseline sweep described by CONFIG_FILE."""
-    try:
-        config = sceneio.load_sweep_config(config_file)
-    except FileNotFoundError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (sceneio.SceneFormatError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+    config = _load_or_exit(sceneio.load_sweep_config, config_file)
     if seed is not None:
         config = dataclasses.replace(
             config, acquisition=dataclasses.replace(config.acquisition, rng_seed=seed)
         )
     out_dir = Path(out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sceneio.write_manifest(
-            out_dir / "manifest.json", config_file,
-            dataclasses.asdict(config.acquisition), config.acquisition.rng_seed,
-            ["sweep.csv"],
-        )
-        result = run_baseline_sweep(config)
-        sceneio.write_sweep_csv(out_dir / "sweep.csv", result)
-        sceneio.write_manifest(
-            out_dir / "manifest.json", config_file,
-            dataclasses.asdict(config.acquisition), config.acquisition.rng_seed,
-            ["sweep.csv"], status="complete",
-        )
+        with sceneio.run_manifest(out_dir, config_file, config.acquisition, ["sweep.csv"]):
+            result = run_baseline_sweep(config)
+            sceneio.write_sweep_csv(out_dir / "sweep.csv", result)
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     click.echo(f"wrote {len(result.rows)} sweep rows to {out_dir / 'sweep.csv'}")

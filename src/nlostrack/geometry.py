@@ -102,18 +102,6 @@ class Scene:
     def num_pixels(self) -> int:
         return len(self.pixels)
 
-    def without_objects(self) -> "Scene":
-        """The same scene with the targets absent (for background acquisition)."""
-        return Scene(
-            laser_spot=self.laser_spot,
-            pixels=self.pixels,
-            objects=(),
-            background_scatterers=self.background_scatterers,
-            scatter_height_z=self.scatter_height_z,
-            wall_normal=self.wall_normal,
-            standoff_m=self.standoff_m,
-        )
-
 
 def path_length(r_l: Point3, r_o: Point3, r_i: Point3) -> float:
     """Two-bounce path |r_o - r_l| + |r_o - r_i| in meters."""

@@ -6,6 +6,7 @@ regardless of locale (Python float repr) and carry a versioned header.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -30,6 +31,8 @@ class SceneFormatError(ValueError):
 
 
 def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str):
+    if not isinstance(doc, dict):
+        raise SceneFormatError(f"{what} must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise SceneFormatError(f"{what}: unknown field(s) {sorted(unknown)}")
@@ -124,14 +127,18 @@ def scene_to_dict(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> di
     }
 
 
-def load_scene(path) -> tuple[Scene, AcquisitionParams, GridSpec]:
+def _load_json_object(path, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise SceneFormatError(f"{path}: scene document must be a JSON object")
-    return scene_from_dict(doc)
+        raise SceneFormatError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def load_scene(path) -> tuple[Scene, AcquisitionParams, GridSpec]:
+    return scene_from_dict(_load_json_object(path, "scene document"))
 
 
 def save_scene(path, scene: Scene, params: AcquisitionParams, grid: GridSpec):
@@ -140,7 +147,7 @@ def save_scene(path, scene: Scene, params: AcquisitionParams, grid: GridSpec):
 
 _SWEEP_KEYS = {
     "laser_spot", "d1_position", "d2_x", "object_positions", "trials_per_point",
-    "object_reflectivity", "standoff_m", "min_snr", "acquisition", "grid",
+    "object_reflectivity", "standoff_m", "acquisition", "grid",
 }
 _SWEEP_GRID_KEYS = _GRID_KEYS | {"z_plane"}
 
@@ -171,7 +178,6 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
             trials_per_point=int(doc.get("trials_per_point", 50)),
             object_reflectivity=float(doc.get("object_reflectivity", 3.0)),
             standoff_m=float(doc.get("standoff_m", 2.0)),
-            min_snr=float(doc.get("min_snr", 4.0)),
         )
     except SceneFormatError:
         raise
@@ -180,13 +186,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
 
 
 def load_sweep_config(path) -> SweepConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"{path}: sweep config must be a JSON object")
-    return sweep_config_from_dict(doc)
+    return sweep_config_from_dict(_load_json_object(path, "sweep config"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def write_manifest(
     outputs: list[str],
     status: str = "incomplete",
 ):
-    """Write the run manifest. Call once before producing results and again
-    (status="complete") afterwards, so an interrupted run is visible."""
+    """Write the run manifest; ``run_manifest`` brackets a run with two calls."""
     doc = {
         "tool": "nlostrack",
         "version": TOOL_VERSION,
@@ -336,3 +335,18 @@ def write_manifest(
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
     return doc
+
+
+@contextlib.contextmanager
+def run_manifest(out_dir, source_file, params: AcquisitionParams, outputs: list[str]):
+    """Create ``out_dir`` and bracket the body with its manifest.
+
+    The manifest says ``incomplete`` while the body runs and ``complete``
+    only once it finishes, so an interrupted or failed run stays visible.
+    """
+    path = Path(out_dir) / "manifest.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    args = (path, source_file, dataclasses.asdict(params), params.rng_seed, outputs)
+    write_manifest(*args)
+    yield
+    write_manifest(*args, status="complete")

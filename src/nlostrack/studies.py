@@ -110,7 +110,6 @@ class ScenarioResult:
     used_pixels: list[int]
     status: str  # "ok", "ambiguous" or "no_target"
     notes: list[str] = field(default_factory=list)
-    subtracted: list[TransientHistogram] = field(default_factory=list)
     fused_maps: list[ProbabilityMap] = field(default_factory=list)
 
     @property
@@ -118,18 +117,15 @@ class ScenarioResult:
         return self.status in ("ok", "ambiguous") and bool(self.tracks)
 
 
-def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params,
-                   k_targets, min_snr, window=None):
+def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets, window):
     # Subtraction is per bin and cropping only selects and reorders bins, so
     # subtracting the raw histograms first needs one offset and one crop.
     win = window if window is not None else auto_time_window(r_l, r_i, grid, params)
     cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), win)
-    seeds = detect_peaks(cleaned, max_peaks=k_targets, min_snr=min_snr,
-                         irf_sigma_s=params.irf_sigma_s)
+    seeds = detect_peaks(cleaned, max_peaks=k_targets, irf_sigma_s=params.irf_sigma_s)
     if not seeds:
-        return cleaned, []
-    peaks = fit_peaks(cleaned, seeds, irf_sigma_guess=params.irf_sigma_s)
-    return cleaned, peaks
+        return []
+    return fit_peaks(cleaned, seeds, irf_sigma_guess=params.irf_sigma_s)
 
 
 def reconstruct_from_histograms(
@@ -141,16 +137,17 @@ def reconstruct_from_histograms(
     params: AcquisitionParams,
     offset_s: float,
     k_targets: int = 1,
-    min_snr: float = 4.0,
     window: TimeWindow | None = None,
-    on_ambiguous: str = "raise",
 ) -> ScenarioResult:
     """Run the retrieval chain on already-acquired raw histograms.
 
+    Peaks are detected at the fixed 4-sigma threshold of ``detect_peaks``.
     Pixels whose histogram shows no usable return are dropped with a note;
     if fewer than two remain, or the surviving measurements cannot be
-    reconciled, the result reports ``no_target`` instead of raising.
-    Processing failures propagate as PipelineError naming the pixel.
+    reconciled, the result reports ``no_target`` instead of raising. An
+    ambiguous association reports ``ambiguous`` with the best assignment's
+    tracks and a UserWarning. Processing failures propagate as
+    PipelineError naming the pixel.
     """
     if len(pixels) < 2:
         raise ValueError("localization needs at least two detector pixels")
@@ -161,17 +158,14 @@ def reconstruct_from_histograms(
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []
-    subtracted: list[TransientHistogram] = []
     used: list[int] = []
     for i, (sig, bg) in enumerate(zip(signal_hists, background_hists)):
         try:
-            cleaned, peaks = _process_pixel(
-                sig, bg, laser_spot, pixels[i], offset_s, grid, params,
-                k_targets, min_snr, window=window,
+            peaks = _process_pixel(
+                sig, bg, laser_spot, pixels[i], offset_s, grid, params, k_targets, window
             )
         except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"pixel {i}: {exc}") from exc
-        subtracted.append(cleaned)
         if peaks:
             used.append(i)
             peaks_per_pixel.append(peaks)
@@ -180,7 +174,7 @@ def reconstruct_from_histograms(
 
     result = ScenarioResult(
         tracks=[], peaks_per_pixel=peaks_per_pixel, used_pixels=used,
-        status="no_target", notes=notes, subtracted=subtracted,
+        status="no_target", notes=notes,
     )
     if len(used) < 2:
         result.notes.append("no target found: fewer than two pixels with usable returns")
@@ -192,8 +186,6 @@ def reconstruct_from_histograms(
         )
         result.status = "ok"
     except AmbiguousAssociationError as exc:
-        if on_ambiguous != "warn":
-            raise
         warnings.warn(str(exc), stacklevel=2)
         result.status = "ambiguous"
         result.notes.append(
@@ -232,15 +224,12 @@ def run_scenario(
     params: AcquisitionParams,
     grid: GridSpec,
     k_targets: int = 1,
-    min_snr: float = 4.0,
-    on_ambiguous: str = "raise",
 ) -> ScenarioResult:
     """Simulate the scene and run the full retrieval on the result."""
     signal, background = simulate_scene(scene, params)
     return reconstruct_from_histograms(
         signal, background, scene.laser_spot, list(scene.pixels), grid, params,
-        offset_s=calibration_offset_s(scene, params),
-        k_targets=k_targets, min_snr=min_snr, on_ambiguous=on_ambiguous,
+        offset_s=calibration_offset_s(scene, params), k_targets=k_targets,
     )
 
 
@@ -248,13 +237,11 @@ def _fmt_tracks(tracks) -> str:
     return "[" + ", ".join(f"({t.position[0]:.2f}, {t.position[1]:.2f})" for t in tracks) + "]"
 
 
-def run_two_person(
-    scene: Scene, params: AcquisitionParams, grid: GridSpec, min_snr: float = 4.0
-) -> ScenarioResult:
-    """Two-target variant; an ambiguous association degrades to a warning."""
+def run_two_person(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> ScenarioResult:
+    """Two-target variant of run_scenario for a scene with two hidden objects."""
     if len(scene.objects) != 2:
         raise ValueError("two-person study needs exactly two hidden objects in the scene")
-    return run_scenario(scene, params, grid, k_targets=2, min_snr=min_snr, on_ambiguous="warn")
+    return run_scenario(scene, params, grid, k_targets=2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +262,6 @@ class SweepConfig:
     trials_per_point: int = 50
     object_reflectivity: float = 3.0
     standoff_m: float = 2.0
-    min_snr: float = 4.0
 
     def __post_init__(self):
         lo, hi, steps = self.d2_x_range
@@ -360,10 +346,7 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
                         scatter_height_z=config.grid.z_plane,
                         standoff_m=config.standoff_m,
                     )
-                    result = run_scenario(
-                        scene, params, config.grid, k_targets=1,
-                        min_snr=config.min_snr, on_ambiguous="warn",
-                    )
+                    result = run_scenario(scene, params, config.grid)
                 except (ValueError, RuntimeError):
                     failed += 1
                     continue

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 from nlostrack import sceneio
 from nlostrack.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 SCENE = {
     "laser_spot": [-0.5, 0.0, 1.15],
     "pixels": [
@@ -38,6 +40,19 @@ def read_bytes_sorted(directory, pattern):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).glob(pattern))}
 
 
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def assert_manifest_complete_and_lists_only_written_files(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["outputs"]
+    for name in manifest["outputs"]:
+        assert (out_dir / name).exists(), name
+    return manifest
+
+
 class TestSimulate:
     def test_four_pixel_scene_writes_eight_csvs(self, runner, scene_file, tmp_path):
         out = tmp_path / "sim"
@@ -62,6 +77,12 @@ class TestSimulate:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 1
 
+    def test_unreadable_scene_exit_1_without_traceback(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error:")
+
     def test_same_seed_byte_identical(self, runner, scene_file, tmp_path):
         for name in ("a", "b"):
             result = runner.invoke(
@@ -78,6 +99,22 @@ class TestSimulate:
         assert result.exit_code == 0
         assert len(list(out.glob("pixel00_frame*.csv"))) == 4
         assert (out / "pixel00_background.csv").exists()
+
+    def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
+                                                         monkeypatch):
+        out = tmp_path / "sim"
+        monkeypatch.setattr("nlostrack.cli.simulate_background", interrupt)
+        result = runner.invoke(main, ["simulate", str(scene_file), "--out", str(out)])
+        assert result.exit_code != 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
+
+    @pytest.mark.parametrize("field, value", [("acquisition", None), ("grid", 5)])
+    def test_non_object_section_exit_2_names_field(self, runner, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, **{field: value})))
+        result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert f"scene.{field} must be a JSON object" in result.output
 
 
 class TestReconstruct:
@@ -183,11 +220,36 @@ class TestReconstruct:
             )
         assert result.exit_code == 0, result.output
         assert json.loads((rec / "tracks.json").read_text())["status"] == "ambiguous"
-        manifest = json.loads((rec / "manifest.json").read_text())
-        assert manifest["status"] == "complete"
-        assert manifest["outputs"]
-        for name in manifest["outputs"]:
-            assert (rec / name).exists(), name
+        assert_manifest_complete_and_lists_only_written_files(rec)
+
+    def test_maps_skip_infeasible_peaks(self, runner, tmp_path):
+        # histograms of the bundled scene read with a 1.4 m standoff error:
+        # one pixel's corrected return time is too short to reach its pixel,
+        # so it has no ellipse, no map and no place in the manifest
+        sim, rec = tmp_path / "sim", tmp_path / "rec"
+        assert runner.invoke(
+            main, ["simulate", str(CONFIGS / "single_person.json"), "--out", str(sim),
+                   "--seed", "3"]
+        ).exit_code == 0
+        doc = json.loads((CONFIGS / "single_person.json").read_text())
+        miscalibrated = tmp_path / "standoff.json"
+        miscalibrated.write_text(json.dumps(dict(doc, standoff_m=3.4)))
+        result = runner.invoke(
+            main, ["reconstruct", str(miscalibrated), "--hist-dir", str(sim), "--out", str(rec),
+                   "--seed", "3", "--grid-res", "0.1", "--maps"]
+        )
+        assert result.exit_code == 3, result.output
+        assert "no feasible assignment" in result.output
+        manifest = assert_manifest_complete_and_lists_only_written_files(rec)
+        assert len(manifest["outputs"]) < 1 + len(doc["pixels"])
+
+    def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
+                                                         monkeypatch):
+        rec = tmp_path / "rec"
+        monkeypatch.setattr("nlostrack.sceneio.write_tracks_json", interrupt)
+        result = runner.invoke(main, ["reconstruct", str(scene_file), "--out", str(rec)])
+        assert result.exit_code != 0
+        assert json.loads((rec / "manifest.json").read_text())["status"] == "incomplete"
 
     def test_bad_window_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
@@ -246,10 +308,7 @@ class TestSweep:
         config.write_text(json.dumps(SWEEP_DOC))
         out = tmp_path / "out"
 
-        def boom(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("nlostrack.cli.run_baseline_sweep", boom)
+        monkeypatch.setattr("nlostrack.cli.run_baseline_sweep", interrupt)
         result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
         assert result.exit_code != 0
         assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
@@ -259,3 +318,18 @@ class TestSweep:
         config.write_text(json.dumps(dict(SWEEP_DOC, trials_per_point=1)))
         result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("field, value", [("acquisition", None), ("d2_x", [-0.4, -1.2, 2])])
+    def test_non_object_section_exit_2_names_field(self, runner, tmp_path, field, value):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(SWEEP_DOC, **{field: value})))
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert f"sweep.{field} must be a JSON object" in result.output
+
+    def test_min_snr_is_an_unknown_field(self, runner, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(SWEEP_DOC, min_snr=4.0)))
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "unknown field(s) ['min_snr']" in result.output

@@ -92,15 +92,3 @@ class TestTypes:
     def test_scene_rejects_bad_standoff(self):
         with pytest.raises(ValueError, match="standoff"):
             Scene(laser_spot=Point3(0, 0, 1), pixels=(Point3(1, 0, 1),), standoff_m=0.0)
-
-    def test_without_objects_keeps_clutter(self):
-        scene = Scene(
-            laser_spot=Point3(0, 0, 1),
-            pixels=(Point3(1, 0, 1),),
-            objects=(HiddenObject(Point3(0.5, 1, 1), 1.0, "p"),),
-            background_scatterers=(HiddenObject(Point3(0, 2, 1), 2.0, "wall"),),
-        )
-        bg = scene.without_objects()
-        assert bg.objects == ()
-        assert bg.background_scatterers == scene.background_scatterers
-        assert bg.pixels == scene.pixels

@@ -170,7 +170,7 @@ class TestMedianBackground:
         # 11 frames, object present in only 2: per-bin median tracks the
         # background expectation within 3 sigma
         scene = quiet_scene()
-        bg_scene = scene.without_objects()
+        bg_scene = dataclasses.replace(scene, objects=())
         p = AcquisitionParams(dark_rate_hz=500.0, rng_seed=0)
         frames = []
         for k in range(11):

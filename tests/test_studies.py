@@ -109,6 +109,21 @@ class TestRunScenario:
                 params, offset_s=calibration_offset_s(scene, params),
             )
 
+    def test_ambiguous_association_reports_status_and_warns(self):
+        # mirror-symmetric pixels and targets: both assignments score alike
+        scene = corner_scene(
+            [(-0.8, 1.4), (0.8, 1.4)], reflectivity=3.0,
+            pixels=(Point3(-0.6, 0.0, 1.0), Point3(0.6, 0.0, 1.0)),
+            laser_spot=Point3(0.0, 0.0, 1.0),
+        )
+        params = AcquisitionParams(rng_seed=0, system_throughput=1.0e5)
+        with pytest.warns(UserWarning, match="top assignments score within 1%"):
+            res = run_scenario(scene, params, DEFAULT_GRID, k_targets=2)
+        assert res.status == "ambiguous"
+        assert len(res.tracks) == 2
+        assert res.fused_maps == []
+        assert any(n.startswith("ambiguous association") for n in res.notes)
+
     def test_determinism(self):
         scene = corner_scene([(0.6, 1.0)])
         a = run_scenario(scene, AcquisitionParams(rng_seed=11), DEFAULT_GRID)
