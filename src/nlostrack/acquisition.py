@@ -65,8 +65,14 @@ class AcquisitionParams:
                 "histogram window 1/rep_rate_hz must be an integer multiple of "
                 f"bin_width_s (got {n!r} bins)"
             )
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        seed = self.rng_seed
+        try:
+            whole = not isinstance(seed, bool) and int(seed) == seed and seed >= 0
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "rng_seed", int(seed))
 
     @property
     def window_s(self) -> float:

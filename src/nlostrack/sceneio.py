@@ -1,7 +1,9 @@
 """File formats: scene JSON, histogram/map/sweep CSV, track JSON, run manifest.
 
-The only module that touches the filesystem. All CSVs use '.' decimals
-regardless of locale (Python float repr) and carry a versioned header.
+The only module that touches the filesystem. Every CSV has one layout: a
+versioned ``# <format>`` line, ``# key=value`` header lines, the column line,
+then comma-separated rows with '.' decimals (Python float repr) and
+``true``/``false`` booleans. The reader checks the format and column lines.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .acquisition import AcquisitionParams, TransientHistogram
 from .geometry import HiddenObject, Point3, Scene
 from .localization import GridSpec, ProbabilityMap, TrackEstimate
-from .studies import SweepConfig, SweepResult
+from .studies import SweepConfig, SweepResult, SweepRow
 
 HISTOGRAM_FORMAT = "nlostrack-histogram v1"
 MAP_FORMAT = "nlostrack-map v1"
@@ -41,13 +43,29 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str):
         raise SceneFormatError(f"{what}: missing required field(s) {sorted(missing)}")
 
 
+@contextlib.contextmanager
+def _format_errors(what: str = ""):
+    """Re-raise a TypeError or ValueError of the body as SceneFormatError."""
+    try:
+        yield
+    except SceneFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"{what}: {exc}" if what else str(exc)) from exc
+
+
 def _point(raw, what: str) -> Point3:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
         raise SceneFormatError(f"{what} must be a [x, y, z] triple")
-    try:
+    with _format_errors(what):
         return Point3(*[float(v) for v in raw])
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(f"{what}: {exc}") from exc
+
+
+def _integer(raw, what: str) -> int:
+    """A count: an int, or a float with no fractional part; never a bool."""
+    if not (type(raw) is int or type(raw) is float and raw.is_integer()):
+        raise SceneFormatError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def _hidden_object(raw, what: str) -> HiddenObject:
@@ -67,17 +85,31 @@ _SCENE_KEYS = {
     "scatter_height_z", "wall_normal", "standoff_m", "acquisition", "grid",
 }
 _ACQ_KEYS = {f.name for f in dataclasses.fields(AcquisitionParams)}
-_GRID_KEYS = {"x_min", "x_max", "y_min", "y_max", "resolution"}
+_GRID_KEYS = {f.name for f in dataclasses.fields(GridSpec)}
+
+
+def _acquisition(doc: dict, what: str) -> AcquisitionParams:
+    """The optional ``acquisition`` section of a scene or sweep document."""
+    raw = doc.get("acquisition", {})
+    _require_keys(raw, _ACQ_KEYS, set(), f"{what}.acquisition")
+    return AcquisitionParams(**raw)
+
+
+def _grid(doc: dict, what: str, **fixed) -> GridSpec:
+    """The ``grid`` section; fields in ``fixed`` come from elsewhere and may not appear."""
+    raw = doc["grid"]
+    _require_keys(raw, _GRID_KEYS - fixed.keys(), {"x_min", "x_max", "y_min", "y_max"},
+                  f"{what}.grid")
+    return GridSpec(**raw, **fixed)
 
 
 def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
     """Parse a scene document; unknown fields are rejected to catch typos."""
     _require_keys(doc, _SCENE_KEYS, {"laser_spot", "pixels", "scatter_height_z", "grid"}, "scene")
-    acq_doc = doc.get("acquisition", {})
-    _require_keys(acq_doc, _ACQ_KEYS, set(), "scene.acquisition")
-    grid_doc = doc["grid"]
-    _require_keys(grid_doc, _GRID_KEYS, {"x_min", "x_max", "y_min", "y_max"}, "scene.grid")
-    try:
+    with _format_errors():
+        params = _acquisition(doc, "scene")
+        height = float(doc["scatter_height_z"])
+        grid = _grid(doc, "scene", z_plane=height)
         scene = Scene(
             laser_spot=_point(doc["laser_spot"], "scene.laser_spot"),
             pixels=tuple(_point(p, f"scene.pixels[{i}]") for i, p in enumerate(doc["pixels"])),
@@ -89,16 +121,10 @@ def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
                 _hidden_object(o, f"scene.background_scatterers[{i}]")
                 for i, o in enumerate(doc.get("background_scatterers", []))
             ),
-            scatter_height_z=float(doc["scatter_height_z"]),
+            scatter_height_z=height,
             wall_normal=tuple(float(v) for v in doc.get("wall_normal", (0.0, 1.0, 0.0))),
             standoff_m=float(doc.get("standoff_m", 2.0)),
         )
-        params = AcquisitionParams(**acq_doc)
-        grid = GridSpec(z_plane=scene.scatter_height_z, **grid_doc)
-    except SceneFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(str(exc)) from exc
     return scene, params, grid
 
 
@@ -119,12 +145,12 @@ def scene_to_dict(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> di
         "wall_normal": list(scene.wall_normal),
         "standoff_m": scene.standoff_m,
         "acquisition": dataclasses.asdict(params),
-        "grid": {
-            "x_min": grid.x_min, "x_max": grid.x_max,
-            "y_min": grid.y_min, "y_max": grid.y_max,
-            "resolution": grid.resolution,
-        },
+        "grid": {k: v for k, v in dataclasses.asdict(grid).items() if k != "z_plane"},
     }
+
+
+def _write_json(path, doc: dict):
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -142,14 +168,13 @@ def load_scene(path) -> tuple[Scene, AcquisitionParams, GridSpec]:
 
 
 def save_scene(path, scene: Scene, params: AcquisitionParams, grid: GridSpec):
-    Path(path).write_text(json.dumps(scene_to_dict(scene, params, grid), indent=2) + "\n")
+    _write_json(path, scene_to_dict(scene, params, grid))
 
 
 _SWEEP_KEYS = {
     "laser_spot", "d1_position", "d2_x", "object_positions", "trials_per_point",
     "object_reflectivity", "standoff_m", "acquisition", "grid",
 }
-_SWEEP_GRID_KEYS = _GRID_KEYS | {"z_plane"}
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
@@ -160,123 +185,34 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     )
     d2 = doc["d2_x"]
     _require_keys(d2, {"min", "max", "steps"}, {"min", "max", "steps"}, "sweep.d2_x")
-    acq_doc = doc.get("acquisition", {})
-    _require_keys(acq_doc, _ACQ_KEYS, set(), "sweep.acquisition")
-    grid_doc = doc["grid"]
-    _require_keys(grid_doc, _SWEEP_GRID_KEYS, {"x_min", "x_max", "y_min", "y_max"}, "sweep.grid")
-    try:
+    with _format_errors():
         return SweepConfig(
             laser_spot=_point(doc["laser_spot"], "sweep.laser_spot"),
             d1_position=_point(doc["d1_position"], "sweep.d1_position"),
-            d2_x_range=(float(d2["min"]), float(d2["max"]), int(d2["steps"])),
+            d2_x_range=(float(d2["min"]), float(d2["max"]),
+                        _integer(d2["steps"], "sweep.d2_x.steps")),
             object_positions=tuple(
                 _point(p, f"sweep.object_positions[{i}]")
                 for i, p in enumerate(doc["object_positions"])
             ),
-            acquisition=AcquisitionParams(**acq_doc),
-            grid=GridSpec(**grid_doc),
-            trials_per_point=int(doc.get("trials_per_point", 50)),
+            acquisition=_acquisition(doc, "sweep"),
+            grid=_grid(doc, "sweep"),
+            trials_per_point=_integer(doc.get("trials_per_point", 50), "sweep.trials_per_point"),
             object_reflectivity=float(doc.get("object_reflectivity", 3.0)),
             standoff_m=float(doc.get("standoff_m", 2.0)),
         )
-    except SceneFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(str(exc)) from exc
 
 
 def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_dict(_load_json_object(path, "sweep config"))
 
 
-# ---------------------------------------------------------------------------
-# Histogram CSV
-# ---------------------------------------------------------------------------
-
-
-def write_histogram_csv(path, hist: TransientHistogram):
-    lines = [
-        f"# {HISTOGRAM_FORMAT}",
-        f"# bin_width_s={hist.bin_width_s!r}",
-        f"# t0_offset_s={hist.t0_offset_s!r}",
-        f"# pixel={hist.pixel_index}",
-        f"# acq_time_s={hist.acq_time_s!r}",
-        "bin_index,counts",
-    ]
-    lines += [f"{i},{c}" for i, c in enumerate(hist.counts)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_histogram_csv(path) -> TransientHistogram:
-    meta = {}
-    counts = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-            continue
-        if line.startswith("bin_index"):
-            continue
-        idx, val = line.split(",")
-        counts.append(int(val))
-        if int(idx) != len(counts) - 1:
-            raise ValueError(f"{path}: non-contiguous bin indices")
-    if not counts:
-        raise ValueError(f"{path}: no histogram rows")
-    try:
-        return TransientHistogram(
-            counts=np.array(counts, dtype=np.int64),
-            bin_width_s=float(meta["bin_width_s"]),
-            t0_offset_s=float(meta["t0_offset_s"]),
-            pixel_index=int(meta["pixel"]),
-            acq_time_s=float(meta.get("acq_time_s", 1.0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing header line for {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Probability-map CSV, track JSON, sweep CSV
-# ---------------------------------------------------------------------------
-
-
-def write_map_csv(path, pmap: ProbabilityMap):
-    g = pmap.grid
-    lines = [
-        f"# {MAP_FORMAT}",
-        f"# x_min={g.x_min!r}",
-        f"# x_max={g.x_max!r}",
-        f"# y_min={g.y_min!r}",
-        f"# y_max={g.y_max!r}",
-        f"# resolution={g.resolution!r}",
-        f"# z_plane={g.z_plane!r}",
-        f"# normalized={'true' if pmap.normalized else 'false'}",
-        "x,y,value",
-    ]
-    xc, yc = g.x_centers(), g.y_centers()
-    for iy in range(g.ny):
-        for ix in range(g.nx):
-            lines.append(f"{float(xc[ix])!r},{float(yc[iy])!r},{float(pmap.values[iy, ix])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def tracks_to_dict(tracks: list[TrackEstimate], notes: list[str], status: str) -> dict:
     return {
         "status": status,
         "tracks": [
-            {
-                "label": t.target_label,
-                "x": t.position[0],
-                "y": t.position[1],
-                "sigma_x": t.sigma_x,
-                "sigma_y": t.sigma_y,
-                "peak_value": t.peak_value,
-            }
+            {"label": t.target_label, "x": t.position[0], "y": t.position[1],
+             "sigma_x": t.sigma_x, "sigma_y": t.sigma_y, "peak_value": t.peak_value}
             for t in tracks
         ],
         "diagnostics": list(notes),
@@ -284,24 +220,85 @@ def tracks_to_dict(tracks: list[TrackEstimate], notes: list[str], status: str) -
 
 
 def write_tracks_json(path, tracks, notes, status):
-    Path(path).write_text(json.dumps(tracks_to_dict(tracks, notes, status), indent=2) + "\n")
+    _write_json(path, tracks_to_dict(tracks, notes, status))
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: histogram, probability map, sweep
+# ---------------------------------------------------------------------------
+
+
+def _text(value) -> str:
+    """A header value or cell: ``true``/``false`` for a bool, else ``str`` (float repr)."""
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+
+def _write_table(path, fmt: str, meta: dict, columns, rows):
+    """Write the CSV layout; ``rows`` are data lines with their cells already joined."""
+    header = [f"# {fmt}", *(f"# {key}={_text(value)}" for key, value in meta.items())]
+    Path(path).write_text("\n".join([*header, ",".join(columns), *rows]) + "\n")
+
+
+def _read_table(path, fmt: str, columns) -> tuple[dict[str, str], list[str]]:
+    """Check the format and column lines; return the header values and the data lines."""
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines()) if line]
+    end = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    for at, expected in ((0, f"# {fmt}"), (end, ",".join(columns))):
+        found = lines[at] if at < len(lines) else None
+        if found != expected:
+            raise ValueError(f"{path}: missing header line {expected!r}, found {found!r}")
+    pairs = (line[1:].partition("=") for line in lines[1:end])
+    return {key.strip(): value.strip() for key, _, value in pairs}, lines[end + 1:]
+
+
+_HISTOGRAM_COLUMNS = ("bin_index", "counts")
+
+
+def write_histogram_csv(path, hist: TransientHistogram):
+    meta = {"bin_width_s": hist.bin_width_s, "t0_offset_s": hist.t0_offset_s,
+            "pixel": hist.pixel_index, "acq_time_s": hist.acq_time_s}
+    rows = (f"{i},{c}" for i, c in enumerate(hist.counts.tolist()))
+    _write_table(path, HISTOGRAM_FORMAT, meta, _HISTOGRAM_COLUMNS, rows)
+
+
+def read_histogram_csv(path) -> TransientHistogram:
+    meta, rows = _read_table(path, HISTOGRAM_FORMAT, _HISTOGRAM_COLUMNS)
+    if not rows:
+        raise ValueError(f"{path}: no histogram rows")
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                           dtype=[(name, np.int64) for name in _HISTOGRAM_COLUMNS])
+        if not np.array_equal(table["bin_index"], np.arange(table.size)):
+            raise ValueError("non-contiguous bin indices")
+        return TransientHistogram(
+            counts=table["counts"], bin_width_s=float(meta["bin_width_s"]),
+            t0_offset_s=float(meta["t0_offset_s"]), pixel_index=int(meta["pixel"]),
+            acq_time_s=float(meta.get("acq_time_s", 1.0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing header line for {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_map_csv(path, pmap: ProbabilityMap):
+    g = pmap.grid
+    xs = list(map(str, g.x_centers().tolist()))
+    rows = (
+        f"{x},{y},{v}"
+        for y, values in zip(map(str, g.y_centers().tolist()), pmap.values.tolist())
+        for x, v in zip(xs, values)
+    )
+    meta = {**dataclasses.asdict(g), "normalized": pmap.normalized}
+    _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), rows)
+
+
+_SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def write_sweep_csv(path, result: SweepResult):
-    lines = [
-        f"# {SWEEP_FORMAT}",
-        "baseline_m,object_index,truth_x,truth_y,error_x,error_y,"
-        "sigma_x,sigma_y,pdf_sigma_x,pdf_sigma_y,pdf_sigma_x_se,pdf_sigma_y_se,"
-        "n_trials,n_failed,valid",
-    ]
-    for r in result.rows:
-        lines.append(
-            f"{r.baseline_m!r},{r.object_index},{r.truth_x!r},{r.truth_y!r},"
-            f"{r.error_x!r},{r.error_y!r},{r.sigma_x!r},{r.sigma_y!r},"
-            f"{r.pdf_sigma_x!r},{r.pdf_sigma_y!r},{r.pdf_sigma_x_se!r},{r.pdf_sigma_y_se!r},"
-            f"{r.n_trials},{r.n_failed},{'true' if r.valid else 'false'}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (",".join(map(_text, dataclasses.astuple(r))) for r in result.rows)
+    _write_table(path, SWEEP_FORMAT, {}, _SWEEP_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +310,8 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(
-    path,
-    scene_file,
-    params: dict,
-    master_seed: int,
-    outputs: list[str],
-    status: str = "incomplete",
-):
+def write_manifest(path, scene_file, params: dict, master_seed: int, outputs: list[str],
+                   status: str = "incomplete"):
     """Write the run manifest; ``run_manifest`` brackets a run with two calls."""
     doc = {
         "tool": "nlostrack",
@@ -333,8 +324,7 @@ def write_manifest(
         "written_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": list(outputs),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
+    _write_json(path, doc)
 
 
 @contextlib.contextmanager

@@ -54,6 +54,15 @@ class TestParams:
         with pytest.raises(ValueError, match="rng_seed"):
             AcquisitionParams(rng_seed=-1)
 
+    def test_integral_float_seed_stored_as_int(self):
+        seed = AcquisitionParams(rng_seed=42.0).rng_seed
+        assert seed == 42 and type(seed) is int
+
+    @pytest.mark.parametrize("seed", [True, math.inf, math.nan, "7"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            AcquisitionParams(rng_seed=seed)
+
 
 class TestHistogramType:
     def test_rejects_negative_counts(self):

@@ -108,6 +108,15 @@ class TestSimulate:
         assert result.exit_code != 0
         assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
 
+    def test_integral_float_seed_writes_same_bytes(self, runner, tmp_path):
+        for name, seed in (("int", 42), ("float", 42.0)):
+            scene = tmp_path / f"{name}.json"
+            scene.write_text(json.dumps(dict(SCENE, acquisition={"rng_seed": seed})))
+            result = runner.invoke(main, ["simulate", str(scene), "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+        assert read_bytes_sorted(tmp_path / "int", "*.csv") == read_bytes_sorted(
+            tmp_path / "float", "*.csv")
+
     @pytest.mark.parametrize("field, value", [("acquisition", None), ("grid", 5)])
     def test_non_object_section_exit_2_names_field(self, runner, tmp_path, field, value):
         bad = tmp_path / "bad.json"
@@ -251,6 +260,19 @@ class TestReconstruct:
         assert result.exit_code != 0
         assert json.loads((rec / "manifest.json").read_text())["status"] == "incomplete"
 
+    def test_map_in_place_of_histogram_exit_2_names_file(self, runner, scene_file, tmp_path):
+        sim, rec = tmp_path / "sim", tmp_path / "rec"
+        assert runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)]).exit_code == 0
+        assert runner.invoke(main, ["reconstruct", str(scene_file), "--out", str(rec),
+                                    "--maps", "--grid-res", "0.1"]).exit_code == 0
+        signal = sim / "pixel00_signal.csv"
+        signal.write_bytes(next(rec.glob("pixel*_peak*_map.csv")).read_bytes())
+        result = runner.invoke(main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
+                                      "--out", str(tmp_path / "rec2")])
+        assert result.exit_code == 2
+        assert str(signal) in result.output
+        assert sceneio.HISTOGRAM_FORMAT in result.output
+
     def test_bad_window_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
             main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
@@ -333,3 +355,14 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "unknown field(s) ['min_snr']" in result.output
+
+    @pytest.mark.parametrize("doc", [
+        dict(SWEEP_DOC, trials_per_point=10.7),
+        dict(SWEEP_DOC, d2_x=dict(SWEEP_DOC["d2_x"], steps=True)),
+    ])
+    def test_non_integer_count_exit_2(self, runner, tmp_path, doc):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "must be an integer" in result.output

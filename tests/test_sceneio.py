@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlostrack import GridSpec, Point3, TransientHistogram, backproject
+from nlostrack import GridSpec, Point3, ProbabilityMap, TransientHistogram, backproject
 from nlostrack.processing import PeakEstimate
 from nlostrack import sceneio
 from nlostrack.sceneio import SceneFormatError
+from nlostrack.studies import SweepResult, SweepRow
 
 
 def scene_doc():
@@ -89,6 +93,17 @@ class TestSweepDocument:
         assert config.trials_per_point == 10
         assert len(config.d2_positions()) == 5
 
+    @pytest.mark.parametrize("value", [10.7, True])
+    @pytest.mark.parametrize("field", ["trials_per_point", "d2_x.steps"])
+    def test_non_integer_count_rejected(self, field, value):
+        doc = self.doc()
+        if field == "trials_per_point":
+            doc["trials_per_point"] = value
+        else:
+            doc["d2_x"]["steps"] = value
+        with pytest.raises(SceneFormatError, match=f"sweep.{field} must be an integer"):
+            sceneio.sweep_config_from_dict(doc)
+
     def test_unknown_field_rejected(self):
         doc = self.doc()
         doc["d2_y"] = {}
@@ -96,13 +111,17 @@ class TestSweepDocument:
             sceneio.sweep_config_from_dict(doc)
 
 
+def five_bin_histogram():
+    return TransientHistogram(
+        counts=np.array([0, 3, 1, 0, 7], dtype=np.int64),
+        bin_width_s=4e-12, t0_offset_s=-1.3342563807926082e-08,
+        pixel_index=2, acq_time_s=1.0,
+    )
+
+
 class TestHistogramCsv:
     def test_roundtrip(self, tmp_path):
-        h = TransientHistogram(
-            counts=np.array([0, 3, 1, 0, 7], dtype=np.int64),
-            bin_width_s=4e-12, t0_offset_s=-1.3342563807926082e-08,
-            pixel_index=2, acq_time_s=1.0,
-        )
+        h = five_bin_histogram()
         path = tmp_path / "h.csv"
         sceneio.write_histogram_csv(path, h)
         assert sceneio.read_histogram_csv(path) == h
@@ -111,11 +130,41 @@ class TestHistogramCsv:
         assert "# bin_width_s=4e-12" in text
         assert "# pixel=2" in text
 
+    def test_wrong_column_line_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        sceneio.write_histogram_csv(path, five_bin_histogram())
+        path.write_text(path.read_text().replace("bin_index,counts", "bin,counts"))
+        with pytest.raises(ValueError, match="missing header line 'bin_index,counts'"):
+            sceneio.read_histogram_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("bin_index,counts\n0,1\n")
         with pytest.raises(ValueError, match="missing header"):
             sceneio.read_histogram_csv(path)
+
+    def test_crlf_and_trailing_blank_lines_accepted(self, tmp_path):
+        h = five_bin_histogram()
+        path = tmp_path / "h.csv"
+        sceneio.write_histogram_csv(path, h)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n\n")
+        assert sceneio.read_histogram_csv(path) == h
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 2**40), min_size=1, max_size=40),
+        bin_width_s=st.floats(1e-15, 1e-6),
+        t0_offset_s=st.floats(-1e-6, 1e-6, allow_subnormal=False),
+        pixel_index=st.integers(0, 10_000),
+        acq_time_s=st.floats(1e-3, 1e4),
+    )
+    def test_roundtrip_property(self, tmp_path_factory, counts, bin_width_s, t0_offset_s,
+                                pixel_index, acq_time_s):
+        h = TransientHistogram(np.array(counts, dtype=np.int64), bin_width_s, t0_offset_s,
+                               pixel_index, acq_time_s)
+        path = tmp_path_factory.mktemp("prop") / "h.csv"
+        sceneio.write_histogram_csv(path, h)
+        assert sceneio.read_histogram_csv(path) == h
 
 
 class TestMapAndTracks:
@@ -143,6 +192,61 @@ class TestMapAndTracks:
         assert doc["status"] == "ok"
         assert doc["tracks"][0]["x"] == 0.5
         assert doc["diagnostics"] == ["note"]
+
+
+class TestGoldenBytes:
+    """The exact on-disk text of each CSV layout."""
+
+    def test_histogram(self, tmp_path):
+        path = tmp_path / "h.csv"
+        sceneio.write_histogram_csv(path, five_bin_histogram())
+        assert path.read_bytes() == (
+            b"# nlostrack-histogram v1\n"
+            b"# bin_width_s=4e-12\n"
+            b"# t0_offset_s=-1.3342563807926082e-08\n"
+            b"# pixel=2\n"
+            b"# acq_time_s=1.0\n"
+            b"bin_index,counts\n"
+            b"0,0\n1,3\n2,1\n3,0\n4,7\n"
+        )
+
+    @pytest.mark.parametrize("normalized, values, rows", [
+        (False, [[0.0, 1.5], [2.25, 1e-300]],
+         b"-0.05,0.55,0.0\n0.05000000000000002,0.55,1.5\n"
+         b"-0.05,0.65,2.25\n0.05000000000000002,0.65,1e-300\n"),
+        (True, [[10.0, 20.0], [30.0, 40.0]],
+         b"-0.05,0.55,10.0\n0.05000000000000002,0.55,20.0\n"
+         b"-0.05,0.65,30.0\n0.05000000000000002,0.65,40.0\n"),
+    ])
+    def test_map(self, tmp_path, normalized, values, rows):
+        grid = GridSpec(-0.1, 0.1, 0.5, 0.7, 0.1, 1.0)
+        path = tmp_path / "m.csv"
+        sceneio.write_map_csv(path, ProbabilityMap(grid, np.array(values), normalized))
+        assert path.read_bytes() == (
+            b"# nlostrack-map v1\n"
+            b"# x_min=-0.1\n# x_max=0.1\n# y_min=0.5\n# y_max=0.7\n"
+            b"# resolution=0.1\n# z_plane=1.0\n"
+            + (b"# normalized=true\n" if normalized else b"# normalized=false\n")
+            + b"x,y,value\n" + rows
+        )
+
+    def test_sweep(self, tmp_path):
+        config = sceneio.sweep_config_from_dict(TestSweepDocument().doc())
+        rows = (
+            SweepRow(0.1, 0, 1.0, 0.8, 0.001, 0.25, 0.119, 0.263, 0.05, 0.07,
+                     0.002, 0.003, 10, 1, True),
+            SweepRow(2.5, 1, -0.5, 2.0, *[math.nan] * 8, 10, 10, False),
+        )
+        path = tmp_path / "sweep.csv"
+        sceneio.write_sweep_csv(path, SweepResult(config, rows))
+        assert path.read_bytes() == (
+            b"# nlostrack-sweep v1\n"
+            b"baseline_m,object_index,truth_x,truth_y,error_x,error_y,"
+            b"sigma_x,sigma_y,pdf_sigma_x,pdf_sigma_y,pdf_sigma_x_se,pdf_sigma_y_se,"
+            b"n_trials,n_failed,valid\n"
+            b"0.1,0,1.0,0.8,0.001,0.25,0.119,0.263,0.05,0.07,0.002,0.003,10,1,true\n"
+            b"2.5,1,-0.5,2.0,nan,nan,nan,nan,nan,nan,nan,nan,10,10,false\n"
+        )
 
 
 class TestManifest:
