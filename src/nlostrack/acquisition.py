@@ -16,8 +16,9 @@ re-references events to the laser-at-wall instant; apply it with
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -205,9 +206,20 @@ def expected_counts(
     params: AcquisitionParams,
     include_objects: bool = True,
 ) -> np.ndarray:
-    """Per-bin expected counts (the Poisson intensity) on the raw timebase."""
+    """Per-bin expected counts (the Poisson intensity) on the raw timebase.
+
+    The intensity does not depend on the seed, so a repeated geometry (every
+    trial of a sweep cell) reuses one read-only array.
+    """
     if not 0 <= pixel_index < scene.num_pixels:
         raise IndexError(f"pixel_index {pixel_index} out of range")
+    return _intensity(scene, pixel_index, replace(params, rng_seed=0), include_objects)
+
+
+@functools.lru_cache(maxsize=4)
+def _intensity(scene, pixel_index, params, include_objects):
+    # Four entries hold one sweep cell (two pixels, with and without the
+    # target), at 8 bytes per bin each; more would only raise peak memory.
     num_bins = params.num_bins
     window = params.window_s
     sync_delay = 2.0 * scene.standoff_m / SPEED_OF_LIGHT
@@ -229,6 +241,7 @@ def expected_counts(
                 params.irf_sigma_s, total,
             )
     mu += (params.dark_rate_hz + params.ambient_rate_hz) * params.acq_time_s / num_bins
+    mu.setflags(write=False)
     return mu
 
 

@@ -68,29 +68,25 @@ def simulate(scene_file, out, seed, frames, no_lambertian):
     if frames < 1:
         _fail(EXIT_INVALID, "--frames must be >= 1")
 
-    out_dir = Path(out)
-    outputs = []
+    # Every file the run writes, in write order, grouped with the call that
+    # makes their histograms: the manifest lists exactly the names written.
+    groups = []
     for i in range(scene.num_pixels):
         if frames == 1:
-            outputs.append(f"pixel{i:02d}_signal.csv")
+            groups.append(([f"pixel{i:02d}_signal.csv"],
+                           lambda i=i: [simulate_histogram(scene, i, params)]))
         else:
-            outputs += [f"pixel{i:02d}_frame{k:02d}.csv" for k in range(frames)]
-        outputs.append(f"pixel{i:02d}_background.csv")
+            groups.append(([f"pixel{i:02d}_frame{k:02d}.csv" for k in range(frames)],
+                           lambda i=i: simulate_frames(scene, i, params, frames)))
+        groups.append(([f"pixel{i:02d}_background.csv"],
+                       lambda i=i: [simulate_background(scene, i, params)]))
+    outputs = [name for names, _ in groups for name in names]
+    out_dir = Path(out)
     try:
         with sceneio.run_manifest(out_dir, scene_file, params, outputs):
-            for i in range(scene.num_pixels):
-                if frames == 1:
-                    sceneio.write_histogram_csv(
-                        out_dir / f"pixel{i:02d}_signal.csv", simulate_histogram(scene, i, params)
-                    )
-                else:
-                    for k, frame in enumerate(simulate_frames(scene, i, params, frames)):
-                        sceneio.write_histogram_csv(
-                            out_dir / f"pixel{i:02d}_frame{k:02d}.csv", frame
-                        )
-                sceneio.write_histogram_csv(
-                    out_dir / f"pixel{i:02d}_background.csv", simulate_background(scene, i, params)
-                )
+            for names, simulate_group in groups:
+                for name, hist in zip(names, simulate_group(), strict=True):
+                    sceneio.write_histogram_csv(out_dir / name, hist)
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except ValueError as exc:

@@ -168,6 +168,21 @@ def _exp_underflow_bound() -> float:
 _EXP_UNDERFLOW = _exp_underflow_bound()
 
 
+def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` written into ``out`` (which may be ``x``), bit for bit.
+
+    exp is evaluated only on the cells above _EXP_UNDERFLOW; every other
+    cell is exactly 0.0, as np.exp would give. numpy's exp takes a slow path
+    for -inf and for underflowing inputs, and most cells of a band or a
+    fused map are one or the other. The live cells of a map form a few long
+    runs, which a masked ufunc evaluates at full speed.
+    """
+    live = x > _EXP_UNDERFLOW
+    np.exp(x, out=out, where=live)
+    np.copyto(out, 0.0, where=~live)
+    return out
+
+
 class EllipseBand(ProbabilityMap):
     """One ellipse band, held as its exponent.
 
@@ -182,7 +197,7 @@ class EllipseBand(ProbabilityMap):
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        values = np.exp(self.log_values)
+        values = _exp(self.log_values, np.empty_like(self.log_values))
         values.setflags(write=False)
         return values
 
@@ -210,21 +225,27 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
 
 
 def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
-    # exp of a log-product, scaled to integrate to 1 over the grid.
+    # exp of a log-product, scaled to integrate to 1 over the grid. Works in
+    # place: ``log_prod`` must be a fresh array the caller no longer needs,
+    # and becomes the returned map's (read-only) values.
     peak_log = float(np.max(log_prod))
     if peak_log <= _EXP_UNDERFLOW:
         raise EmptyIntersectionError(
             "product of densities underflowed to zero everywhere; measurements are inconsistent"
         )
-    work = np.exp(log_prod - peak_log)
-    return ProbabilityMap(grid=grid, values=work / (work.sum() * grid.cell_area), normalized=True)
+    log_prod -= peak_log
+    work = _exp(log_prod, out=log_prod)
+    work /= work.sum() * grid.cell_area
+    return ProbabilityMap(grid=grid, values=work, normalized=True)
 
 
 def fuse(maps: list[ProbabilityMap]) -> ProbabilityMap:
     """Cellwise product of per-pixel densities, normalized to integrate to 1.
 
     The product is a sum of ``log_values`` in map order, so the result is
-    deterministic and an ``EllipseBand`` is never exponentiated.
+    deterministic and an ``EllipseBand`` is never exponentiated. The sum is
+    a fresh array, which ``_normalized`` turns into the result in place; the
+    input maps are left untouched.
     """
     if len(maps) < 1:
         raise ValueError("need at least one map to fuse")
@@ -410,7 +431,15 @@ def associate_and_localize(
                 band, (r_l, pixel, SPEED_OF_LIGHT * peak.t_s, SPEED_OF_LIGHT * peak.sigma_s)
             )
 
+    def _log_product(det, out=None):
+        # Sum of the detections' band log-densities, added in detection order.
+        log_prod = np.add(measurements[det[0]][0], measurements[det[1]][0], out=out)
+        for pair in det[2:]:
+            log_prod += measurements[pair][0]
+        return log_prod
+
     xc, yc = grid.x_centers(), grid.y_centers()
+    work = np.empty((grid.ny, grid.nx))  # every candidate target is scored in here
     candidates = {}
     for combo in itertools.product(
         *(_pixel_assignments(len(p), k_targets) for p in peaks_per_pixel)
@@ -429,22 +458,21 @@ def associate_and_localize(
         # few percent with cell alignment, which would swamp the 1 percent
         # ambiguity margin.
         score = 0.0
-        targets = []  # (position, log-product of the target's bands)
+        targets = []  # (position, detections)
         for det in detections:
-            log_prod = measurements[det[0]][0].copy()
-            for pair in det[1:]:
-                log_prod += measurements[pair][0]
-            iy0, ix0 = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
-            if not np.isfinite(log_prod[iy0, ix0]):
+            _log_product(det, out=work)
+            iy0, ix0 = np.unravel_index(int(np.argmax(work)), work.shape)
+            if not np.isfinite(work[iy0, ix0]):
                 break  # this target's bands never overlap: drop the assignment
             pos, log_score = _refine_position(
                 (float(xc[ix0]), float(yc[iy0])), grid.z_plane,
                 [measurements[pair][1] for pair in det], grid,
             )
-            targets.append((pos, log_prod))
+            targets.append((pos, det))
             score += log_score
         else:
             candidates[key] = (score, targets)
+    del work  # freed before the returned targets' maps are built
 
     if not candidates:
         if last_error is not None:
@@ -454,9 +482,10 @@ def associate_and_localize(
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
     def _solve(targets):
+        # Fused maps are built only here, for the targets a caller gets back.
         tracks, maps = [], []
-        for i, (pos, log_prod) in enumerate(sorted(targets, key=lambda t: t[0])):
-            fused = _normalized(log_prod, grid)
+        for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0])):
+            fused = _normalized(_log_product(det), grid)
             sigma_x, sigma_y = _spreads(fused)
             tracks.append(TrackEstimate(
                 position=pos, sigma_x=sigma_x, sigma_y=sigma_y,

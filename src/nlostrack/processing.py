@@ -9,6 +9,7 @@ error of the center (the latter is also reported on the estimate).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -69,12 +70,28 @@ def apply_offset(hist: TransientHistogram, t0_s: float) -> TransientHistogram:
     return replace(hist, t0_offset_s=hist.t0_offset_s + t0_s)
 
 
-def _canonical_times(hist: TransientHistogram) -> np.ndarray:
-    # Bin centers, with the one-period wrap produced by a negative calibration
-    # offset undone: a raw histogram is cyclic over the repetition period, so
-    # centers that land at negative times really belong one period later.
-    t = hist.bin_centers_s()
-    return np.where(t < 0, t + hist.span_s, t)
+@functools.lru_cache(maxsize=8)
+def _crop_plan(
+    num_bins: int, bin_width_s: float, t0_offset_s: float, window: TimeWindow
+) -> tuple[np.ndarray, float]:
+    # Which bins a crop keeps, in output order, and the output's t0_offset_s.
+    # Bin centers are taken in canonical time: a raw histogram is cyclic over
+    # the repetition period, so centers that a negative calibration offset
+    # puts at negative times really belong one period later.
+    t = t0_offset_s + (np.arange(num_bins) + 0.5) * bin_width_s
+    canon = np.where(t < 0, t + num_bins * bin_width_s, t)
+    keep = np.flatnonzero((canon >= window.start_s) & (canon < window.end_s))
+    if not keep.size:
+        raise ValueError(
+            f"window [{window.start_s}, {window.end_s}] does not intersect the histogram"
+        )
+    index = keep[np.argsort(canon[keep], kind="stable")]
+    times = canon[index]
+    gaps = np.diff(times)
+    if gaps.size and not np.allclose(gaps, bin_width_s, rtol=1e-9, atol=0.0):
+        raise ValueError("selected bins are not contiguous in time")  # defensive
+    index.setflags(write=False)
+    return index, float(times[0] - 0.5 * bin_width_s)
 
 
 def crop(hist: TransientHistogram, window: TimeWindow) -> TransientHistogram:
@@ -83,22 +100,16 @@ def crop(hist: TransientHistogram, window: TimeWindow) -> TransientHistogram:
     Handles the cyclic seam of a calibrated full-period histogram: bins are
     re-ordered by their canonical (unwrapped) time if the selection crosses
     the wrap point, so the result is always contiguous in time.
+
+    Which bins to keep depends only on the bin geometry and the window, so
+    the selection is planned once per (bin count, bin width, time reference,
+    window) and reused; a sweep repeats one plan per pixel for every trial.
     """
-    canon = _canonical_times(hist)
-    mask = (canon >= window.start_s) & (canon < window.end_s)
-    if not mask.any():
-        raise ValueError(
-            f"window [{window.start_s}, {window.end_s}] does not intersect the histogram"
-        )
-    order = np.argsort(canon[mask], kind="stable")
-    times = canon[mask][order]
-    gaps = np.diff(times)
-    if gaps.size and not np.allclose(gaps, hist.bin_width_s, rtol=1e-9, atol=0.0):
-        raise ValueError("selected bins are not contiguous in time")  # defensive
+    index, t0_offset_s = _crop_plan(hist.num_bins, hist.bin_width_s, hist.t0_offset_s, window)
     return TransientHistogram(
-        counts=hist.counts[mask][order],
+        counts=hist.counts[index],
         bin_width_s=hist.bin_width_s,
-        t0_offset_s=float(times[0] - 0.5 * hist.bin_width_s),
+        t0_offset_s=t0_offset_s,
         pixel_index=hist.pixel_index,
         acq_time_s=hist.acq_time_s,
     )

@@ -70,14 +70,11 @@ def _integer(raw, what: str) -> int:
 
 def _hidden_object(raw, what: str) -> HiddenObject:
     _require_keys(raw, {"position", "reflectivity", "label"}, {"position"}, what)
-    try:
-        return HiddenObject(
-            position=_point(raw["position"], f"{what}.position"),
-            reflectivity=float(raw.get("reflectivity", 1.0)),
-            label=str(raw.get("label", "")),
-        )
-    except ValueError as exc:
-        raise SceneFormatError(f"{what}: {exc}") from exc
+    position = _point(raw["position"], f"{what}.position")
+    with _format_errors(f"{what}.reflectivity"):
+        reflectivity = float(raw.get("reflectivity", 1.0))
+    with _format_errors(what):
+        return HiddenObject(position, reflectivity, str(raw.get("label", "")))
 
 
 _SCENE_KEYS = {

@@ -218,6 +218,33 @@ class TestSimulate:
         assert expected_counts(scene1, 0, p4).sum() == pytest.approx(4 * e1, rel=1e-9)
         assert expected_counts(scene2, 0, p1).sum() == pytest.approx(2.5 * e1, rel=1e-9)
 
+    def test_intensity_is_shared_across_seeds_and_read_only(self):
+        scene = make_scene(objects=[HiddenObject(Point3(0.6, 1.2, 1.0), 3.0)])
+        p = AcquisitionParams(rng_seed=3)
+        mu = expected_counts(scene, 1, p)
+        assert not mu.flags.writeable
+        assert expected_counts(scene, 1, dataclasses.replace(p, rng_seed=11)) is mu
+        assert expected_counts(scene, 1, p, include_objects=False) is not mu
+        assert expected_counts(scene, 0, p) is not mu
+        brighter = dataclasses.replace(p, system_throughput=2 * p.system_throughput)
+        assert expected_counts(scene, 1, brighter).sum() > mu.sum()
+
+    def test_draws_keep_their_generator_keys(self):
+        # Each draw is a Poisson realisation of the (shared) intensity from
+        # default_rng([seed, pixel, stream...]).
+        scene = make_scene(objects=[HiddenObject(Point3(0.6, 1.2, 1.0), 3.0)])
+        p = AcquisitionParams(rng_seed=29, system_throughput=1e5)
+        mu = expected_counts(scene, 1, p)
+        bg = expected_counts(scene, 1, p, include_objects=False)
+
+        def poisson(lam, *key):
+            return np.random.default_rng([29, 1, *key]).poisson(lam)
+
+        np.testing.assert_array_equal(simulate_histogram(scene, 1, p).counts, poisson(mu, 0))
+        np.testing.assert_array_equal(simulate_background(scene, 1, p).counts, poisson(bg, 1))
+        for k, frame in enumerate(simulate_frames(scene, 1, p, 3)):
+            np.testing.assert_array_equal(frame.counts, poisson(mu, 2, k))
+
     def test_aliasing_refused(self):
         # 10 m of path at 40 MHz exceeds the 7.5 m unambiguous range
         scene = make_scene(objects=[HiddenObject(Point3(0.0, 5.0, 1.0), 1.0)])

@@ -126,6 +126,37 @@ class TestSimulate:
         assert f"scene.{field} must be a JSON object" in result.output
 
 
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_manifest_outputs_are_the_files_written(self, runner, scene_file, tmp_path, frames):
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main, ["simulate", str(scene_file), "--out", str(out), "--frames", str(frames)]
+        )
+        assert result.exit_code == 0, result.output
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert len(outputs) == len(set(outputs)) == 4 * (frames + 1)
+        assert set(outputs) == written
+        assert f"wrote {len(outputs)} histogram files" in result.output
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"position": [1, 2]}, "error: scene.objects[0].position must be a [x, y, z] triple"),
+        ({"position": [0.6, 1.2, 1.0], "reflectivity": None},
+         "error: scene.objects[0].reflectivity: float() argument"),
+        ({"position": [0.6, 1.2, 1.0], "reflectivity": "bright"},
+         "error: scene.objects[0].reflectivity: could not convert"),
+        ({"position": [0.6, 1.2, 1.0], "reflectivity": -1.0},
+         "error: scene.objects[0]: reflectivity must be >= 0"),
+    ])
+    def test_bad_object_exit_2_names_field_once(self, runner, tmp_path, obj, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, objects=[obj])))
+        result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output.startswith(message)
+        assert result.output.count("scene.objects[0]") == 1
+
+
 class TestReconstruct:
     def test_matches_run_scenario_exactly(self, runner, scene_file, tmp_path):
         sim = tmp_path / "sim"

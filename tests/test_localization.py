@@ -23,7 +23,7 @@ from nlostrack import (
     tof,
 )
 from nlostrack import localization
-from nlostrack.localization import _EXP_UNDERFLOW, path_length_map
+from nlostrack.localization import _EXP_UNDERFLOW, _exp, path_length_map
 
 C = SPEED_OF_LIGHT
 
@@ -150,6 +150,22 @@ class TestBackproject:
         assert np.exp(np.array([_EXP_UNDERFLOW]))[0] == 0.0
         assert np.exp(np.array([np.nextafter(_EXP_UNDERFLOW, 0.0)]))[0] > 0.0
 
+    def test_exp_helper_is_np_exp_bit_for_bit(self):
+        below = np.nextafter(_EXP_UNDERFLOW, -np.inf)
+        above = np.nextafter(_EXP_UNDERFLOW, 0.0)
+        x = np.concatenate([
+            [-np.inf, -1e300, -800.0, below, _EXP_UNDERFLOW, above, 0.0, -0.0],
+            np.linspace(_EXP_UNDERFLOW, -708.0, 500),  # results in the subnormal range
+            np.linspace(-708.0, 700.0, 500),  # ordinary values
+        ]).reshape(3, -1)
+        expected = np.exp(x).view(np.int64)
+        out = np.full_like(x, np.nan)
+        assert _exp(x, out) is out
+        np.testing.assert_array_equal(out.view(np.int64), expected)
+        work = x.copy()
+        _exp(work, out=work)  # in place, as _normalized uses it
+        np.testing.assert_array_equal(work.view(np.int64), expected)
+
     def test_path_length_map_is_cached_and_read_only(self):
         grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
         r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.9, 0.0, 1.0)
@@ -270,6 +286,15 @@ class TestFuse:
         out = fuse([m, m])
         assert out.normalized
         np.testing.assert_allclose(out.values, 1.0 / (g.nx * g.ny * g.cell_area), rtol=1e-12)
+
+    def test_inputs_are_left_unchanged(self):
+        plain = ProbabilityMap(grid=self.grid, values=self.maps[0].values * 2.0)
+        inputs = [plain, *self.maps]
+        before = [(m.values.copy(), m.log_values.copy()) for m in inputs]
+        fuse(inputs)
+        for m, (values, log_values) in zip(inputs, before):
+            np.testing.assert_array_equal(m.values, values)
+            np.testing.assert_array_equal(m.log_values, log_values)
 
     def test_grid_mismatch_rejected(self):
         other = GridSpec(-1, 1, 0, 2, 0.1, 1.0)
@@ -433,6 +458,35 @@ class TestAssociate:
             associate_and_localize(peaks, r_l, pixels, grid, k_targets=2)
         assert len(info.value.best) == 2
         assert len(info.value.second) == 2
+
+    @staticmethod
+    def count_normalized(monkeypatch):
+        calls = []
+        normalized = localization._normalized
+
+        def counting(log_prod, grid):
+            calls.append(log_prod.shape)
+            return normalized(log_prod, grid)
+
+        monkeypatch.setattr(localization, "_normalized", counting)
+        return calls
+
+    def test_fused_maps_only_for_the_returned_targets(self, monkeypatch):
+        calls = self.count_normalized(monkeypatch)
+        peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
+        tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        assert len(tracks) == len(maps) == 2
+        assert len(calls) == 2  # not one per scored assignment (16 here)
+
+    def test_ambiguous_result_fuses_both_solutions_once(self, monkeypatch):
+        calls = self.count_normalized(monkeypatch)
+        r_l = Point3(0.0, 0.0, 1.0)
+        pixels = [Point3(-0.6, 0, 1.0), Point3(0.6, 0, 1.0)]
+        truths = [Point3(-0.8, 1.4, 1.0), Point3(0.8, 1.4, 1.0)]
+        peaks = [[peak(tof(r_l, t, pix), pixel=i) for t in truths] for i, pix in enumerate(pixels)]
+        with pytest.raises(AmbiguousAssociationError) as info:
+            associate_and_localize(peaks, r_l, pixels, GridSpec(-2, 2, 0, 3, 0.02, 1.0), k_targets=2)
+        assert len(calls) == len(info.value.best) + len(info.value.second) == 4
 
 
 class TestRefinePosition:

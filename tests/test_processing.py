@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlostrack import (
     AcquisitionParams,
@@ -25,7 +28,7 @@ from nlostrack import (
     subtract_background,
     tof,
 )
-from nlostrack.processing import NonConvergenceError
+from nlostrack.processing import NonConvergenceError, _crop_plan
 
 BW = 4e-12
 
@@ -122,6 +125,62 @@ class TestCrop:
         assert np.all(np.diff(centers) > 0)
         peak_time = centers[np.argmax(out.counts)]
         assert peak_time == pytest.approx((n - 20 + 10 + 0.5) * BW, rel=1e-9)
+
+    def test_plan_is_read_only_and_its_cache_bounded(self):
+        index, _ = _crop_plan(1000, BW, -20 * BW, TimeWindow(0.0, 1000 * BW))
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
+        for k in range(20):
+            _crop_plan(1000, BW, -k * BW, TimeWindow(0.0, 500 * BW))
+        info = _crop_plan.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
+
+
+def reference_crop(hist, window):
+    # The crop algorithm as first written: canonical times, mask, stable sort.
+    t = hist.bin_centers_s()
+    canon = np.where(t < 0, t + hist.span_s, t)
+    mask = (canon >= window.start_s) & (canon < window.end_s)
+    if not mask.any():
+        raise ValueError(
+            f"window [{window.start_s}, {window.end_s}] does not intersect the histogram"
+        )
+    order = np.argsort(canon[mask], kind="stable")
+    times = canon[mask][order]
+    gaps = np.diff(times)
+    if gaps.size and not np.allclose(gaps, hist.bin_width_s, rtol=1e-9, atol=0.0):
+        raise ValueError("selected bins are not contiguous in time")
+    return TransientHistogram(
+        counts=hist.counts[mask][order], bin_width_s=hist.bin_width_s,
+        t0_offset_s=float(times[0] - 0.5 * hist.bin_width_s),
+        pixel_index=hist.pixel_index, acq_time_s=hist.acq_time_s,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    offset=st.floats(-0.999, 0.999),  # time reference, in spans; negative wraps the seam
+    start=st.floats(0.0, 1.2),  # window, in spans
+    length=st.floats(1e-3, 1.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crop_matches_reference_algorithm(n, offset, start, length, seed):
+    counts = np.random.default_rng(seed).integers(0, 1000, n)
+    hist = hist_from(counts, t0=offset * n * BW)
+    window = TimeWindow(start * n * BW, (start + length) * n * BW)
+    try:
+        expected = reference_crop(hist, window)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            crop(hist, window)
+        return
+    got = crop(hist, window)
+    assert got == expected
+    assert got.t0_offset_s == expected.t0_offset_s  # bit for bit, not approximately
+    # the same window again is served from the plan, with the same result
+    assert crop(hist, window) == expected
 
 
 class TestSubtract:
