@@ -79,13 +79,18 @@ def _crop_plan(
     # the repetition period, so centers that a negative calibration offset
     # puts at negative times really belong one period later.
     t = t0_offset_s + (np.arange(num_bins) + 0.5) * bin_width_s
-    canon = np.where(t < 0, t + num_bins * bin_width_s, t)
+    wrapped = t < 0
+    canon = np.where(wrapped, t + num_bins * bin_width_s, t)
     keep = np.flatnonzero((canon >= window.start_s) & (canon < window.end_s))
     if not keep.size:
         raise ValueError(
             f"window [{window.start_s}, {window.end_s}] does not intersect the histogram"
         )
-    index = keep[np.argsort(canon[keep], kind="stable")]
+    # The wrapped bins are a prefix of the histogram and lie one period later
+    # than every other bin, so canonical order is the unwrapped kept bins,
+    # then the wrapped ones.
+    n_wrapped = int(np.searchsorted(keep, np.count_nonzero(wrapped)))
+    index = np.concatenate((keep[n_wrapped:], keep[:n_wrapped]))
     times = canon[index]
     gaps = np.diff(times)
     if gaps.size and not np.allclose(gaps, bin_width_s, rtol=1e-9, atol=0.0):

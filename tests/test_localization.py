@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from nlostrack import (
     ProbabilityMap,
     SPEED_OF_LIGHT,
     TooManyTargetsError,
+    TrackEstimate,
     associate_and_localize,
     backproject,
     fuse,
@@ -458,6 +461,10 @@ class TestAssociate:
             associate_and_localize(peaks, r_l, pixels, grid, k_targets=2)
         assert len(info.value.best) == 2
         assert len(info.value.second) == 2
+        assert_same_association(
+            association_outcome(associate_and_localize, peaks, r_l, pixels, grid, k_targets=2),
+            association_outcome(reference_associate, peaks, r_l, pixels, grid, k_targets=2),
+        )
 
     @staticmethod
     def count_normalized(monkeypatch):
@@ -487,6 +494,171 @@ class TestAssociate:
         with pytest.raises(AmbiguousAssociationError) as info:
             associate_and_localize(peaks, r_l, pixels, GridSpec(-2, 2, 0, 3, 0.02, 1.0), k_targets=2)
         assert len(calls) == len(info.value.best) + len(info.value.second) == 4
+
+
+def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
+    # The association as first written: every candidate target is seeded at
+    # the argmax of its fused log-density summed over the full grid.
+    bands, meas, infeasible = {}, {}, None
+    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
+        for ipk, pk in enumerate(peaks):
+            try:
+                bands[ipix, ipk] = backproject(pk, r_l, pixel, grid).log_values
+            except InfeasibleTimeError as exc:
+                infeasible = exc
+                continue
+            meas[ipix, ipk] = (r_l, pixel, C * pk.t_s, C * pk.sigma_s)
+
+    def log_product(det):
+        return functools.reduce(np.add, [bands[pair] for pair in det])
+
+    xc, yc = grid.x_centers(), grid.y_centers()
+    candidates = {}
+    for combo in itertools.product(
+        *(localization._pixel_assignments(len(p), k_targets) for p in peaks_per_pixel)
+    ):
+        detections = [
+            tuple((ipix, a[t]) for ipix, a in enumerate(combo) if a[t] is not None)
+            for t in range(k_targets)
+        ]
+        key = frozenset(detections)
+        if key in candidates or any(len(det) < 2 for det in detections):
+            continue
+        if any(pair not in bands for det in detections for pair in det):
+            continue
+        score, targets = 0.0, []
+        for det in detections:
+            log_prod = log_product(det)
+            iy, ix = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
+            if not np.isfinite(log_prod[iy, ix]):
+                break
+            pos, log_score = localization._refine_position(
+                (float(xc[ix]), float(yc[iy])), grid.z_plane, [meas[p] for p in det], grid)
+            targets.append((pos, det))
+            score += log_score
+        else:
+            candidates[key] = (score, targets)
+    if not candidates:
+        if infeasible is not None:
+            raise InfeasibleTimeError("no feasible assignment: " + str(infeasible))
+        raise EmptyIntersectionError("no assignment with every target seen by two pixels")
+
+    def solve(targets):
+        tracks, maps = [], []
+        for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0])):
+            fused = localization._normalized(log_product(det), grid)
+            sigma_x, sigma_y = localization._spreads(fused)
+            tracks.append(TrackEstimate(pos, sigma_x, sigma_y, float(fused.values.max()),
+                                        f"target-{i + 1}"))
+            maps.append(fused)
+        return tracks, maps
+
+    ranked = sorted(candidates.values(), key=lambda e: e[0], reverse=True)
+    pool = [
+        e for e in ranked
+        if all(math.dist(a, b) > grid.resolution
+               for (a, _), (b, _) in itertools.combinations(e[1], 2))
+    ] or ranked
+    best_score, best = pool[0]
+    second_score, second = pool[1] if len(pool) > 1 else (-math.inf, None)
+    if best_score - second_score < -math.log1p(-localization.AMBIGUITY_MARGIN):
+        raise AmbiguousAssociationError(
+            "ambiguous", solve(best)[0], solve(second)[0], best_score, second_score)
+    return solve(best)
+
+
+def association_outcome(fn, *args, **kwargs):
+    # (status, tracks, maps) of one association, exceptions included.
+    try:
+        tracks, maps = fn(*args, **kwargs)
+    except AmbiguousAssociationError as exc:
+        return "ambiguous", exc.best + exc.second, []
+    except (InfeasibleTimeError, EmptyIntersectionError) as exc:
+        return type(exc).__name__, [], []
+    return "ok", tracks, maps
+
+
+def assert_same_association(got, want):
+    # Positions may differ by the refinement's stopping resolution; the
+    # statuses, spreads, peak values and fused maps are bit-identical.
+    (status, tracks, maps), (want_status, want_tracks, want_maps) = got, want
+    assert status == want_status
+    assert len(tracks) == len(want_tracks) and len(maps) == len(want_maps)
+    for track, ref in zip(tracks, want_tracks):
+        assert track.position == pytest.approx(ref.position, rel=0, abs=1e-10)
+        assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label) == (
+            ref.sigma_x, ref.sigma_y, ref.peak_value, ref.target_label)
+    for fused, ref in zip(maps, want_maps):
+        np.testing.assert_array_equal(fused.values, ref.values)
+
+
+@pytest.mark.parametrize("res", [0.02, 0.08])
+@pytest.mark.parametrize("k_targets", [1, 2])
+def test_association_matches_full_grid_seeding(k_targets, res):
+    # Random scenes: jittered pixels, noisy times, and a spurious return at
+    # some pixels of the one-target scenes.
+    grid = GridSpec(-3, 3, 0, 4, res, 1.0)
+    r_l = Point3(-0.5, 0, 1.15)
+    rng = np.random.default_rng([k_targets, round(res * 100)])
+    statuses = set()
+    for _ in range(12):
+        pixels = [Point3(x + rng.uniform(-0.1, 0.1), 0, 1.0 + rng.uniform(-0.05, 0.05))
+                  for x in (-0.9, -0.62, -0.38, -0.1)]
+        truths = [Point3(rng.uniform(-1.0, 1.5), rng.uniform(0.5, 2.5), 1.0)
+                  for _ in range(k_targets)]
+        peaks = []
+        for i, pix in enumerate(pixels):
+            ps = [peak(tof(r_l, t, pix) + rng.normal(0, 30e-12),
+                       sigma_s=rng.uniform(80e-12, 200e-12), pixel=i) for t in truths]
+            if k_targets == 1 and rng.random() < 0.3:
+                ps.append(peak(ps[0].t_s + rng.uniform(1e-9, 4e-9), pixel=i))
+            peaks.append(list(rng.permutation(ps)))
+        got = association_outcome(associate_and_localize, peaks, r_l, pixels, grid, k_targets)
+        want = association_outcome(reference_associate, peaks, r_l, pixels, grid, k_targets)
+        assert_same_association(got, want)
+        statuses.add(got[0])
+    assert "ok" in statuses
+
+
+class TestSeedFallback:
+    # Bands 10 fs wide are finite only on the cells their ellipses pass
+    # through, so two of them share just the cells around their crossing.
+    def setup_method(self):
+        self.r_l = Point3(0.0, 0, 1.0)
+        self.pixels = [Point3(-1.2, 0, 1.0), Point3(1.2, 0, 1.0)]
+
+    def associate_both_ways(self, truths, grid):
+        peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14, pixel=i)]
+                 for i, (t, pix) in enumerate(zip(truths, self.pixels))]
+        shared = functools.reduce(np.add, [
+            backproject(p[0], self.r_l, pix, grid).log_values
+            for p, pix in zip(peaks, self.pixels)
+        ])
+        got = association_outcome(associate_and_localize, peaks, self.r_l, self.pixels, grid)
+        want = association_outcome(reference_associate, peaks, self.r_l, self.pixels, grid)
+        assert_same_association(got, want)
+        return np.isfinite(shared), got
+
+    def test_target_sharing_cells_only_off_the_seed_lattice_is_kept(self):
+        truth = Point3(0.3, 1.1, 1.0)
+        grid = centered_grid(truth.x, truth.y)  # truth is cell (25, 25), off the lattice
+        finite, (status, tracks, _) = self.associate_both_ways([truth, truth], grid)
+        stride = localization._SEED_STRIDE
+        assert finite.any() and not finite[::stride, ::stride].any()
+        assert status == "ok"
+        assert tracks[0].position == pytest.approx((truth.x, truth.y), abs=1e-9)
+
+    def test_target_sharing_no_cell_is_dropped(self):
+        truths = [Point3(0.3, 0.6, 1.0), Point3(0.3, 3.5, 1.0)]
+        grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
+        finite, (status, _, _) = self.associate_both_ways(truths, grid)
+        assert not finite.any()
+        assert status == "EmptyIntersectionError"
+        peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14)]
+                 for t, pix in zip(truths, self.pixels)]
+        with pytest.raises(EmptyIntersectionError) as info:
+            associate_and_localize(peaks, self.r_l, self.pixels, grid)
+        assert str(info.value) == "no assignment with every target seen by two pixels"
 
 
 class TestRefinePosition:
@@ -553,3 +725,20 @@ def test_backproject_formula_property(lx, ix, extra, sigma):
     cell = Point3(xc[ix_], yc[iy], 1.0)
     want = math.exp(-((path_length(r_l, cell, r_i) - C * t) ** 2) / (2 * (C * sigma) ** 2))
     assert pmap.values[iy, ix_] == pytest.approx(want, rel=1e-12, abs=5e-324)
+
+
+@given(
+    r_l=st.tuples(coord, coord, coord), r_i=st.tuples(coord, coord, coord),
+    x_min=coord, y_min=coord, z=coord,
+    res=st.floats(min_value=0.05, max_value=0.5, allow_nan=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_path_length_map_is_the_broadcast_formula(r_l, r_i, x_min, y_min, z, res):
+    r_l, r_i = Point3(*r_l), Point3(*r_i)
+    grid = GridSpec(x_min, x_min + 2.0, y_min, y_min + 1.5, res, z)
+    x = grid.x_centers()[np.newaxis, :]
+    y = grid.y_centers()[:, np.newaxis]
+    want = (np.sqrt((x - r_l.x) ** 2 + (y - r_l.y) ** 2 + (z - r_l.z) ** 2)
+            + np.sqrt((x - r_i.x) ** 2 + (y - r_i.y) ** 2 + (z - r_i.z) ** 2))
+    got = path_length_map(r_l, r_i, grid)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
