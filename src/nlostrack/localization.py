@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as _ndimage
 
 from .geometry import SPEED_OF_LIGHT, Point3
 from .processing import PeakEstimate
@@ -290,11 +289,13 @@ def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstim
     """
     if not pmap.normalized:
         raise ValueError("localize requires a normalized map; fuse() produces one")
+    from scipy import ndimage  # map-only path; importing the package does not load scipy
+
     values = pmap.values
     grid = pmap.grid
     iy0, ix0 = pmap.argmax_cell()
     mask = values >= 0.5 * values[iy0, ix0]
-    labels, _ = _ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     region = labels == labels[iy0, ix0]
 
     iy, ix = np.nonzero(region)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import signal as _signal
 
 from .acquisition import TransientHistogram
 
@@ -149,6 +148,38 @@ def estimate_background_median(frames: list[TransientHistogram]) -> TransientHis
     return replace(first, counts=lower_median)
 
 
+def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
+    # The indices scipy.signal.find_peaks(x, height=height, distance=distance)
+    # returns, without importing scipy. A peak is a rise followed, after a
+    # flat top of any length, by a fall; it sits at the flat top's middle bin,
+    # rounded down. A flat top that reaches either end of x is no peak.
+    # Every peak that clears height lies, with both neighbours, between the
+    # first and the last bin that clears it, so only that span is searched.
+    high = np.flatnonzero(x >= height)
+    if not high.size:
+        return high
+    start = max(int(high[0]) - 1, 0)
+    x = x[start : high[-1] + 2]
+    dx = np.diff(x)
+    steps = np.flatnonzero(dx)
+    rise = dx[steps[:-1]] > 0
+    fall = dx[steps[1:]] < 0
+    k = np.flatnonzero(rise & fall)
+    peaks = (steps[k] + 1 + steps[k + 1]) // 2
+    peaks = peaks[x[peaks] >= height]
+    # Thin from the highest peak down, dropping lower ones closer than
+    # ceil(distance) bins; ties are broken by np.argsort, as scipy does.
+    sep = math.ceil(distance)
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            lo = np.searchsorted(peaks, peaks[j] - sep, side="right")
+            hi = np.searchsorted(peaks, peaks[j] + sep, side="left")
+            keep[lo:hi] = False
+            keep[j] = True
+    return start + peaks[keep]
+
+
 def detect_peaks(
     hist: TransientHistogram,
     max_peaks: int = 1,
@@ -157,23 +188,33 @@ def detect_peaks(
 ) -> list[tuple[int, float]]:
     """Rough peak candidates to seed the Gaussian fit.
 
-    Smooths with a moving average matched to the instrument response,
-    thresholds local maxima at min_snr * sqrt(median level + 1), enforces a
+    Smooths with a moving average of w = round(irf_sigma_s / bin width)
+    bins (30 at the defaults), keeps local maxima of the smoothed
+    histogram at or above min_snr * sqrt(median(smoothed) + 1), enforces a
     minimum separation of 3 instrument sigmas, and returns up to max_peaks
     (bin index, rough amplitude) pairs, strongest first. An empty list
     means nothing cleared the threshold; that is not an error.
+
+    The threshold is not min_snr standard deviations of the smoothed
+    noise: on target-free histograms at the default dark rate the default
+    4 is 58-63 of them (ROADMAP item 3), because the +1 dominates a floor
+    of a fraction of a count per bin and the average shrinks the noise.
+    A histogram shorter than w bins cannot be smoothed and raises
+    ValueError.
     """
     if max_peaks < 1:
         raise ValueError("max_peaks must be >= 1")
     w = max(1, round(irf_sigma_s / hist.bin_width_s))
+    if hist.num_bins < w:
+        raise ValueError(
+            f"histogram of {hist.num_bins} bins is shorter than the {w}-bin smoothing width"
+        )
     counts = hist.counts.astype(np.float64)
     smooth = np.convolve(counts, np.ones(w) / w, mode="same")
     threshold = min_snr * math.sqrt(float(np.median(smooth)) + 1.0)
     sep_bins = max(1, round(3.0 * irf_sigma_s / hist.bin_width_s))
-    idx, props = _signal.find_peaks(smooth, height=threshold, distance=sep_bins)
-    if idx.size == 0:
-        return []
-    order = np.argsort(props["peak_heights"])[::-1][:max_peaks]
+    idx = _find_peaks(smooth, threshold, sep_bins)
+    order = np.argsort(smooth[idx])[::-1][:max_peaks]
     out = []
     for i in idx[order]:
         lo, hi = max(0, i - w), min(hist.num_bins, i + w + 1)

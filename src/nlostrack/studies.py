@@ -155,6 +155,8 @@ def reconstruct_from_histograms(
         raise ValueError("need one signal and one background histogram per pixel")
     if k_targets > 2:
         raise TooManyTargetsError(f"k_targets={k_targets} exceeds the two-target capacity")
+    if k_targets < 1:
+        raise ValueError("k_targets must be >= 1")
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []

@@ -311,6 +311,25 @@ class TestReconstruct:
         )
         assert result.exit_code == 2
 
+    def test_window_shorter_than_smoothing_exit_2(self, runner, scene_file, tmp_path):
+        # 20 ps is 5 bins of 4 ps, fewer than the 30-bin detection average
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
+                   "--window", "1e-8,1.002e-8"]
+        )
+        assert result.exit_code == 2
+        assert "pixel 0: histogram of 5 bins is shorter than the 30-bin" in result.output
+
+    @pytest.mark.parametrize("targets", ["0", "-1"])
+    def test_nonpositive_targets_exit_2(self, runner, scene_file, tmp_path, targets):
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
+                   "--targets", targets]
+        )
+        assert result.exit_code == 2
+        assert "error: k_targets must be >= 1" in result.output
+        assert "pixel" not in result.output
+
     def test_deterministic_rerun(self, runner, scene_file, tmp_path):
         for name in ("r1", "r2"):
             result = runner.invoke(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from nlostrack import (
     AcquisitionParams,
@@ -28,7 +29,7 @@ from nlostrack import (
     subtract_background,
     tof,
 )
-from nlostrack.processing import NonConvergenceError, _crop_plan
+from nlostrack.processing import NonConvergenceError, _crop_plan, _find_peaks
 
 BW = 4e-12
 
@@ -270,6 +271,60 @@ class TestDetect:
     def test_max_peaks_validation(self):
         with pytest.raises(ValueError):
             detect_peaks(hist_from([1, 2, 1]), max_peaks=0)
+
+    @pytest.mark.parametrize("n_bins", [5, 12])
+    def test_histogram_shorter_than_smoothing_width_rejected(self, n_bins):
+        # A 400-count bin on a 50-count floor, in fewer bins than the 30-bin
+        # moving average: the smoothed signal would be 30 bins long and seed
+        # the fit past the histogram's end.
+        counts = np.full(n_bins, 50)
+        counts[n_bins // 2] = 400
+        with pytest.raises(ValueError, match=f"{n_bins} bins is shorter than the 30-bin"):
+            detect_peaks(hist_from(counts))
+
+    def test_histogram_as_long_as_smoothing_width_accepted(self):
+        counts = np.full(30, 50)
+        counts[15] = 400
+        assert detect_peaks(hist_from(counts)) == [(15, 400.0)]
+
+
+@st.composite
+def peak_finding_cases(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smoothed", "spikes"]))
+    if kind == "smoothed":
+        # Rounded moving averages of Poisson counts: flat tops of many lengths.
+        w = draw(st.integers(1, 5))
+        lam = draw(st.sampled_from([0.3, 2.0, 8.0]))
+        raw = rng.poisson(lam, n + w - 1)
+        x = np.round(np.convolve(raw, np.ones(w) / w, mode="valid"), 1)
+    else:
+        # Equal-height spikes, often closer together than the distance.
+        x = np.zeros(n)
+        x[rng.integers(0, n, draw(st.integers(0, 8)))] = 3.0
+    edge = draw(st.sampled_from(["none", "start", "end"]))
+    m = draw(st.integers(1, n))
+    if edge == "start":
+        x[:m] = x.max() + 1.0  # a flat top that reaches the first bin
+    elif edge == "end":
+        x[n - m:] = x.max() + 1.0  # a flat top that reaches the last bin
+    height = draw(st.one_of(
+        st.just(-np.inf),
+        st.sampled_from(sorted(set(x.tolist()))),  # ties with the threshold
+        st.floats(0.0, 10.0),
+    ))
+    distance = draw(st.one_of(st.integers(1, 20), st.floats(1.0, 20.0)))
+    return x, height, distance
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=peak_finding_cases())
+def test_find_peaks_matches_scipy(case):
+    x, height, distance = case
+    want = find_peaks(x, height=height, distance=distance)[0]
+    got = _find_peaks(x, height, distance)
+    np.testing.assert_array_equal(got, want)
 
 
 class TestFit:

@@ -91,6 +91,17 @@ class TestRunScenario:
         with pytest.raises(TooManyTargetsError):
             run_scenario(scene, AcquisitionParams(), DEFAULT_GRID, k_targets=3)
 
+    @pytest.mark.parametrize("k_targets", [0, -1])
+    def test_nonpositive_targets_refused_up_front(self, k_targets):
+        scene = corner_scene([(0.6, 1.0)])
+        params = AcquisitionParams(rng_seed=3)
+        signal, background = studies.simulate_scene(scene, params)
+        with pytest.raises(ValueError, match=r"^k_targets must be >= 1$"):
+            studies.reconstruct_from_histograms(
+                signal, background, scene.laser_spot, list(scene.pixels), DEFAULT_GRID,
+                params, offset_s=calibration_offset_s(scene, params), k_targets=k_targets,
+            )
+
     def test_pipeline_error_names_pixel(self):
         # an object beyond the unambiguous range breaks simulation for pixel 0
         scene = corner_scene([(0.6, 4.8)])
