@@ -22,7 +22,6 @@ from .localization import (
     TrackEstimate,
     associate_and_localize,
     backproject,
-    fuse,
     localize,
 )
 from .processing import (

@@ -18,7 +18,7 @@ from .acquisition import (
     simulate_frames,
     simulate_histogram,
 )
-from .localization import InfeasibleTimeError, TooManyTargetsError, backproject
+from .localization import InfeasibleTimeError, _check_k_targets, backproject
 from .processing import TimeWindow, estimate_background_median
 from .studies import (
     PipelineError,
@@ -153,6 +153,10 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         except ValueError as exc:
             _fail(EXIT_INVALID, str(exc))
 
+    try:
+        _check_k_targets(targets)
+    except ValueError as exc:
+        _fail(EXIT_INVALID, str(exc))
     win = None
     if window is not None:
         try:
@@ -173,8 +177,6 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
             offset_s=calibration_offset_s(scene, params),
             k_targets=targets, window=win,
         )
-    except TooManyTargetsError as exc:
-        _fail(EXIT_INVALID, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except (PipelineError, ValueError) as exc:

@@ -109,18 +109,6 @@ class ProbabilityMap:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @functools.cached_property
-    def log_values(self) -> np.ndarray:
-        """Cellwise log of ``values``, -inf where a value is 0."""
-        with np.errstate(divide="ignore"):
-            log_values = np.log(self.values)
-        log_values.setflags(write=False)
-        return log_values
-
-    def argmax_cell(self) -> tuple[int, int]:
-        iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        return int(iy), int(ix)
-
 
 @dataclass(frozen=True)
 class TrackEstimate:
@@ -243,23 +231,6 @@ def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
     return ProbabilityMap(grid=grid, values=work, normalized=True)
 
 
-def fuse(maps: list[ProbabilityMap]) -> ProbabilityMap:
-    """Cellwise product of per-pixel densities, normalized to integrate to 1.
-
-    The product is a sum of ``log_values`` in map order, so the result is
-    deterministic and an ``EllipseBand`` is never exponentiated. The sum is
-    a fresh array, which ``_normalized`` turns into the result in place; the
-    input maps are left untouched.
-    """
-    if len(maps) < 1:
-        raise ValueError("need at least one map to fuse")
-    grid = maps[0].grid
-    for m in maps[1:]:
-        if m.grid != grid:
-            raise ValueError("all maps must share the same grid")
-    return _normalized(np.sum([m.log_values for m in maps], axis=0), grid)
-
-
 def _spreads(pmap: ProbabilityMap) -> tuple[float, float]:
     # Square roots of the map's second central moments. They are separable:
     # each axis needs only its marginal mass.
@@ -274,42 +245,26 @@ def _spreads(pmap: ProbabilityMap) -> tuple[float, float]:
     return math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0))
 
 
-def localize(pmap: ProbabilityMap, target_label: str = "target-1") -> TrackEstimate:
-    """Extract a point estimate and spreads from a normalized density.
+def localize(
+    log_density: np.ndarray, grid: GridSpec, position: tuple[float, float],
+    target_label: str = "target-1",
+) -> tuple[TrackEstimate, ProbabilityMap]:
+    """One target's track and fused map from its summed band log-density.
 
-    Position is the probability-weighted centroid of the connected region
-    of cells at or above half the peak that contains the global maximum
-    (so a secondary lobe does not drag the estimate). The spreads are the
-    square roots of the second central moments of the whole map.
-
-    This is a map-only operation and inherits the grid's sampling limits;
-    associate_and_localize instead places its tracks on the continuous
-    density defined by the measured times, and takes only the spreads and
-    the peak value from the fused map.
+    ``log_density`` is the sum of the target's band ``log_values``, a fresh
+    array that becomes the fused map's values. The track sits at
+    ``position``, the target's optimum on the continuous density; its
+    spreads are the fused map's second moments and its peak value the map's
+    maximum. Raises EmptyIntersectionError when the density underflows to
+    zero everywhere.
     """
-    if not pmap.normalized:
-        raise ValueError("localize requires a normalized map; fuse() produces one")
-    from scipy import ndimage  # map-only path; importing the package does not load scipy
-
-    values = pmap.values
-    grid = pmap.grid
-    iy0, ix0 = pmap.argmax_cell()
-    mask = values >= 0.5 * values[iy0, ix0]
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    region = labels == labels[iy0, ix0]
-
-    iy, ix = np.nonzero(region)
-    w_region = values[iy, ix]
-    pos_x = float((w_region * grid.x_centers()[ix]).sum() / w_region.sum())
-    pos_y = float((w_region * grid.y_centers()[iy]).sum() / w_region.sum())
-    sigma_x, sigma_y = _spreads(pmap)
-    return TrackEstimate(
-        position=(pos_x, pos_y),
-        sigma_x=sigma_x,
-        sigma_y=sigma_y,
-        peak_value=float(values[iy0, ix0]),
-        target_label=target_label,
+    fused = _normalized(log_density, grid)
+    sigma_x, sigma_y = _spreads(fused)
+    track = TrackEstimate(
+        position=position, sigma_x=sigma_x, sigma_y=sigma_y,
+        peak_value=float(fused.values.max()), target_label=target_label,
     )
+    return track, fused
 
 
 def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
@@ -380,6 +335,16 @@ AMBIGUITY_MARGIN = 0.01
 _SEED_STRIDE = 4
 
 
+def _check_k_targets(k_targets: int) -> None:
+    # The one check of a requested target count, made before any work.
+    if k_targets > 2:
+        raise TooManyTargetsError(
+            f"k_targets={k_targets}: resolving more than two simultaneous targets is unsupported"
+        )
+    if k_targets < 1:
+        raise ValueError("k_targets must be >= 1")
+
+
 def _pixel_assignments(n_peaks: int, k_targets: int):
     # Ways one pixel's peaks can serve the targets: each target gets at most
     # one peak, each peak serves at most one target, and as many pairings as
@@ -415,12 +380,7 @@ def associate_and_localize(
     within AMBIGUITY_MARGIN (relative) of the winner, carrying both
     solutions; TooManyTargetsError for k_targets > 2.
     """
-    if k_targets > 2:
-        raise TooManyTargetsError(
-            f"k_targets={k_targets}: resolving more than two simultaneous targets is unsupported"
-        )
-    if k_targets < 1:
-        raise ValueError("k_targets must be >= 1")
+    _check_k_targets(k_targets)
     if len(peaks_per_pixel) != len(pixels):
         raise ValueError("peaks_per_pixel and pixels must align")
     if any(len(p) == 0 for p in peaks_per_pixel):
@@ -504,16 +464,11 @@ def associate_and_localize(
 
     def _solve(targets):
         # Fused maps are built only here, for the targets a caller gets back.
-        tracks, maps = [], []
-        for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0])):
-            fused = _normalized(_log_product(det), grid)
-            sigma_x, sigma_y = _spreads(fused)
-            tracks.append(TrackEstimate(
-                position=pos, sigma_x=sigma_x, sigma_y=sigma_y,
-                peak_value=float(fused.values.max()), target_label=f"target-{i + 1}",
-            ))
-            maps.append(fused)
-        return tracks, maps
+        solved = [
+            localize(_log_product(det), grid, pos, f"target-{i + 1}")
+            for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0]))
+        ]
+        return [track for track, _ in solved], [fused for _, fused in solved]
 
     def _distinct(targets):
         # Every pair of targets resolves to positions more than a cell apart.

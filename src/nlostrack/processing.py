@@ -180,24 +180,27 @@ def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
     return start + peaks[keep]
 
 
+# detect_peaks' threshold, in units of sqrt(median(smoothed) + 1).
+THRESHOLD_FACTOR = 4.0
+
+
 def detect_peaks(
     hist: TransientHistogram,
     max_peaks: int = 1,
-    min_snr: float = 4.0,
     irf_sigma_s: float = 120e-12,
 ) -> list[tuple[int, float]]:
     """Rough peak candidates to seed the Gaussian fit.
 
     Smooths with a moving average of w = round(irf_sigma_s / bin width)
     bins (30 at the defaults), keeps local maxima of the smoothed
-    histogram at or above min_snr * sqrt(median(smoothed) + 1), enforces a
-    minimum separation of 3 instrument sigmas, and returns up to max_peaks
-    (bin index, rough amplitude) pairs, strongest first. An empty list
-    means nothing cleared the threshold; that is not an error.
+    histogram at or above THRESHOLD_FACTOR * sqrt(median(smoothed) + 1),
+    enforces a minimum separation of 3 instrument sigmas, and returns up
+    to max_peaks (bin index, rough amplitude) pairs, strongest first. An
+    empty list means nothing cleared the threshold; that is not an error.
 
-    The threshold is not min_snr standard deviations of the smoothed
-    noise: on target-free histograms at the default dark rate the default
-    4 is 58-63 of them (ROADMAP item 3), because the +1 dominates a floor
+    The threshold is not THRESHOLD_FACTOR standard deviations of the
+    smoothed noise: on target-free histograms at the default dark rate it
+    is 58-63 of them (ROADMAP item 3), because the +1 dominates a floor
     of a fraction of a count per bin and the average shrinks the noise.
     A histogram shorter than w bins cannot be smoothed and raises
     ValueError.
@@ -211,7 +214,7 @@ def detect_peaks(
         )
     counts = hist.counts.astype(np.float64)
     smooth = np.convolve(counts, np.ones(w) / w, mode="same")
-    threshold = min_snr * math.sqrt(float(np.median(smooth)) + 1.0)
+    threshold = THRESHOLD_FACTOR * math.sqrt(float(np.median(smooth)) + 1.0)
     sep_bins = max(1, round(3.0 * irf_sigma_s / hist.bin_width_s))
     idx = _find_peaks(smooth, threshold, sep_bins)
     order = np.argsort(smooth[idx])[::-1][:max_peaks]

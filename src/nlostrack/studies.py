@@ -28,8 +28,8 @@ from .localization import (
     GridSpec,
     InfeasibleTimeError,
     ProbabilityMap,
-    TooManyTargetsError,
     TrackEstimate,
+    _check_k_targets,
     associate_and_localize,
     path_length_map,
 )
@@ -141,7 +141,7 @@ def reconstruct_from_histograms(
 ) -> ScenarioResult:
     """Run the retrieval chain on already-acquired raw histograms.
 
-    Peaks are detected at the fixed 4-sigma threshold of ``detect_peaks``.
+    Peaks are detected at the fixed threshold of ``detect_peaks``.
     Pixels whose histogram shows no usable return are dropped with a note;
     if fewer than two remain, or the surviving measurements cannot be
     reconciled, the result reports ``no_target`` instead of raising. An
@@ -153,10 +153,7 @@ def reconstruct_from_histograms(
         raise ValueError("localization needs at least two detector pixels")
     if len(signal_hists) != len(pixels) or len(background_hists) != len(pixels):
         raise ValueError("need one signal and one background histogram per pixel")
-    if k_targets > 2:
-        raise TooManyTargetsError(f"k_targets={k_targets} exceeds the two-target capacity")
-    if k_targets < 1:
-        raise ValueError("k_targets must be >= 1")
+    _check_k_targets(k_targets)
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []

@@ -218,6 +218,19 @@ class TestReconstruct:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("targets", ["0", "3"])
+    def test_targets_checked_before_any_simulation(self, runner, scene_file, tmp_path,
+                                                   monkeypatch, targets):
+        def fail(*args):
+            raise AssertionError("simulated a scene")
+
+        monkeypatch.setattr("nlostrack.cli.simulate_scene", fail)
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
+                   "--targets", targets]
+        )
+        assert result.exit_code == 2, result.output
+
     def test_no_target_exit_3(self, runner, tmp_path):
         doc = dict(SCENE, objects=[{"position": [0.6, 1.2, 1.0], "reflectivity": 0.0}])
         empty = tmp_path / "empty.json"

@@ -31,11 +31,20 @@ def test_import_loads_no_scipy(module):
     assert scipy_modules_after(f"import {module}") == []
 
 
-def test_simulation_loads_only_scipy_special():
-    loaded = scipy_modules_after(
+def test_simulation_loads_only_scipy_special(tmp_path):
+    scene_file = SRC.parent / "configs" / "single_person.json"
+    for code in (
         "import nlostrack as nt\n"
-        "nt.simulate_histogram(nt.corner_scene([(0.6, 1.2)]), 0, nt.AcquisitionParams())"
-    )
-    assert "scipy.special" in loaded
-    for absent in ("scipy.signal", "scipy.stats", "scipy.ndimage"):
-        assert absent not in loaded
+        "nt.simulate_histogram(nt.corner_scene([(0.6, 1.2)]), 0, nt.AcquisitionParams())",
+        "import nlostrack as nt\n"
+        "nt.run_scenario(nt.corner_scene([(0.6, 1.2)]), nt.AcquisitionParams(),"
+        " nt.studies.DEFAULT_GRID)",
+        "from click.testing import CliRunner\n"
+        "from nlostrack.cli import main\n"
+        f"args = ['reconstruct', {str(scene_file)!r}, '--out', {str(tmp_path)!r}, '--maps']\n"
+        "assert CliRunner().invoke(main, args).exit_code == 0",
+    ):
+        loaded = scipy_modules_after(code)
+        assert "scipy.special" in loaded
+        for absent in ("scipy.signal", "scipy.stats", "scipy.ndimage"):
+            assert absent not in loaded

@@ -20,7 +20,6 @@ from nlostrack import (
     TrackEstimate,
     associate_and_localize,
     backproject,
-    fuse,
     localize,
     path_length,
     tof,
@@ -33,6 +32,11 @@ C = SPEED_OF_LIGHT
 
 def peak(t_s, sigma_s=120e-12, pixel=0):
     return PeakEstimate(t_s=t_s, sigma_s=sigma_s, amplitude=100.0, pixel_index=pixel)
+
+
+def reference_fuse(bands):
+    # The fused map of some bands: their log-densities summed, then normalised.
+    return localization._normalized(np.sum([b.log_values for b in bands], axis=0), bands[0].grid)
 
 
 def centered_grid(x0, y0, half=0.5, res=0.02, z=1.0):
@@ -79,17 +83,6 @@ class TestProbabilityMap:
             ProbabilityMap(grid=g, values=2.0 * np.ones((g.ny, g.nx)), normalized=True)
         ok = np.full((g.ny, g.nx), 1.0 / (g.ny * g.nx * g.cell_area))
         ProbabilityMap(grid=g, values=ok, normalized=True)
-
-    def test_log_values_is_read_only_log(self):
-        g = GridSpec(0, 1, 0, 1, 0.1)
-        values = np.ones((g.ny, g.nx))
-        values[0, 0] = 0.0
-        values[1, 1] = 2.5
-        m = ProbabilityMap(grid=g, values=values)
-        assert m.log_values[0, 0] == -np.inf
-        assert m.log_values[1, 1] == np.log(2.5)
-        assert not m.log_values.flags.writeable
-        assert m.log_values is m.log_values
 
 
 class TestBackproject:
@@ -212,7 +205,7 @@ class TestBackproject:
         t = tof(r_l, truth, r_i)
         narrow = backproject(peak(t, 120e-12), r_l, r_i, grid)
         wide = backproject(peak(t, 1200e-12), r_l, r_i, grid)
-        assert narrow.argmax_cell() == wide.argmax_cell()
+        assert np.argmax(narrow.values) == np.argmax(wide.values)
         band = narrow.values > 1e-6
         contrast_narrow = narrow.values.max() / narrow.values[band].min()
         contrast_wide = wide.values.max() / wide.values[band].min()
@@ -225,123 +218,38 @@ class TestBackproject:
             backproject(peak(1.9 / C), r_l, r_i, grid)
 
 
-class TestFuse:
-    def setup_method(self):
-        self.grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
-        self.r_l = Point3(-0.5, 0, 1.1)
-        self.pixels = [Point3(-0.9, 0, 1.0), Point3(-0.1, 0, 1.0), Point3(-0.7, 0, 0.9)]
-        self.truth = Point3(0.3, 1.2, 1.0)
-        self.maps = [
-            backproject(peak(tof(self.r_l, self.truth, pix)), self.r_l, pix, self.grid)
-            for pix in self.pixels
-        ]
-
-    def test_single_map_normalizes(self):
-        out = fuse([self.maps[0]])
-        assert out.normalized
-        total = out.values.sum() * self.grid.cell_area
-        assert total == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(
-            out.values,
-            self.maps[0].values / (self.maps[0].values.sum() * self.grid.cell_area),
-            rtol=1e-12, atol=1e-300,  # exp(log v) round-trip differs on subnormals
-        )
-
-    def test_uniform_map_is_identity_for_argmax(self):
-        uniform = ProbabilityMap(grid=self.grid, values=np.full((self.grid.ny, self.grid.nx), 0.37))
-        assert fuse(self.maps + [uniform]).argmax_cell() == fuse(self.maps).argmax_cell()
-
-    def test_permutation_invariance(self):
-        a = fuse(self.maps).values
-        b = fuse(self.maps[::-1]).values
-        c = fuse([self.maps[1], self.maps[2], self.maps[0]]).values
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-        np.testing.assert_allclose(a, c, rtol=1e-12)
-
-    def test_scaling_one_map_changes_nothing(self):
-        scaled = ProbabilityMap(grid=self.grid, values=self.maps[0].values * 7.3)
-        out0 = fuse(self.maps)
-        out1 = fuse([scaled, self.maps[1], self.maps[2]])
-        assert out0.argmax_cell() == out1.argmax_cell()
-        np.testing.assert_allclose(out0.values, out1.values, rtol=1e-12)
-        t0, t1 = localize(out0), localize(out1)
-        assert t0.position == pytest.approx(t1.position, rel=1e-12)
-
-    def test_argmax_near_truth(self):
-        out = fuse(self.maps)
-        iy, ix = out.argmax_cell()
-        assert abs(self.grid.x_centers()[ix] - self.truth.x) <= self.grid.resolution
-        assert abs(self.grid.y_centers()[iy] - self.truth.y) <= self.grid.resolution
-
-    def test_bands_are_fused_from_their_logs(self):
-        bands = [
-            backproject(peak(tof(self.r_l, self.truth, pix)), self.r_l, pix, self.grid)
-            for pix in self.pixels
-        ]
-        out = fuse(bands)
-        assert all("values" not in vars(band) for band in bands)
-        assert out.argmax_cell() == fuse(self.maps).argmax_cell()
-
-    def test_large_valued_maps_fuse_to_uniform(self):
-        # the summed log-density (about 921) is far past exp's overflow
-        g = GridSpec(0, 1, 0, 1, 0.1)
-        m = ProbabilityMap(grid=g, values=np.full((g.ny, g.nx), 1e200))
-        out = fuse([m, m])
-        assert out.normalized
-        np.testing.assert_allclose(out.values, 1.0 / (g.nx * g.ny * g.cell_area), rtol=1e-12)
-
-    def test_inputs_are_left_unchanged(self):
-        plain = ProbabilityMap(grid=self.grid, values=self.maps[0].values * 2.0)
-        inputs = [plain, *self.maps]
-        before = [(m.values.copy(), m.log_values.copy()) for m in inputs]
-        fuse(inputs)
-        for m, (values, log_values) in zip(inputs, before):
-            np.testing.assert_array_equal(m.values, values)
-            np.testing.assert_array_equal(m.log_values, log_values)
-
-    def test_grid_mismatch_rejected(self):
-        other = GridSpec(-1, 1, 0, 2, 0.1, 1.0)
-        m = ProbabilityMap(grid=other, values=np.ones((other.ny, other.nx)))
-        with pytest.raises(ValueError, match="same grid"):
-            fuse([self.maps[0], m])
-
-    def test_empty_intersection(self):
-        left = np.zeros((self.grid.ny, self.grid.nx))
-        left[:, : self.grid.nx // 2] = 1.0
-        right = np.zeros((self.grid.ny, self.grid.nx))
-        right[:, self.grid.nx // 2 :] = 1.0
-        with pytest.raises(EmptyIntersectionError):
-            fuse([
-                ProbabilityMap(grid=self.grid, values=left),
-                ProbabilityMap(grid=self.grid, values=right),
-            ])
-
-
 class TestLocalize:
-    def test_requires_normalized(self):
-        g = GridSpec(0, 1, 0, 1, 0.1)
-        m = ProbabilityMap(grid=g, values=np.ones((g.ny, g.nx)))
-        with pytest.raises(ValueError, match="normalized"):
-            localize(m)
+    grid = GridSpec(0, 2, 0, 1, 0.02)
 
-    def test_delta_map(self):
-        g = GridSpec(0, 1, 0, 1, 0.1)
-        values = np.zeros((g.ny, g.nx))
-        values[3, 7] = 1.0 / g.cell_area
-        track = localize(ProbabilityMap(grid=g, values=values, normalized=True))
-        assert track.position == pytest.approx((g.x_centers()[7], g.y_centers()[3]))
-        assert track.sigma_x == pytest.approx(0.0, abs=1e-9)
-        assert track.sigma_y == pytest.approx(0.0, abs=1e-9)
-
-    def test_two_lobe_map_follows_argmax_lobe(self):
-        g = GridSpec(0, 2, 0, 1, 0.02)
+    def test_track_and_map_of_a_density(self):
+        g = self.grid
         xx, yy = np.meshgrid(g.x_centers(), g.y_centers())
-        lobe1 = np.exp(-((xx - 0.5) ** 2 + (yy - 0.5) ** 2) / (2 * 0.05**2))
-        lobe2 = np.exp(-((xx - 1.5) ** 2 + (yy - 0.5) ** 2) / (2 * 0.05**2))
-        values = lobe1 + 0.9 * lobe2
-        values /= values.sum() * g.cell_area
-        track = localize(ProbabilityMap(grid=g, values=values, normalized=True))
-        assert track.position[0] == pytest.approx(0.5, abs=0.02)  # not the 1.0 midpoint
+        log_density = -0.5 * (((xx - 0.7) / 0.05) ** 2 + ((yy - 0.4) / 0.1) ** 2)
+        expected = np.exp(log_density)
+        expected /= expected.sum() * g.cell_area
+        track, fused = localize(log_density, g, (0.71, 0.39), "target-2")
+        assert (track.position, track.target_label) == ((0.71, 0.39), "target-2")
+        assert fused.normalized and fused.grid == g
+        assert fused.values.sum() * g.cell_area == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(fused.values, expected, rtol=1e-12)
+        mean_x, mean_y = (expected * xx).sum() * g.cell_area, (expected * yy).sum() * g.cell_area
+        sigma_x = math.sqrt((expected * (xx - mean_x) ** 2).sum() * g.cell_area)
+        sigma_y = math.sqrt((expected * (yy - mean_y) ** 2).sum() * g.cell_area)
+        assert (track.sigma_x, track.sigma_y) == pytest.approx((sigma_x, sigma_y), rel=1e-9)
+        assert track.peak_value == fused.values.max()
+
+    def test_density_underflowing_everywhere_is_an_empty_intersection(self):
+        g = self.grid
+        log_density = np.full((g.ny, g.nx), _EXP_UNDERFLOW)
+        log_density[:, : g.nx // 2] = -np.inf
+        with pytest.raises(EmptyIntersectionError):
+            localize(log_density, g, (1.0, 0.5))
+
+    def test_large_log_density_normalizes_to_uniform(self):
+        # about 921, far past exp's overflow near 709
+        g = self.grid
+        _, fused = localize(np.full((g.ny, g.nx), 2 * math.log(1e200)), g, (1.0, 0.5))
+        np.testing.assert_allclose(fused.values, 1.0 / (g.nx * g.ny * g.cell_area), rtol=1e-12)
 
 
 class TestAssociate:
@@ -366,18 +274,13 @@ class TestAssociate:
         truth = (0.6, 1.2)
         peaks = self.peaks_for([truth])
         tracks, _ = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
-        maps = [
+        reference = reference_fuse([
             backproject(p[0], self.r_l, pix, self.grid)
             for p, pix in zip(peaks, self.pixels)
-        ]
-        reference = localize(fuse(maps))
+        ])
         assert len(tracks) == 1
-        # the associated track is sharpened on the continuous density, so it
-        # agrees with the map-space estimate to within one cell
-        assert tracks[0].position[0] == pytest.approx(reference.position[0], abs=self.grid.resolution)
-        assert tracks[0].position[1] == pytest.approx(reference.position[1], abs=self.grid.resolution)
-        assert tracks[0].sigma_x == pytest.approx(reference.sigma_x, rel=1e-12)
-        assert tracks[0].sigma_y == pytest.approx(reference.sigma_y, rel=1e-12)
+        assert (tracks[0].sigma_x, tracks[0].sigma_y, tracks[0].peak_value) == pytest.approx(
+            (*localization._spreads(reference), reference.values.max()), rel=1e-12)
         assert tracks[0].position == pytest.approx(truth, abs=self.grid.resolution)
 
     def test_two_targets_correctly_associated(self):
@@ -399,13 +302,12 @@ class TestAssociate:
         tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         assert [t.target_label for t in tracks] == ["target-1", "target-2"]
         for t, (track, fused) in enumerate(zip(tracks, maps)):
-            reference_map = fuse([
+            reference_map = reference_fuse([
                 backproject(p[t], self.r_l, pix, self.grid)
                 for p, pix in zip(peaks, self.pixels)
             ])
-            reference = localize(reference_map)
             assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
-                (reference.sigma_x, reference.sigma_y, reference.peak_value), rel=1e-12)
+                (*localization._spreads(reference_map), reference_map.values.max()), rel=1e-12)
             np.testing.assert_allclose(fused.values, reference_map.values, rtol=1e-12, atol=0)
 
     def test_backprojects_each_peak_once_in_the_log_domain(self, monkeypatch):
@@ -467,33 +369,38 @@ class TestAssociate:
         )
 
     @staticmethod
-    def count_normalized(monkeypatch):
+    def count_calls(monkeypatch, name):
+        # Association looks both helpers up by their module-level names.
         calls = []
-        normalized = localization._normalized
+        original = getattr(localization, name)
 
-        def counting(log_prod, grid):
-            calls.append(log_prod.shape)
-            return normalized(log_prod, grid)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(localization, "_normalized", counting)
+        monkeypatch.setattr(localization, name, counting)
         return calls
 
     def test_fused_maps_only_for_the_returned_targets(self, monkeypatch):
-        calls = self.count_normalized(monkeypatch)
+        normalized = self.count_calls(monkeypatch, "_normalized")
+        localized = self.count_calls(monkeypatch, "localize")
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
         tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         assert len(tracks) == len(maps) == 2
-        assert len(calls) == 2  # not one per scored assignment (16 here)
+        assert len(normalized) == len(localized) == 2  # not one per scored assignment (16 here)
+        assert [args[2] for args in localized] == [t.position for t in tracks]
 
     def test_ambiguous_result_fuses_both_solutions_once(self, monkeypatch):
-        calls = self.count_normalized(monkeypatch)
+        normalized = self.count_calls(monkeypatch, "_normalized")
+        localized = self.count_calls(monkeypatch, "localize")
         r_l = Point3(0.0, 0.0, 1.0)
         pixels = [Point3(-0.6, 0, 1.0), Point3(0.6, 0, 1.0)]
         truths = [Point3(-0.8, 1.4, 1.0), Point3(0.8, 1.4, 1.0)]
         peaks = [[peak(tof(r_l, t, pix), pixel=i) for t in truths] for i, pix in enumerate(pixels)]
         with pytest.raises(AmbiguousAssociationError) as info:
             associate_and_localize(peaks, r_l, pixels, GridSpec(-2, 2, 0, 3, 0.02, 1.0), k_targets=2)
-        assert len(calls) == len(info.value.best) + len(info.value.second) == 4
+        assert len(info.value.best) + len(info.value.second) == 4
+        assert len(normalized) == len(localized) == 4
 
 
 def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):

@@ -253,7 +253,7 @@ class TestDetect:
         counts = gaussian_counts(6250, 8e-9, 120e-12, 300) + gaussian_counts(
             6250, 10e-9, 120e-12, 800
         )
-        found = detect_peaks(hist_from(counts), max_peaks=2, min_snr=4.0)
+        found = detect_peaks(hist_from(counts), max_peaks=2)
         assert len(found) == 2
         times = [(b + 0.5) * BW for b, _ in found]
         assert times[0] == pytest.approx(10e-9, abs=0.2e-9)
@@ -265,7 +265,7 @@ class TestDetect:
         counts = gaussian_counts(6250, 10e-9, 120e-12, 500) + gaussian_counts(
             6250, 10e-9 + 250e-12, 120e-12, 500
         )
-        found = detect_peaks(hist_from(counts), max_peaks=2, min_snr=4.0)
+        found = detect_peaks(hist_from(counts), max_peaks=2)
         assert len(found) == 1
 
     def test_max_peaks_validation(self):
@@ -362,7 +362,7 @@ class TestFit:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             h = hist_from(rng.poisson(expect))
-            seeds = detect_peaks(h, max_peaks=1, min_snr=4.0)
+            seeds = detect_peaks(h, max_peaks=1)
             got = fit_peaks(h, seeds)[0]
             if abs(got.t_s - mu) < bound:
                 hits += 1
@@ -385,7 +385,7 @@ class TestFit:
         clean = crop(subtract_background(crop(sig, TimeWindow(1e-9, 24e-9)),
                                          crop(bg, TimeWindow(1e-9, 24e-9))),
                      TimeWindow(1e-9, 24e-9))
-        seeds = detect_peaks(clean, max_peaks=2, min_snr=4.0)
+        seeds = detect_peaks(clean, max_peaks=2)
         assert len(seeds) == 2
         got = sorted(fit_peaks(clean, seeds), key=lambda q: q.t_s)
         want = sorted(
@@ -461,7 +461,7 @@ class TestFitWindows:
     def test_matches_full_window_fit(self, case, seed):
         pulses, floor = self.CASES[case]
         h = noisy_histogram(seed, pulses, floor)
-        seeds = detect_peaks(h, max_peaks=len(pulses), min_snr=4.0)
+        seeds = detect_peaks(h, max_peaks=len(pulses))
         assert len(seeds) == len(pulses)
         ref_floor, want = full_window_fit(h, seeds)
         if case == "floor_at_zero" and seed == 1:
@@ -483,7 +483,7 @@ class TestFitWindows:
 
         monkeypatch.setattr(processing, "fit_gaussian_mixture", spy)
         h = noisy_histogram(0, self.CASES["two_peaks"][0], 1.0)
-        fit_peaks(h, detect_peaks(h, max_peaks=2, min_snr=4.0))
+        fit_peaks(h, detect_peaks(h, max_peaks=2))
         (n_local, far), = handed
         half = math.ceil(10 * IRF / BW)
         assert 2 * (2 * half + 1) <= n_local <= 2 * (2 * half + 3)
@@ -507,7 +507,7 @@ class TestEndToEndRecovery:
             sig = crop(apply_offset(simulate_histogram(scene, 0, p), off), window)
             bg = crop(apply_offset(simulate_background(scene, 0, p), off), window)
             clean = subtract_background(sig, bg)
-            seeds = detect_peaks(clean, max_peaks=1, min_snr=4.0)
+            seeds = detect_peaks(clean, max_peaks=1)
             if not seeds:
                 continue
             est = fit_peaks(clean, seeds)[0]
