@@ -18,7 +18,7 @@ from .acquisition import (
     simulate_frames,
     simulate_histogram,
 )
-from .localization import InfeasibleTimeError, _check_k_targets, backproject
+from .localization import _check_k_targets, _peak_bands
 from .processing import TimeWindow, estimate_background_median
 from .studies import (
     PipelineError,
@@ -182,20 +182,17 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
     except (PipelineError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
 
-    # Every map is built before the manifest lists it; a peak whose c*t
-    # cannot reach its pixel has no ellipse, so it gets no map (association
-    # skips it too).
+    # Every map is built before the manifest lists it; the per-peak bands
+    # are the ones association scores, so an infeasible peak gets no map.
     maps = {}
     if write_maps:
         for track, fused in zip(result.tracks, result.fused_maps):
             maps[f"fused_map_{track.target_label}.csv"] = fused
-        for pix, peaks in zip(result.used_pixels, result.peaks_per_pixel):
-            for j, peak in enumerate(peaks):
-                try:
-                    pmap = backproject(peak, scene.laser_spot, scene.pixels[pix], grid)
-                except InfeasibleTimeError:
-                    continue
-                maps[f"pixel{pix:02d}_peak{j}_map.csv"] = pmap
+        used = result.used_pixels
+        bands, _ = _peak_bands(result.peaks_per_pixel, scene.laser_spot,
+                               [scene.pixels[pix] for pix in used], grid)
+        for (i, j), band in bands.items():
+            maps[f"pixel{used[i]:02d}_peak{j}_map.csv"] = band
     out_dir = Path(out)
     try:
         with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):

@@ -360,6 +360,24 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
             yield tuple(assignment)
 
 
+def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
+    """The band of every (pixel index, peak index) whose peak has an ellipse.
+
+    The one place that decides which peaks have a band: association scores
+    these and ``reconstruct --maps`` writes them. Infeasible peaks are
+    skipped; returns the bands, in pixel then peak order, and the last
+    InfeasibleTimeError (None when every peak is feasible).
+    """
+    bands, last_error = {}, None
+    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
+        for ipk, peak in enumerate(peaks):
+            try:
+                bands[(ipix, ipk)] = backproject(peak, r_l, pixel, grid)
+            except InfeasibleTimeError as exc:
+                last_error = exc
+    return bands, last_error
+
+
 def associate_and_localize(
     peaks_per_pixel: list[list[PeakEstimate]],
     r_l: Point3,
@@ -386,21 +404,16 @@ def associate_and_localize(
     if any(len(p) == 0 for p in peaks_per_pixel):
         raise ValueError("every pixel must contribute at least one peak")
 
-    # Back-project each (pixel, peak) once; associations only recombine them.
-    # Each feasible measurement keeps its band's log-density and the
-    # (r_l, r_i, ct, c_sigma) that _refine_position works on.
+    # Associations only recombine the bands. Each feasible measurement keeps
+    # its band's log-density and the (r_l, r_i, ct, c_sigma) that
+    # _refine_position works on.
+    bands, last_error = _peak_bands(peaks_per_pixel, r_l, pixels, grid)
     measurements = {}
-    last_error: Exception | None = None
-    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
-        for ipk, peak in enumerate(peaks):
-            try:
-                band = backproject(peak, r_l, pixel, grid).log_values
-            except InfeasibleTimeError as exc:
-                last_error = exc
-                continue
-            measurements[(ipix, ipk)] = (
-                band, (r_l, pixel, SPEED_OF_LIGHT * peak.t_s, SPEED_OF_LIGHT * peak.sigma_s)
-            )
+    for (ipix, ipk), band in bands.items():
+        peak = peaks_per_pixel[ipix][ipk]
+        measurements[(ipix, ipk)] = (band.log_values, (
+            r_l, pixels[ipix], SPEED_OF_LIGHT * peak.t_s, SPEED_OF_LIGHT * peak.sigma_s
+        ))
 
     def _log_product(det, step=1, out=None):
         # Sum of the detections' band log-densities on every step-th row and

@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from nlostrack import sceneio
+from nlostrack import Point3, localization, sceneio, studies
 from nlostrack.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -22,6 +23,20 @@ SCENE = {
     "acquisition": {"rng_seed": 7, "system_throughput": 1.0e5},
     "grid": {"x_min": -3.0, "x_max": 3.0, "y_min": 0.0, "y_max": 4.0, "resolution": 0.02},
 }
+
+
+# Mirror-symmetric pixels and targets about the laser axis: swapping the
+# association scores identically, so two-target reconstruction is ambiguous.
+MIRROR_SCENE = dict(
+    SCENE,
+    laser_spot=[0.0, 0.0, 1.0],
+    pixels=[[-0.6, 0.0, 1.0], [0.6, 0.0, 1.0]],
+    objects=[
+        {"position": [-0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p1"},
+        {"position": [0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p2"},
+    ],
+    acquisition={"rng_seed": 0, "system_throughput": 1.0e5},
+)
 
 
 @pytest.fixture
@@ -254,18 +269,8 @@ class TestReconstruct:
     def test_ambiguous_maps_manifest_lists_only_written_files(self, runner, tmp_path):
         # mirror-symmetric pixels and targets: the association is ambiguous,
         # so no fused map is written and the manifest must not name one
-        doc = dict(
-            SCENE,
-            laser_spot=[0.0, 0.0, 1.0],
-            pixels=[[-0.6, 0.0, 1.0], [0.6, 0.0, 1.0]],
-            objects=[
-                {"position": [-0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p1"},
-                {"position": [0.8, 1.4, 1.0], "reflectivity": 3.0, "label": "p2"},
-            ],
-            acquisition={"rng_seed": 0, "system_throughput": 1.0e5},
-        )
         scene = tmp_path / "mirror.json"
-        scene.write_text(json.dumps(doc))
+        scene.write_text(json.dumps(MIRROR_SCENE))
         rec = tmp_path / "rec"
         with pytest.warns(UserWarning, match="top assignments score within 1%"):
             result = runner.invoke(
@@ -295,6 +300,58 @@ class TestReconstruct:
         assert "no feasible assignment" in result.output
         manifest = assert_manifest_complete_and_lists_only_written_files(rec)
         assert len(manifest["outputs"]) < 1 + len(doc["pixels"])
+
+    @pytest.mark.parametrize("case", ["ok", "ambiguous", "infeasible"])
+    def test_maps_are_the_bands_association_built(self, runner, tmp_path, monkeypatch, case):
+        # Every band association back-projects is recorded; --maps writes
+        # exactly those, named by scene pixel and peak index, and no other.
+        built, peaks_seen, running = [], [], {}
+        backproject, associate = localization.backproject, studies.associate_and_localize
+
+        def recording_backproject(peak, r_l, r_i, grid):
+            band = backproject(peak, r_l, r_i, grid)
+            if running:  # inside association
+                ipix = running["pixels"].index(r_i)
+                built.append((r_i, running["peaks"][ipix].index(peak), band))
+            return band
+
+        def recording_associate(peaks_per_pixel, r_l, pixels, *args, **kwargs):
+            running.update(peaks=peaks_per_pixel, pixels=pixels)
+            peaks_seen.append(sum(len(peaks) for peaks in peaks_per_pixel))
+            try:
+                return associate(peaks_per_pixel, r_l, pixels, *args, **kwargs)
+            finally:
+                running.clear()
+
+        monkeypatch.setattr(localization, "backproject", recording_backproject)
+        monkeypatch.setattr(studies, "associate_and_localize", recording_associate)
+        scene, rec = tmp_path / "scene.json", tmp_path / "rec"
+        if case == "infeasible":
+            # the histograms and 1.4 m standoff error of test_maps_skip_infeasible_peaks
+            doc = json.loads((CONFIGS / "single_person.json").read_text())
+            sim = tmp_path / "sim"
+            assert runner.invoke(main, ["simulate", str(CONFIGS / "single_person.json"),
+                                        "--out", str(sim), "--seed", "3"]).exit_code == 0
+            doc = dict(doc, standoff_m=3.4)
+            args, status = ["--hist-dir", str(sim), "--seed", "3", "--grid-res", "0.1"], "no_target"
+        elif case == "ambiguous":
+            doc, args, status = MIRROR_SCENE, ["--targets", "2"], "ambiguous"
+        else:
+            doc, args, status = SCENE, ["--grid-res", "0.1"], "ok"
+        scene.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the ambiguity warning
+            runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps", *args])
+        assert json.loads((rec / "tracks.json").read_text())["status"] == status
+        pixels = [Point3(*p) for p in doc["pixels"]]
+        want = {}
+        for r_i, ipk, band in built:
+            name = f"pixel{pixels.index(r_i):02d}_peak{ipk}_map.csv"
+            sceneio.write_map_csv(tmp_path / name, band)
+            want[name] = (tmp_path / name).read_bytes()
+        assert len(peaks_seen) == 1 and want
+        assert read_bytes_sorted(rec, "pixel*_peak*_map.csv") == want
+        assert (len(want) < peaks_seen[0]) == (case == "infeasible")
 
     def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
                                                          monkeypatch):
