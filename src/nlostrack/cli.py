@@ -182,8 +182,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
     except (PipelineError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
 
-    # Every map is built before the manifest lists it; the per-peak bands
-    # are the ones association scores, so an infeasible peak gets no map.
+    # Every map is built before the manifest lists it; the bands are association's.
     maps = {}
     if write_maps:
         for track, fused in zip(result.tracks, result.fused_maps):

@@ -267,7 +267,11 @@ def localize(
     return track, fused
 
 
-def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
+REFINE_TOLERANCE = 1e-10  # score units: 100x the rounding noise of scores near -3000
+_REFINE_MAX_ITER = 200  # a guard: over 200 two-person scenes no call took 32 steps
+
+
+def _refine_position(seed_xy, z, measurements, grid):
     """Continuous Gauss-Newton maximization of the fused log-density.
 
     ``measurements`` is a list of (r_l, r_i, ct, c_sigma). The grid only
@@ -275,12 +279,18 @@ def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
     a narrow ridge by a few cells; solving on the continuous coordinates
     removes that quantization. Returns ``(position, log_score)``, the
     log-density -0.5 * sum(r^2) of the residuals r = (path - ct) / c_sigma
-    at that position. On breakdown (a zero-length path leg or a singular
-    step) the position is the seed.
+    at that position. The last step taken is the first whose expected gain,
+    half the Gauss-Newton decrement g^T (J^T J)^-1 g, is below
+    REFINE_TOLERANCE, so the score is within about the tolerance of the
+    optimum's, whatever the seed. Steps are limited to ten cells and
+    clamped to the grid; a step the clamp cancels also ends the iteration.
+    On breakdown (a zero-length path leg or a singular step) the position
+    is the seed.
     """
     x, y = seed_xy
     limit = 10.0 * grid.resolution
-    for it in range(max_iter + 1):
+    converged = False
+    for it in range(_REFINE_MAX_ITER + 1):
         score = jxx = jxy = jyy = gx = gy = 0.0
         degenerate = False
         for r_l, r_i, ct, c_sigma in measurements:
@@ -300,7 +310,7 @@ def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
             gy += jy * r
         if it == 0:
             seed_score = score
-        if it == max_iter:
+        if converged or it == _REFINE_MAX_ITER:
             break
         # Solve (J^T J + 1e-12 I) step = -J^T r in closed form.
         jxx += 1e-12
@@ -310,13 +320,16 @@ def _refine_position(seed_xy, z, measurements, grid, max_iter=25):
             return seed_xy, seed_score
         step_x = (jxy * gy - jyy * gx) / det
         step_y = (jxy * gx - jxx * gy) / det
-        norm = math.hypot(step_x, step_y)
-        if norm > limit:
-            step_x *= limit / norm
-            step_y *= limit / norm
-        x_new = min(max(x + step_x, grid.x_min), grid.x_max)
-        y_new = min(max(y + step_y, grid.y_min), grid.y_max)
-        if abs(x_new - x) < 1e-12 and abs(y_new - y) < 1e-12:
+        # Hold a coordinate the step would push out through its grid edge.
+        hold_x = (x == grid.x_max and step_x > 0.0) or (x == grid.x_min and step_x < 0.0)
+        hold_y = (y == grid.y_max and step_y > 0.0) or (y == grid.y_min and step_y < 0.0)
+        if hold_x or hold_y:
+            step_x, step_y = 0.0 if hold_x else -gx / jxx, 0.0 if hold_y else -gy / jyy
+        converged = -0.5 * (gx * step_x + gy * step_y) < REFINE_TOLERANCE
+        scale = limit / max(math.hypot(step_x, step_y), limit)
+        x_new = min(max(x + scale * step_x, grid.x_min), grid.x_max)
+        y_new = min(max(y + scale * step_y, grid.y_min), grid.y_max)
+        if x_new == x and y_new == y:
             break
         x, y = x_new, y_new
     return (x, y), score
@@ -361,13 +374,8 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
 
 
 def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
-    """The band of every (pixel index, peak index) whose peak has an ellipse.
-
-    The one place that decides which peaks have a band: association scores
-    these and ``reconstruct --maps`` writes them. Infeasible peaks are
-    skipped; returns the bands, in pixel then peak order, and the last
-    InfeasibleTimeError (None when every peak is feasible).
-    """
+    # The bands association scores and --maps writes, keyed (pixel index, peak
+    # index): none for a peak without an ellipse. Also the last such error.
     bands, last_error = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
@@ -404,24 +412,19 @@ def associate_and_localize(
     if any(len(p) == 0 for p in peaks_per_pixel):
         raise ValueError("every pixel must contribute at least one peak")
 
-    # Associations only recombine the bands. Each feasible measurement keeps
-    # its band's log-density and the (r_l, r_i, ct, c_sigma) that
-    # _refine_position works on.
+    # Associations only recombine the bands, and _refine_position works on
+    # each band's (r_l, r_i, ct, c_sigma).
     bands, last_error = _peak_bands(peaks_per_pixel, r_l, pixels, grid)
-    measurements = {}
-    for (ipix, ipk), band in bands.items():
-        peak = peaks_per_pixel[ipix][ipk]
-        measurements[(ipix, ipk)] = (band.log_values, (
-            r_l, pixels[ipix], SPEED_OF_LIGHT * peak.t_s, SPEED_OF_LIGHT * peak.sigma_s
-        ))
+    measured = {(i, j): (r_l, pixels[i], SPEED_OF_LIGHT * peaks_per_pixel[i][j].t_s,
+                         SPEED_OF_LIGHT * peaks_per_pixel[i][j].sigma_s) for i, j in bands}
 
     def _log_product(det, step=1, out=None):
         # Sum of the detections' band log-densities on every step-th row and
         # column, added in detection order.
-        bands = [measurements[pair][0][::step, ::step] for pair in det]
-        log_prod = np.add(bands[0], bands[1], out=out)
-        for band in bands[2:]:
-            log_prod += band
+        logs = [bands[pair].log_values[::step, ::step] for pair in det]
+        log_prod = np.add(logs[0], logs[1], out=out)
+        for log_values in logs[2:]:
+            log_prod += log_values
         return log_prod
 
     xc, yc = grid.x_centers(), grid.y_centers()
@@ -449,7 +452,7 @@ def associate_and_localize(
         key = frozenset(detections)  # quotient out target relabeling
         if key in candidates or any(len(det) < 2 for det in detections):
             continue
-        if any(pair not in measurements for det in detections for pair in det):
+        if any(pair not in bands for det in detections for pair in det):
             continue
         # Score each target at the continuous optimum of its fused density:
         # the sampled cell maximum wobbles by a few percent with cell
@@ -461,7 +464,7 @@ def associate_and_localize(
             if seed is None:
                 break  # this target's bands never overlap: drop the assignment
             pos, log_score = _refine_position(
-                seed, grid.z_plane, [measurements[pair][1] for pair in det], grid,
+                seed, grid.z_plane, [measured[pair] for pair in det], grid,
             )
             targets.append((pos, det))
             score += log_score
@@ -470,9 +473,7 @@ def associate_and_localize(
 
     if not candidates:
         if last_error is not None:
-            raise InfeasibleTimeError(
-                "no feasible assignment: " + str(last_error)
-            ) from last_error
+            raise InfeasibleTimeError(f"no feasible assignment: {last_error}") from last_error
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
     def _solve(targets):

@@ -358,31 +358,21 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
                 pdf_sx.append(track.sigma_x)
                 pdf_sy.append(track.sigma_y)
             n_ok = len(xs)
-            if n_ok == 0:
-                rows.append(SweepRow(
-                    baseline_m=baseline, object_index=oi, truth_x=opos.x, truth_y=opos.y,
-                    error_x=math.nan, error_y=math.nan, sigma_x=math.nan, sigma_y=math.nan,
-                    pdf_sigma_x=math.nan, pdf_sigma_y=math.nan,
-                    pdf_sigma_x_se=math.nan, pdf_sigma_y_se=math.nan,
-                    n_trials=config.trials_per_point, n_failed=failed, valid=False,
-                ))
-                continue
-            xs_arr, ys_arr = np.asarray(xs), np.asarray(ys)
+            # error, sigma, pdf_sigma and pdf_sigma_se, each as (x, y)
+            stats = (math.nan,) * 8
+            if n_ok:
+                def spread(values, scale=1.0):
+                    return float(np.std(values, ddof=1) / scale) if n_ok > 1 else 0.0
+
+                stats = (
+                    abs(float(np.mean(xs)) - opos.x), abs(float(np.mean(ys)) - opos.y),
+                    spread(xs), spread(ys), float(np.mean(pdf_sx)), float(np.mean(pdf_sy)),
+                    spread(pdf_sx, math.sqrt(n_ok)), spread(pdf_sy, math.sqrt(n_ok)),
+                )
+            # A cell with no success has failed every trial, so it is invalid.
             rows.append(SweepRow(
-                baseline_m=baseline,
-                object_index=oi,
-                truth_x=opos.x,
-                truth_y=opos.y,
-                error_x=abs(float(xs_arr.mean()) - opos.x),
-                error_y=abs(float(ys_arr.mean()) - opos.y),
-                sigma_x=float(xs_arr.std(ddof=1)) if n_ok > 1 else 0.0,
-                sigma_y=float(ys_arr.std(ddof=1)) if n_ok > 1 else 0.0,
-                pdf_sigma_x=float(np.mean(pdf_sx)),
-                pdf_sigma_y=float(np.mean(pdf_sy)),
-                pdf_sigma_x_se=float(np.std(pdf_sx, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
-                pdf_sigma_y_se=float(np.std(pdf_sy, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
-                n_trials=config.trials_per_point,
-                n_failed=failed,
+                baseline, oi, opos.x, opos.y, *stats,
+                n_trials=config.trials_per_point, n_failed=failed,
                 valid=failed <= config.trials_per_point // 2,
             ))
     return SweepResult(config=config, rows=tuple(rows))

@@ -475,56 +475,122 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
 
 
 def association_outcome(fn, *args, **kwargs):
-    # (status, tracks, maps) of one association, exceptions included.
+    # (status, tracks, maps, refined) of one association, exceptions
+    # included; refined lists every _refine_position call, in call order, as
+    # (arguments, (position, log_score)).
+    refined, refine = [], localization._refine_position
+
+    def recording(*call):
+        refined.append((call, refine(*call)))
+        return refined[-1][1]
+
+    localization._refine_position = recording
     try:
         tracks, maps = fn(*args, **kwargs)
     except AmbiguousAssociationError as exc:
-        return "ambiguous", exc.best + exc.second, []
+        return "ambiguous", exc.best + exc.second, [], refined
     except (InfeasibleTimeError, EmptyIntersectionError) as exc:
-        return type(exc).__name__, [], []
-    return "ok", tracks, maps
+        return type(exc).__name__, [], [], refined
+    finally:
+        localization._refine_position = refine
+    return "ok", tracks, maps, refined
+
+
+def log_score(position, z, measurements):
+    # The fused log-density -0.5 * sum(r^2) that _refine_position maximizes.
+    x, y = position
+    r = [
+        (math.dist((x, y, z), (m_l.x, m_l.y, m_l.z))
+         + math.dist((x, y, z), (m_i.x, m_i.y, m_i.z)) - ct) / c_sigma
+        for m_l, m_i, ct, c_sigma in measurements
+    ]
+    return -0.5 * sum(v * v for v in r)
+
+
+def refined_position_bound(position, z, measurements):
+    # Two positions that each score within REFINE_TOLERANCE of the optimum
+    # are at most this far apart. Near the optimum the score falls by
+    # 0.5 d^T (J^T J) d at an offset d, so each lies within
+    # sqrt(2 * tol / lambda_min(J^T J)) of it.
+    def unit(focus):  # from a focus toward the position
+        offset = np.array([position[0] - focus.x, position[1] - focus.y, z - focus.z])
+        return offset / np.linalg.norm(offset)
+
+    jac = np.array([(unit(r_l) + unit(r_i))[:2] / c_sigma for r_l, r_i, _, c_sigma in measurements])
+    lambda_min = np.linalg.eigvalsh(jac.T @ jac)[0]
+    return 2.0 * math.sqrt(2.0 * localization.REFINE_TOLERANCE / lambda_min)
 
 
 def assert_same_association(got, want):
-    # Positions may differ by the refinement's stopping resolution; the
-    # statuses, spreads, peak values and fused maps are bit-identical.
-    (status, tracks, maps), (want_status, want_tracks, want_maps) = got, want
+    # Each returned target stops within REFINE_TOLERANCE of its optimum's
+    # score whatever its seed, so its score agrees within the tolerance and
+    # its position within refined_position_bound. Statuses, spreads, peak
+    # values, labels and fused maps are bit-identical.
+    (status, tracks, maps, refined), (want_status, want_tracks, want_maps, want_refined) = got, want
     assert status == want_status
     assert len(tracks) == len(want_tracks) and len(maps) == len(want_maps)
+    calls = {position: (call, score) for call, (position, score) in refined}
+    want_scores = {position: score for _, (position, score) in want_refined}
     for track, ref in zip(tracks, want_tracks):
-        assert track.position == pytest.approx(ref.position, rel=0, abs=1e-10)
+        (_, z, measurements, _), score = calls[track.position]
+        assert score == pytest.approx(
+            want_scores[ref.position], rel=0, abs=localization.REFINE_TOLERANCE)
+        assert math.dist(track.position, ref.position) <= refined_position_bound(
+            track.position, z, measurements)
         assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label) == (
             ref.sigma_x, ref.sigma_y, ref.peak_value, ref.target_label)
     for fused, ref in zip(maps, want_maps):
         np.testing.assert_array_equal(fused.values, ref.values)
 
 
+def random_problem(rng, k_targets):
+    # Peaks of one random scene: jittered pixels, noisy times and widths, and
+    # a spurious return at some pixels of one-target scenes.
+    r_l = Point3(-0.5, 0, 1.15)
+    pixels = [Point3(x + rng.uniform(-0.1, 0.1), 0, 1.0 + rng.uniform(-0.05, 0.05))
+              for x in (-0.9, -0.62, -0.38, -0.1)]
+    truths = [Point3(rng.uniform(-1.0, 1.5), rng.uniform(0.5, 2.5), 1.0)
+              for _ in range(k_targets)]
+    peaks = []
+    for i, pix in enumerate(pixels):
+        ps = [peak(tof(r_l, t, pix) + rng.normal(0, 30e-12),
+                   sigma_s=rng.uniform(80e-12, 200e-12), pixel=i) for t in truths]
+        if k_targets == 1 and rng.random() < 0.3:
+            ps.append(peak(ps[0].t_s + rng.uniform(1e-9, 4e-9), pixel=i))
+        peaks.append(list(rng.permutation(ps)))
+    return peaks, r_l, pixels
+
+
 @pytest.mark.parametrize("res", [0.02, 0.08])
 @pytest.mark.parametrize("k_targets", [1, 2])
 def test_association_matches_full_grid_seeding(k_targets, res):
-    # Random scenes: jittered pixels, noisy times, and a spurious return at
-    # some pixels of the one-target scenes.
     grid = GridSpec(-3, 3, 0, 4, res, 1.0)
-    r_l = Point3(-0.5, 0, 1.15)
     rng = np.random.default_rng([k_targets, round(res * 100)])
     statuses = set()
     for _ in range(12):
-        pixels = [Point3(x + rng.uniform(-0.1, 0.1), 0, 1.0 + rng.uniform(-0.05, 0.05))
-                  for x in (-0.9, -0.62, -0.38, -0.1)]
-        truths = [Point3(rng.uniform(-1.0, 1.5), rng.uniform(0.5, 2.5), 1.0)
-                  for _ in range(k_targets)]
-        peaks = []
-        for i, pix in enumerate(pixels):
-            ps = [peak(tof(r_l, t, pix) + rng.normal(0, 30e-12),
-                       sigma_s=rng.uniform(80e-12, 200e-12), pixel=i) for t in truths]
-            if k_targets == 1 and rng.random() < 0.3:
-                ps.append(peak(ps[0].t_s + rng.uniform(1e-9, 4e-9), pixel=i))
-            peaks.append(list(rng.permutation(ps)))
+        peaks, r_l, pixels = random_problem(rng, k_targets)
         got = association_outcome(associate_and_localize, peaks, r_l, pixels, grid, k_targets)
         want = association_outcome(reference_associate, peaks, r_l, pixels, grid, k_targets)
         assert_same_association(got, want)
         statuses.add(got[0])
     assert "ok" in statuses
+
+
+def test_refinement_stops_on_its_decrement_not_its_cap(monkeypatch):
+    # Over 20 two-target problems, both seedings reach each returned
+    # target's score within the tolerance, and no call ends at the iteration
+    # cap: each gives the same result with a cap a hundred times higher.
+    grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
+    rng = np.random.default_rng(20)
+    calls = []
+    for _ in range(20):
+        peaks, r_l, pixels = random_problem(rng, 2)
+        got = association_outcome(associate_and_localize, peaks, r_l, pixels, grid, 2)
+        want = association_outcome(reference_associate, peaks, r_l, pixels, grid, 2)
+        assert_same_association(got, want)
+        calls += got[3] + want[3]
+    monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
+    assert all(localization._refine_position(*call) == result for call, result in calls)
 
 
 class TestSeedFallback:
@@ -549,7 +615,7 @@ class TestSeedFallback:
     def test_target_sharing_cells_only_off_the_seed_lattice_is_kept(self):
         truth = Point3(0.3, 1.1, 1.0)
         grid = centered_grid(truth.x, truth.y)  # truth is cell (25, 25), off the lattice
-        finite, (status, tracks, _) = self.associate_both_ways([truth, truth], grid)
+        finite, (status, tracks, _, _) = self.associate_both_ways([truth, truth], grid)
         stride = localization._SEED_STRIDE
         assert finite.any() and not finite[::stride, ::stride].any()
         assert status == "ok"
@@ -558,7 +624,7 @@ class TestSeedFallback:
     def test_target_sharing_no_cell_is_dropped(self):
         truths = [Point3(0.3, 0.6, 1.0), Point3(0.3, 3.5, 1.0)]
         grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
-        finite, (status, _, _) = self.associate_both_ways(truths, grid)
+        finite, (status, _, _, _) = self.associate_both_ways(truths, grid)
         assert not finite.any()
         assert status == "EmptyIntersectionError"
         peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14)]
@@ -580,16 +646,6 @@ class TestRefinePosition:
             for pix in self.pixels
         ]
 
-    @staticmethod
-    def score_at(pos, z, measurements):
-        x, y = pos
-        r = [
-            (math.dist((x, y, z), (m_l.x, m_l.y, m_l.z))
-             + math.dist((x, y, z), (m_i.x, m_i.y, m_i.z)) - ct) / c_sigma
-            for m_l, m_i, ct, c_sigma in measurements
-        ]
-        return -0.5 * sum(v * v for v in r)
-
     def test_score_is_the_log_density_at_the_returned_position(self):
         # Perturb one time so the optimum is not a perfect fit.
         meas = self.measurements((0.6, 1.2))
@@ -597,9 +653,23 @@ class TestRefinePosition:
         pos, score = localization._refine_position((0.64, 1.16), 1.0, meas, self.grid)
         assert pos != (0.64, 1.16)
         assert score < 0.0
-        assert score == pytest.approx(self.score_at(pos, 1.0, meas), rel=1e-12)
+        assert score == pytest.approx(log_score(pos, 1.0, meas), rel=1e-12)
         # The seed scores worse than the refined position.
-        assert self.score_at((0.64, 1.16), 1.0, meas) < score
+        assert log_score((0.64, 1.16), 1.0, meas) < score
+
+    @pytest.mark.parametrize("seed", [(0.5, 1.0), (0.99, 0.01), (0.0, 0.5)])
+    def test_optimum_beyond_the_grid_stops_on_its_edge(self, monkeypatch, seed):
+        # The density peaks at x = 1.5, beyond the grid's x_max = 1: the
+        # position stops on that edge at the best y along it, well before
+        # the iteration cap.
+        grid = GridSpec(-1, 1, 0, 2, 0.02, 1.0)
+        meas = self.measurements((1.5, 1.0))
+        pos, score = localization._refine_position(seed, 1.0, meas, grid)
+        assert pos[0] == grid.x_max
+        for dy in (-1e-4, 1e-4):
+            assert log_score((grid.x_max, pos[1] + dy), 1.0, meas) < score
+        monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
+        assert localization._refine_position(seed, 1.0, meas, grid) == (pos, score)
 
     def test_breakdown_returns_the_seed_and_its_score(self):
         # Seeded on the laser spot itself: a path leg has zero length there.
@@ -608,7 +678,7 @@ class TestRefinePosition:
         meas = self.measurements((0.6, 1.2))
         pos, score = localization._refine_position(seed, z, meas, self.grid)
         assert pos == seed
-        assert score == pytest.approx(self.score_at(seed, z, meas), rel=1e-12)
+        assert score == pytest.approx(log_score(seed, z, meas), rel=1e-12)
 
 
 coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

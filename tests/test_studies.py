@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,13 +18,15 @@ from nlostrack import (
     auto_time_window,
     calibration_offset_s,
     corner_scene,
+    path_length,
     run_baseline_sweep,
     run_scenario,
     run_two_person,
     tof,
 )
-from nlostrack import studies
+from nlostrack import localization, studies
 from nlostrack.studies import DEFAULT_GRID, DEFAULT_LASER, DEFAULT_PIXELS, _trial_seed
+from test_localization import log_score, refined_position_bound
 
 
 class TestAutoWindow:
@@ -172,8 +175,21 @@ def test_tracks_match_reference_values(seed, k_targets):
     assert res.status == "ok"
     want = REFERENCE_TRACKS[(seed, k_targets)]
     assert len(res.tracks) == len(want)
+    z = DEFAULT_GRID.z_plane
     for track, (x, y, sx, sy, pv) in zip(res.tracks, want):
-        assert track.position == pytest.approx((x, y), rel=0, abs=1e-9)
+        # The track's measurement at each used pixel is the peak whose c*t
+        # is nearest its path. Both positions stop within the refinement's
+        # tolerance of the optimum's score, which bounds how far apart they are.
+        measurements = []
+        for pixel, peaks in zip(res.used_pixels, res.peaks_per_pixel):
+            r_l, r_i = DEFAULT_LASER, DEFAULT_PIXELS[pixel]
+            path = path_length(r_l, Point3(x, y, z), r_i)
+            pk = min(peaks, key=lambda p: abs(SPEED_OF_LIGHT * p.t_s - path))
+            measurements.append((r_l, r_i, SPEED_OF_LIGHT * pk.t_s, SPEED_OF_LIGHT * pk.sigma_s))
+        assert log_score(track.position, z, measurements) == pytest.approx(
+            log_score((x, y), z, measurements), rel=0, abs=localization.REFINE_TOLERANCE)
+        assert math.dist(track.position, (x, y)) <= refined_position_bound(
+            track.position, z, measurements)
         assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
             (sx, sy, pv), rel=1e-9)
 
