@@ -268,7 +268,7 @@ def localize(
 
 
 REFINE_TOLERANCE = 1e-10  # score units: 100x the rounding noise of scores near -3000
-_REFINE_MAX_ITER = 200  # a guard: over 200 two-person scenes no call took 32 steps
+_REFINE_MAX_ITER = 200  # a guard: over 200 two-person scenes no call took over 31 steps
 
 
 def _refine_position(seed_xy, z, measurements, grid):
@@ -374,8 +374,8 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
 
 
 def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
-    # The bands association scores and --maps writes, keyed (pixel index, peak
-    # index): none for a peak without an ellipse. Also the last such error.
+    # The bands that association scores and --maps writes, keyed (pixel index,
+    # peak index), skipping peaks without an ellipse; and the last such error.
     bands, last_error = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
