@@ -657,17 +657,20 @@ class TestRefinePosition:
         # The seed scores worse than the refined position.
         assert log_score((0.64, 1.16), 1.0, meas) < score
 
+    @pytest.mark.parametrize("truth, axis", [((1.5, 1.0), 0), ((0.3, 2.1), 1)])
     @pytest.mark.parametrize("seed", [(0.5, 1.0), (0.99, 0.01), (0.0, 0.5)])
-    def test_optimum_beyond_the_grid_stops_on_its_edge(self, monkeypatch, seed):
-        # The density peaks at x = 1.5, beyond the grid's x_max = 1: the
-        # position stops on that edge at the best y along it, well before
-        # the iteration cap.
+    def test_optimum_beyond_the_grid_stops_on_its_edge(self, monkeypatch, seed, truth, axis):
+        # The density peaks beyond the grid's x_max or y_max: the position
+        # stops on that edge, at the best point along it, well before the
+        # iteration cap.
         grid = GridSpec(-1, 1, 0, 2, 0.02, 1.0)
-        meas = self.measurements((1.5, 1.0))
+        meas = self.measurements(truth)
         pos, score = localization._refine_position(seed, 1.0, meas, grid)
-        assert pos[0] == grid.x_max
-        for dy in (-1e-4, 1e-4):
-            assert log_score((grid.x_max, pos[1] + dy), 1.0, meas) < score
+        assert pos[axis] == (grid.x_max, grid.y_max)[axis]
+        for d in (-1e-4, 1e-4):
+            along = list(pos)
+            along[1 - axis] += d
+            assert log_score(along, 1.0, meas) < score
         monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
         assert localization._refine_position(seed, 1.0, meas, grid) == (pos, score)
 
