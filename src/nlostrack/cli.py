@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 I/O failure, 2 invalid input, 3 no target found.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -32,18 +33,17 @@ EXIT_INVALID = 2
 EXIT_NO_TARGET = 3
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextlib.contextmanager
+def _exit_codes():
+    """The one map from a failure to an exit code; every command runs inside it.
 
-
-def _load_or_exit(load, path):
+    SceneFormatError is a ValueError, so a malformed document exits 2 too.
+    """
     try:
-        return load(path)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (sceneio.SceneFormatError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+        yield
+    except (OSError, ValueError, PipelineError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID)
 
 
 @click.group()
@@ -57,16 +57,14 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the acquisition seed.")
 @click.option("--frames", type=int, default=1, show_default=True,
               help="Signal frames per pixel (several enable a median background).")
-@click.option("--no-lambertian", is_flag=True, help="Disable wall-angle factors.")
-def simulate(scene_file, out, seed, frames, no_lambertian):
+@_exit_codes()
+def simulate(scene_file, out, seed, frames):
     """Simulate signal and background histograms for SCENE_FILE."""
-    scene, params, _grid = _load_or_exit(sceneio.load_scene, scene_file)
+    scene, params, _grid = sceneio.load_scene(scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
-    if no_lambertian:
-        params = dataclasses.replace(params, lambertian=False)
     if frames < 1:
-        _fail(EXIT_INVALID, "--frames must be >= 1")
+        raise ValueError("--frames must be >= 1")
 
     # Every file the run writes, in write order, grouped with the call that
     # makes their histograms: the manifest lists exactly the names written.
@@ -82,15 +80,10 @@ def simulate(scene_file, out, seed, frames, no_lambertian):
                        lambda i=i: [simulate_background(scene, i, params)]))
     outputs = [name for names, _ in groups for name in names]
     out_dir = Path(out)
-    try:
-        with sceneio.run_manifest(out_dir, scene_file, params, outputs):
-            for names, simulate_group in groups:
-                for name, hist in zip(names, simulate_group(), strict=True):
-                    sceneio.write_histogram_csv(out_dir / name, hist)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    with sceneio.run_manifest(out_dir, scene_file, params, outputs):
+        for names, simulate_group in groups:
+            for name, hist in zip(names, simulate_group(), strict=True):
+                sceneio.write_histogram_csv(out_dir / name, hist)
     click.echo(f"wrote {len(outputs)} histogram files to {out_dir}")
 
 
@@ -105,20 +98,19 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str
         elif frame_files:
             frames = [sceneio.read_histogram_csv(f) for f in frame_files]
         else:
-            _fail(EXIT_INVALID, f"no signal histogram for pixel {i} in {hist_dir}")
+            raise ValueError(f"no signal histogram for pixel {i} in {hist_dir}")
         bg_file = hist_dir / f"pixel{i:02d}_background.csv"
         mode = background_mode
         if mode == "auto":
             mode = "file" if bg_file.exists() else "median"
         if mode == "file":
             if not bg_file.exists():
-                _fail(EXIT_INVALID, f"missing background file {bg_file}")
+                raise ValueError(f"missing background file {bg_file}")
             background = sceneio.read_histogram_csv(bg_file)
         else:
             if len(frames) < 3:
-                _fail(EXIT_INVALID,
-                      f"median background needs >= 3 signal frames for pixel {i}, "
-                      f"got {len(frames)}")
+                raise ValueError(f"median background needs >= 3 signal frames for pixel {i}, "
+                                 f"got {len(frames)}")
             background = estimate_background_median(frames)
         signals.append(frames[0])
         backgrounds.append(background)
@@ -138,49 +130,33 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str
 @click.option("--window", type=str, default=None,
               help="Crop window 'start,end' in seconds (default: derived from the grid).")
 @click.option("--maps", "write_maps", is_flag=True, help="Also write probability-map CSVs.")
-@click.option("--no-lambertian", is_flag=True, help="Disable wall-angle factors.")
+@_exit_codes()
 def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
-                window, write_maps, no_lambertian):
+                window, write_maps):
     """Localize hidden targets from histograms (read from --hist-dir or simulated)."""
-    scene, params, grid = _load_or_exit(sceneio.load_scene, scene_file)
+    scene, params, grid = sceneio.load_scene(scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
-    if no_lambertian:
-        params = dataclasses.replace(params, lambertian=False)
     if grid_res is not None:
-        try:
-            grid = dataclasses.replace(grid, resolution=grid_res)
-        except ValueError as exc:
-            _fail(EXIT_INVALID, str(exc))
-
-    try:
-        _check_k_targets(targets)
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
+        grid = dataclasses.replace(grid, resolution=grid_res)
+    _check_k_targets(targets)
     win = None
     if window is not None:
         try:
             start, end = (float(v) for v in window.split(","))
             win = TimeWindow(start, end)
         except ValueError as exc:
-            _fail(EXIT_INVALID, f"bad --window: {exc}")
+            raise ValueError(f"bad --window: {exc}") from exc
 
-    try:
-        if hist_dir is not None:
-            signals, backgrounds = _read_pixel_histograms(
-                Path(hist_dir), scene.num_pixels, background
-            )
-        else:
-            signals, backgrounds = simulate_scene(scene, params)
-        result = reconstruct_from_histograms(
-            signals, backgrounds, scene.laser_spot, list(scene.pixels), grid, params,
-            offset_s=calibration_offset_s(scene, params),
-            k_targets=targets, window=win,
-        )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except (PipelineError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+    if hist_dir is not None:
+        signals, backgrounds = _read_pixel_histograms(Path(hist_dir), scene.num_pixels, background)
+    else:
+        signals, backgrounds = simulate_scene(scene, params)
+    result = reconstruct_from_histograms(
+        signals, backgrounds, scene.laser_spot, list(scene.pixels), grid, params,
+        offset_s=calibration_offset_s(scene, params),
+        k_targets=targets, window=win,
+    )
 
     # Every map is built before the manifest lists it; the bands are association's.
     maps = {}
@@ -193,14 +169,11 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         for (i, j), band in bands.items():
             maps[f"pixel{used[i]:02d}_peak{j}_map.csv"] = band
     out_dir = Path(out)
-    try:
-        with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):
-            sceneio.write_tracks_json(out_dir / "tracks.json", result.tracks,
-                                      result.notes, result.status)
-            for name, pmap in maps.items():
-                sceneio.write_map_csv(out_dir / name, pmap)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):
+        sceneio.write_tracks_json(out_dir / "tracks.json", result.tracks,
+                                  result.notes, result.status)
+        for name, pmap in maps.items():
+            sceneio.write_map_csv(out_dir / name, pmap)
 
     if not result.tracks:
         click.echo("no target found", err=True)
@@ -218,20 +191,18 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
 @click.argument("config_file", type=click.Path())
 @click.option("--out", required=True, type=click.Path(), help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
+@_exit_codes()
 def sweep(config_file, out, seed):
     """Run the two-detector baseline sweep described by CONFIG_FILE."""
-    config = _load_or_exit(sceneio.load_sweep_config, config_file)
+    config = sceneio.load_sweep_config(config_file)
     if seed is not None:
         config = dataclasses.replace(
             config, acquisition=dataclasses.replace(config.acquisition, rng_seed=seed)
         )
     out_dir = Path(out)
-    try:
-        with sceneio.run_manifest(out_dir, config_file, config.acquisition, ["sweep.csv"]):
-            result = run_baseline_sweep(config)
-            sceneio.write_sweep_csv(out_dir / "sweep.csv", result)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    with sceneio.run_manifest(out_dir, config_file, config.acquisition, ["sweep.csv"]):
+        result = run_baseline_sweep(config)
+        sceneio.write_sweep_csv(out_dir / "sweep.csv", result)
     click.echo(f"wrote {len(result.rows)} sweep rows to {out_dir / 'sweep.csv'}")
 
 

@@ -69,7 +69,6 @@ class Scene:
     pixels: tuple[Point3, ...]
     objects: tuple[HiddenObject, ...] = ()
     background_scatterers: tuple[HiddenObject, ...] = ()
-    scatter_height_z: float = 1.0
     wall_normal: tuple[float, float, float] = (0.0, 1.0, 0.0)
     standoff_m: float = 2.0
 
@@ -93,8 +92,6 @@ class Scene:
         norm = math.sqrt(sum(v * v for v in self.wall_normal))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"wall_normal must be unit length within 1e-9, |n|={norm!r}")
-        if not math.isfinite(self.scatter_height_z):
-            raise ValueError("scatter_height_z must be finite")
         if not (math.isfinite(self.standoff_m) and self.standoff_m > 0):
             raise ValueError(f"standoff_m must be > 0, got {self.standoff_m!r}")
 

@@ -64,6 +64,8 @@ class GridSpec:
             raise ValueError("grid extent must satisfy x_min < x_max and y_min < y_max")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError(f"resolution must be > 0, got {self.resolution!r}")
+        if not math.isfinite(self.z_plane):
+            raise ValueError(f"z_plane must be finite, got {self.z_plane!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid must have at least 2 cells per axis")
 

@@ -87,15 +87,13 @@ def _crop_plan(
         )
     # The wrapped bins are a prefix of the histogram and lie one period later
     # than every other bin, so canonical order is the unwrapped kept bins,
-    # then the wrapped ones.
+    # then the wrapped ones. Those form one run of consecutive bin times:
+    # the wrapped prefix continues the lattice one period on, and a bin still
+    # negative after the wrap is never kept because a window starts at >= 0.
     n_wrapped = int(np.searchsorted(keep, np.count_nonzero(wrapped)))
     index = np.concatenate((keep[n_wrapped:], keep[:n_wrapped]))
-    times = canon[index]
-    gaps = np.diff(times)
-    if gaps.size and not np.allclose(gaps, bin_width_s, rtol=1e-9, atol=0.0):
-        raise ValueError("selected bins are not contiguous in time")  # defensive
     index.setflags(write=False)
-    return index, float(times[0] - 0.5 * bin_width_s)
+    return index, float(canon[index[0]] - 0.5 * bin_width_s)
 
 
 def crop(hist: TransientHistogram, window: TimeWindow) -> TransientHistogram:

@@ -105,8 +105,7 @@ def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
     _require_keys(doc, _SCENE_KEYS, {"laser_spot", "pixels", "scatter_height_z", "grid"}, "scene")
     with _format_errors():
         params = _acquisition(doc, "scene")
-        height = float(doc["scatter_height_z"])
-        grid = _grid(doc, "scene", z_plane=height)
+        grid = _grid(doc, "scene", z_plane=float(doc["scatter_height_z"]))
         scene = Scene(
             laser_spot=_point(doc["laser_spot"], "scene.laser_spot"),
             pixels=tuple(_point(p, f"scene.pixels[{i}]") for i, p in enumerate(doc["pixels"])),
@@ -118,7 +117,6 @@ def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
                 _hidden_object(o, f"scene.background_scatterers[{i}]")
                 for i, o in enumerate(doc.get("background_scatterers", []))
             ),
-            scatter_height_z=height,
             wall_normal=tuple(float(v) for v in doc.get("wall_normal", (0.0, 1.0, 0.0))),
             standoff_m=float(doc.get("standoff_m", 2.0)),
         )
@@ -138,7 +136,7 @@ def scene_to_dict(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> di
         "pixels": [list(p.as_tuple()) for p in scene.pixels],
         "objects": [obj_dict(o) for o in scene.objects],
         "background_scatterers": [obj_dict(o) for o in scene.background_scatterers],
-        "scatter_height_z": scene.scatter_height_z,
+        "scatter_height_z": grid.z_plane,
         "wall_normal": list(scene.wall_normal),
         "standoff_m": scene.standoff_m,
         "acquisition": dataclasses.asdict(params),

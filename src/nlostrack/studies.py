@@ -73,7 +73,7 @@ def corner_scene(
     scatter_height_z: float = 1.0,
     standoff_m: float = 2.0,
 ) -> Scene:
-    """Convenience builder for the bundled corner layout."""
+    """Convenience builder for the bundled corner layout, objects at ``scatter_height_z``."""
     objects = tuple(
         HiddenObject(Point3(x, y, scatter_height_z), reflectivity, f"person-{i + 1}")
         for i, (x, y) in enumerate(object_positions)
@@ -83,7 +83,6 @@ def corner_scene(
         pixels=tuple(pixels),
         objects=objects,
         background_scatterers=tuple(scatterers),
-        scatter_height_z=scatter_height_z,
         standoff_m=standoff_m,
     )
 
@@ -154,6 +153,9 @@ def reconstruct_from_histograms(
     if len(signal_hists) != len(pixels) or len(background_hists) != len(pixels):
         raise ValueError("need one signal and one background histogram per pixel")
     _check_k_targets(k_targets)
+    if params.irf_sigma_s <= 0:
+        # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0.
+        raise ValueError(f"retrieval needs irf_sigma_s > 0, got {params.irf_sigma_s!r}")
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []
@@ -342,7 +344,6 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
                         laser_spot=config.laser_spot,
                         pixels=(config.d1_position, d2),
                         objects=(HiddenObject(opos, config.object_reflectivity, "target"),),
-                        scatter_height_z=config.grid.z_plane,
                         standoff_m=config.standoff_m,
                     )
                     result = run_scenario(scene, params, config.grid)

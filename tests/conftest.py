@@ -24,7 +24,6 @@ def one_person_scene(corner_pixels):
         laser_spot=Point3(-0.5, 0.0, 1.15),
         pixels=corner_pixels,
         objects=(HiddenObject(Point3(0.6, 1.2, 1.0), 3.0, "person-1"),),
-        scatter_height_z=1.0,
         standoff_m=2.0,
     )
 

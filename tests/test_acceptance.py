@@ -225,7 +225,6 @@ def test_c6_inverse_fourth_power_counts():
         scene = nt.Scene(
             laser_spot=laser, pixels=(pixel,),
             objects=(nt.HiddenObject(nt.Point3(0.0, y_pos, 1.0), 1.0),),
-            scatter_height_z=1.0,
         )
         totals = [
             nt.simulate_histogram(scene, 0, dataclasses.replace(base, rng_seed=s)).total_counts

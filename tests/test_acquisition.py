@@ -29,7 +29,6 @@ def make_scene(objects=(), scatterers=(), pixels=None, standoff=2.0):
         pixels=pixels or (Point3(-0.9, 0.0, 1.0), Point3(-0.1, 0.0, 1.05)),
         objects=tuple(objects),
         background_scatterers=tuple(scatterers),
-        scatter_height_z=1.0,
         standoff_m=standoff,
     )
 

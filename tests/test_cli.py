@@ -171,6 +171,14 @@ class TestSimulate:
         assert result.output.startswith(message)
         assert result.output.count("scene.objects[0]") == 1
 
+    @pytest.mark.parametrize("height", [float("nan"), float("inf")])
+    def test_non_finite_plane_height_exit_2(self, runner, tmp_path, height):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, scatter_height_z=height)))
+        result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: z_plane must be finite")
+
 
 class TestReconstruct:
     def test_matches_run_scenario_exactly(self, runner, scene_file, tmp_path):
@@ -225,6 +233,20 @@ class TestReconstruct:
         )
         assert result.exit_code == 2
         assert "3 signal frames" in result.output
+
+    def test_zero_irf_width_exit_2_without_warnings(self, runner, tmp_path):
+        scene = tmp_path / "delta.json"
+        scene.write_text(json.dumps(dict(
+            SCENE, acquisition=dict(SCENE["acquisition"], irf_sigma_s=0.0))))
+        sim = tmp_path / "sim"
+        assert runner.invoke(main, ["simulate", str(scene), "--out", str(sim)]).exit_code == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["reconstruct", str(scene), "--hist-dir", str(sim),
+                                          "--out", str(tmp_path / "rec")])
+        assert caught == []
+        assert result.exit_code == 2
+        assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
 
     def test_three_targets_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
@@ -486,3 +508,51 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", str(config), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "must be an integer" in result.output
+
+    def test_non_finite_plane_height_exit_2(self, runner, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            dict(SWEEP_DOC, grid=dict(SWEEP_DOC["grid"], z_plane=float("nan")))))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == "error: z_plane must be finite, got nan\n"
+        assert not out.exists()
+
+
+class TestExitCodes:
+    """One mapping from a failure inside any command to its exit code."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "scene.json").write_text(json.dumps(SCENE))
+        (tmp_path / "sweep.json").write_text(json.dumps(SWEEP_DOC))
+        return tmp_path
+
+    @pytest.mark.parametrize("command, source, callee", [
+        ("simulate", "scene.json", "nlostrack.cli.simulate_background"),
+        ("reconstruct", "scene.json", "nlostrack.cli.reconstruct_from_histograms"),
+        ("reconstruct", "scene.json", "nlostrack.sceneio.write_tracks_json"),
+        ("sweep", "sweep.json", "nlostrack.cli.run_baseline_sweep"),
+    ])
+    @pytest.mark.parametrize("error, code", [
+        (OSError, 1), (ValueError, 2), (studies.PipelineError, 2),
+    ])
+    def test_failure_in_body_prints_one_line(self, runner, inputs, monkeypatch,
+                                             command, source, callee, error, code):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(callee, fail)
+        result = runner.invoke(main, [command, str(inputs / source),
+                                      "--out", str(inputs / "out")])
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "error: boom\n"
+
+    def test_interrupt_is_not_an_error(self, runner, inputs, monkeypatch):
+        monkeypatch.setattr("nlostrack.cli.run_baseline_sweep", interrupt)
+        result = runner.invoke(main, ["sweep", str(inputs / "sweep.json"),
+                                      "--out", str(inputs / "out")])
+        assert result.exit_code != 0
+        assert "error:" not in result.output

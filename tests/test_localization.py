@@ -64,6 +64,8 @@ class TestGridSpec:
             GridSpec(0, 1, 0, 1, resolution=-0.1)
         with pytest.raises(ValueError, match="2 cells"):
             GridSpec(0, 0.02, 0, 1, resolution=0.02)
+        with pytest.raises(ValueError, match="z_plane must be finite"):
+            GridSpec(0, 1, 0, 1, z_plane=math.inf)
 
 
 class TestProbabilityMap:

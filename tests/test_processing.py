@@ -50,7 +50,6 @@ def quiet_scene():
         pixels=(Point3(-0.9, 0.0, 1.0), Point3(-0.1, 0.0, 1.05)),
         objects=(HiddenObject(Point3(0.6, 1.2, 1.0), 3.0, "person"),),
         background_scatterers=(HiddenObject(Point3(0.5, 2.6, 1.0), 2.0, "wall"),),
-        scatter_height_z=1.0,
         standoff_m=2.0,
     )
 
@@ -376,7 +375,6 @@ class TestFit:
                 HiddenObject(Point3(0.5, 0.9, 1.0), 5.0, "a"),
                 HiddenObject(Point3(1.2, 1.6, 1.0), 5.0, "b"),
             ),
-            scatter_height_z=1.0,
         )
         p = AcquisitionParams(rng_seed=8, system_throughput=1e5)
         off = calibration_offset_s(scene, p)

@@ -37,6 +37,14 @@ class TestSceneDocument:
         assert params2 == params
         assert grid2 == grid
 
+    def test_plane_height_is_the_grids(self):
+        # Objects keep their own z; scatter_height_z only places the search plane.
+        doc = dict(scene_doc(), scatter_height_z=1.3)
+        scene, params, grid = sceneio.scene_from_dict(doc)
+        assert grid.z_plane == 1.3
+        assert scene.objects[0].position.z == 1.0
+        assert sceneio.scene_to_dict(scene, params, grid)["scatter_height_z"] == 1.3
+
     def test_unknown_field_rejected(self):
         doc = scene_doc()
         doc["lazer_spot"] = [0, 0, 0]

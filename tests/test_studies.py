@@ -105,6 +105,22 @@ class TestRunScenario:
                 params, offset_s=calibration_offset_s(scene, params), k_targets=k_targets,
             )
 
+    def test_zero_irf_width_refused_before_any_pixel(self, monkeypatch):
+        # A delta-pulse acquisition simulates, but retrieval fits IRF widths.
+        scene = corner_scene([(0.6, 1.0)])
+        params = AcquisitionParams(rng_seed=3, irf_sigma_s=0.0)
+        signal, background = studies.simulate_scene(scene, params)
+
+        def fail(*args):
+            raise AssertionError("processed a pixel")
+
+        monkeypatch.setattr(studies, "_process_pixel", fail)
+        with pytest.raises(ValueError, match=r"irf_sigma_s > 0, got 0\.0"):
+            studies.reconstruct_from_histograms(
+                signal, background, scene.laser_spot, list(scene.pixels), DEFAULT_GRID,
+                params, offset_s=calibration_offset_s(scene, params),
+            )
+
     def test_pipeline_error_names_pixel(self):
         # an object beyond the unambiguous range breaks simulation for pixel 0
         scene = corner_scene([(0.6, 4.8)])
