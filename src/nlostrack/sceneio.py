@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,13 @@ def _grid(doc: dict, what: str, **fixed) -> GridSpec:
 def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
     """Parse a scene document; unknown fields are rejected to catch typos."""
     _require_keys(doc, _SCENE_KEYS, {"laser_spot", "pixels", "scatter_height_z", "grid"}, "scene")
+    with _format_errors("scene.scatter_height_z"):
+        z_plane = float(doc["scatter_height_z"])
+        if not math.isfinite(z_plane):
+            raise ValueError(f"must be finite, got {z_plane!r}")
     with _format_errors():
         params = _acquisition(doc, "scene")
-        grid = _grid(doc, "scene", z_plane=float(doc["scatter_height_z"]))
+        grid = _grid(doc, "scene", z_plane=z_plane)
         scene = Scene(
             laser_spot=_point(doc["laser_spot"], "scene.laser_spot"),
             pixels=tuple(_point(p, f"scene.pixels[{i}]") for i, p in enumerate(doc["pixels"])),
@@ -305,14 +310,14 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(path, scene_file, params: dict, master_seed: int, outputs: list[str],
-                   status: str = "incomplete"):
+def write_manifest(path, scene_file, scene_sha256, params: dict, master_seed: int,
+                   outputs: list[str], status: str = "incomplete"):
     """Write the run manifest; ``run_manifest`` brackets a run with two calls."""
     doc = {
         "tool": "nlostrack",
         "version": TOOL_VERSION,
         "scene_file": str(scene_file) if scene_file else None,
-        "scene_sha256": sha256_of(scene_file) if scene_file else None,
+        "scene_sha256": scene_sha256,
         "params": params,
         "master_seed": master_seed,
         "status": status,
@@ -328,10 +333,12 @@ def run_manifest(out_dir, source_file, params: AcquisitionParams, outputs: list[
 
     The manifest says ``incomplete`` while the body runs and ``complete``
     only once it finishes, so an interrupted or failed run stays visible.
+    Both carry the digest of ``source_file`` as it was when the run started.
     """
     path = Path(out_dir) / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    args = (path, source_file, dataclasses.asdict(params), params.rng_seed, outputs)
+    digest = sha256_of(source_file) if source_file else None
+    args = (path, source_file, digest, dataclasses.asdict(params), params.rng_seed, outputs)
     write_manifest(*args)
     yield
     write_manifest(*args, status="complete")

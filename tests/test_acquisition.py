@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlostrack import (
     AcquisitionParams,
@@ -20,7 +23,10 @@ from nlostrack import (
     simulate_histogram,
     tof,
 )
-from nlostrack.acquisition import _add_gaussian_mass
+from nlostrack import acquisition, sceneio
+from nlostrack.acquisition import _MAXLOG, _add_gaussian_mass, _erf
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_scene(objects=(), scatterers=(), pixels=None, standoff=2.0):
@@ -120,22 +126,97 @@ class TestSignalRate:
 class TestGaussianMass:
     def test_total_mass_conserved(self):
         out = np.zeros(6250)
-        _add_gaussian_mass(out, 4e-12, 12.0e-9, 120e-12, 750.0)
+        _add_gaussian_mass(out, 4e-12, 120e-12, [(12.0e-9, 750.0)])
         assert out.sum() == pytest.approx(750.0, rel=1e-12)
 
     def test_zero_sigma_single_bin(self):
         out = np.zeros(1000)
-        _add_gaussian_mass(out, 4e-12, 500.5 * 4e-12, 0.0, 42.0)
+        _add_gaussian_mass(out, 4e-12, 0.0, [(500.5 * 4e-12, 42.0)])
         assert out[500] == 42.0
         assert out.sum() == 42.0
 
     def test_wraps_across_period_edge(self):
         out = np.zeros(6250)
         window = 6250 * 4e-12
-        _add_gaussian_mass(out, 4e-12, window - 100e-12, 120e-12, 100.0)
+        _add_gaussian_mass(out, 4e-12, 120e-12, [(window - 100e-12, 100.0)])
         assert out.sum() == pytest.approx(100.0, rel=1e-12)
         assert out[:200].sum() > 5.0  # tail folded onto the start
         assert out[-200:].sum() > 50.0
+
+
+def assert_same_bits(got, want):
+    # nan may differ in its payload; every other value must match bit for bit.
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    erf = pytest.importorskip("scipy.special").erf
+    rng = np.random.default_rng(0)
+    edges = [0.0, 1.0, 8.0, math.sqrt(_MAXLOG), 1e300]
+    around = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    special = np.array([*edges, *around, 5e-324, np.inf, np.nan])
+    x = np.concatenate([
+        rng.uniform(-40.0, 40.0, 600_000),
+        rng.uniform(-6.0, 6.0, 400_000),  # the span a pulse integral evaluates
+        special, -special,
+    ])
+    assert_same_bits(_erf(x), erf(x))
+
+
+def scipy_gaussian_mass(out, bin_width, sigma, pulses):
+    """The pulse integral as computed with scipy.special.erf, one pulse at a time."""
+    erf = pytest.importorskip("scipy.special").erf
+    nbins = out.shape[0]
+    for mu, total in pulses:
+        if sigma <= 0.0:
+            out[int(math.floor(mu / bin_width)) % nbins] += total
+            continue
+        lo = int(math.floor((mu - 8.0 * sigma) / bin_width))
+        hi = int(math.ceil((mu + 8.0 * sigma) / bin_width))
+        edges = np.arange(lo, hi + 2, dtype=np.float64) * bin_width
+        cdf = erf((edges - mu) / (sigma * math.sqrt(2.0)))
+        idx = np.arange(lo, hi + 1, dtype=np.int64) % nbins
+        np.add.at(out, idx, 0.5 * total * (cdf[1:] - cdf[:-1]))
+
+
+def assert_intensities_match_scipy(scene, params):
+    got = [expected_counts(scene, i, params, with_objects)
+           for i in range(scene.num_pixels) for with_objects in (True, False)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(acquisition, "_add_gaussian_mass", scipy_gaussian_mass)
+        acquisition._intensity.cache_clear()
+        want = [expected_counts(scene, i, params, with_objects)
+                for i in range(scene.num_pixels) for with_objects in (True, False)]
+    acquisition._intensity.cache_clear()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name", ["single_person.json", "two_person.json"])
+def test_bundled_intensities_match_scipy_erf(name):
+    scene, params, _ = sceneio.load_scene(CONFIGS / name)
+    assert_intensities_match_scipy(scene, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    targets=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.3, 2.5)), min_size=1, max_size=3),
+    sigma_ps=st.sampled_from([0.0, 1.0]) | st.floats(5.0, 600.0),
+    num_bins=st.integers(800, 12_500),
+    seam_offset_sigmas=st.none() | st.floats(-8.0, 8.0),
+)
+def test_intensities_match_scipy_erf(targets, sigma_ps, num_bins, seam_offset_sigmas):
+    params = AcquisitionParams(bin_width_s=25e-9 / num_bins, irf_sigma_s=sigma_ps * 1e-12)
+    scene = make_scene([HiddenObject(Point3(x, y, 1.0), 2.0) for x, y in targets],
+                       scatterers=[HiddenObject(Point3(0.4, 2.5, 0.8), 0.5)])
+    if seam_offset_sigmas is not None:
+        # Put the first target's pulse on pixel 0 within 8 sigma of the period seam.
+        t = tof(scene.laser_spot, scene.objects[0].position, scene.pixels[0])
+        lag = 2.0 * params.window_s + seam_offset_sigmas * params.irf_sigma_s - t
+        scene = dataclasses.replace(scene, standoff_m=0.5 * SPEED_OF_LIGHT * lag)
+    assert_intensities_match_scipy(scene, params)
 
 
 class TestSimulate:

@@ -177,7 +177,7 @@ class TestSimulate:
         bad.write_text(json.dumps(dict(SCENE, scatter_height_z=height)))
         result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
-        assert result.output.startswith("error: z_plane must be finite")
+        assert result.output == f"error: scene.scatter_height_z: must be finite, got {height!r}\n"
 
 
 class TestReconstruct:

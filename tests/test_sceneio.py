@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlostrack import GridSpec, Point3, ProbabilityMap, TransientHistogram, backproject
+from nlostrack import (
+    AcquisitionParams, GridSpec, Point3, ProbabilityMap, TransientHistogram, backproject,
+)
 from nlostrack.processing import PeakEstimate
 from nlostrack import sceneio
 from nlostrack.sceneio import SceneFormatError
@@ -261,10 +263,19 @@ class TestManifest:
     def test_incomplete_then_complete(self, tmp_path):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(scene_doc()))
-        manifest = tmp_path / "manifest.json"
-        sceneio.write_manifest(manifest, scene, {"x": 1}, 42, ["a.csv"])
-        doc = json.loads(manifest.read_text())
-        assert doc["status"] == "incomplete"
-        assert doc["scene_sha256"] == sceneio.sha256_of(scene)
-        sceneio.write_manifest(manifest, scene, {"x": 1}, 42, ["a.csv"], status="complete")
+        manifest = tmp_path / "out" / "manifest.json"
+        with sceneio.run_manifest(manifest.parent, scene, AcquisitionParams(), ["a.csv"]):
+            doc = json.loads(manifest.read_text())
+            assert doc["status"] == "incomplete"
+            assert doc["scene_sha256"] == sceneio.sha256_of(scene)
         assert json.loads(manifest.read_text())["status"] == "complete"
+
+    def test_digest_is_of_the_scene_as_the_run_started(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(scene_doc()))
+        digest = sceneio.sha256_of(scene)
+        with sceneio.run_manifest(tmp_path / "out", scene, AcquisitionParams(), []):
+            scene.write_text(json.dumps(dict(scene_doc(), standoff_m=3.0)))
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert doc["status"] == "complete"
+        assert doc["scene_sha256"] == digest != sceneio.sha256_of(scene)
