@@ -88,17 +88,20 @@ def simulate(scene_file, out, seed, frames):
 
 
 def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str):
-    """Collect (signal, background) per pixel from a simulate output directory."""
-    signals, backgrounds = [], []
+    """Collect (signal, background) per pixel from a simulate output directory.
+
+    Also returns the pixels whose background is the median of their frames.
+    """
+    signals, backgrounds, median_pixels = [], [], []
     for i in range(num_pixels):
         single = hist_dir / f"pixel{i:02d}_signal.csv"
-        frame_files = sorted(hist_dir.glob(f"pixel{i:02d}_frame*.csv"))
         if single.exists():
             frames = [sceneio.read_histogram_csv(single)]
-        elif frame_files:
-            frames = [sceneio.read_histogram_csv(f) for f in frame_files]
         else:
-            raise ValueError(f"no signal histogram for pixel {i} in {hist_dir}")
+            frames = [sceneio.read_histogram_csv(f)
+                      for f in sorted(hist_dir.glob(f"pixel{i:02d}_frame*.csv"))]
+            if not frames:
+                raise ValueError(f"no signal histogram for pixel {i} in {hist_dir}")
         bg_file = hist_dir / f"pixel{i:02d}_background.csv"
         mode = background_mode
         if mode == "auto":
@@ -112,9 +115,10 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str
                 raise ValueError(f"median background needs >= 3 signal frames for pixel {i}, "
                                  f"got {len(frames)}")
             background = estimate_background_median(frames)
+            median_pixels.append(i)
         signals.append(frames[0])
         backgrounds.append(background)
-    return signals, backgrounds
+    return signals, backgrounds, median_pixels
 
 
 @main.command()
@@ -148,8 +152,10 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         except ValueError as exc:
             raise ValueError(f"bad --window: {exc}") from exc
 
+    median_pixels = []
     if hist_dir is not None:
-        signals, backgrounds = _read_pixel_histograms(Path(hist_dir), scene.num_pixels, background)
+        signals, backgrounds, median_pixels = _read_pixel_histograms(
+            Path(hist_dir), scene.num_pixels, background)
     else:
         signals, backgrounds = simulate_scene(scene, params)
     result = reconstruct_from_histograms(
@@ -157,6 +163,13 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         offset_s=calibration_offset_s(scene, params),
         k_targets=targets, window=win,
     )
+    blind = [i for i in median_pixels if i not in result.used_pixels]
+    if blind:
+        result.notes.append(
+            f"median background (pixels {', '.join(map(str, blind))}): a median over "
+            "frames removes any target that stays still across them, so 'no peak' "
+            "does not mean nothing is there"
+        )
 
     # Every map is built before the manifest lists it; the bands are association's.
     maps = {}

@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import datetime
+import functools
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -233,37 +235,57 @@ def _text(value) -> str:
     return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-def _write_table(path, fmt: str, meta: dict, columns, rows):
-    """Write the CSV layout; ``rows`` are data lines with their cells already joined."""
+def _write_table(path, fmt: str, meta: dict, columns, data: str):
+    """Write the CSV layout; ``data`` is the data lines, each ending in a newline."""
     header = [f"# {fmt}", *(f"# {key}={_text(value)}" for key, value in meta.items())]
-    Path(path).write_text("\n".join([*header, ",".join(columns), *rows]) + "\n")
+    Path(path).write_text("\n".join([*header, ",".join(columns)]) + "\n" + data)
 
 
 def _read_table(path, fmt: str, columns) -> tuple[dict[str, str], list[str]]:
-    """Check the format and column lines; return the header values and the data lines."""
-    lines = [line for line in map(str.strip, Path(path).read_text().splitlines()) if line]
-    end = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    """Check the format and column lines; return the header values and the data lines.
+
+    Blank lines are skipped and lines stripped only up to the column line; the
+    data lines are returned as read, for ``np.loadtxt`` to parse.
+    """
+    lines = Path(path).read_text().splitlines()
+    head, rows = [], []
+    for i, line in enumerate(map(str.strip, lines)):
+        if line:
+            head.append(line)
+            if not line.startswith("#"):
+                rows = lines[i + 1:]
+                break
+    end = next((i for i, line in enumerate(head) if not line.startswith("#")), len(head))
     for at, expected in ((0, f"# {fmt}"), (end, ",".join(columns))):
-        found = lines[at] if at < len(lines) else None
+        found = head[at] if at < len(head) else None
         if found != expected:
             raise ValueError(f"{path}: missing header line {expected!r}, found {found!r}")
-    pairs = (line[1:].partition("=") for line in lines[1:end])
-    return {key.strip(): value.strip() for key, _, value in pairs}, lines[end + 1:]
+    pairs = (line[1:].partition("=") for line in head[1:end])
+    return {key.strip(): value.strip() for key, _, value in pairs}, rows
 
 
 _HISTOGRAM_COLUMNS = ("bin_index", "counts")
 
 
+@functools.lru_cache(maxsize=1)
+def _rows_template(num_bins: int) -> str:
+    """The data lines of a ``num_bins`` histogram, with a ``%d`` for each count."""
+    return "".join(f"{i},%d\n" for i in range(num_bins))
+
+
 def write_histogram_csv(path, hist: TransientHistogram):
     meta = {"bin_width_s": hist.bin_width_s, "t0_offset_s": hist.t0_offset_s,
             "pixel": hist.pixel_index, "acq_time_s": hist.acq_time_s}
-    rows = (f"{i},{c}" for i, c in enumerate(hist.counts.tolist()))
-    _write_table(path, HISTOGRAM_FORMAT, meta, _HISTOGRAM_COLUMNS, rows)
+    data = _rows_template(hist.counts.size) % tuple(hist.counts.tolist())
+    _write_table(path, HISTOGRAM_FORMAT, meta, _HISTOGRAM_COLUMNS, data)
 
 
 def read_histogram_csv(path) -> TransientHistogram:
     meta, rows = _read_table(path, HISTOGRAM_FORMAT, _HISTOGRAM_COLUMNS)
-    if not rows:
+    # np.loadtxt skips empty lines but refuses ones holding only whitespace;
+    # the reader accepts both as blank.
+    rows = list(itertools.filterfalse(str.isspace, rows))
+    if not any(rows):
         raise ValueError(f"{path}: no histogram rows")
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
@@ -281,24 +303,33 @@ def read_histogram_csv(path) -> TransientHistogram:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=1)
+def _cells_template(grid: GridSpec) -> tuple[str, ...]:
+    """The data lines of a map on ``grid``, one template per row of cells.
+
+    Each cell's line holds its centre and a ``%r`` for its value; ``%r`` of a
+    Python float is its ``str``, the shortest round-trip repr.
+    """
+    xs = [f"{x}," for x in grid.x_centers().tolist()]
+    return tuple("".join(f"{x}{y},%r\n" for x in xs) for y in grid.y_centers().tolist())
+
+
 def write_map_csv(path, pmap: ProbabilityMap):
-    g = pmap.grid
-    xs = list(map(str, g.x_centers().tolist()))
-    rows = (
-        f"{x},{y},{v}"
-        for y, values in zip(map(str, g.y_centers().tolist()), pmap.values.tolist())
-        for x, v in zip(xs, values)
-    )
-    meta = {**dataclasses.asdict(g), "normalized": pmap.normalized}
-    _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), rows)
+    # Formatting row by row and joining once sizes the text in one allocation;
+    # one % over the whole map grows its buffer step by step, which raised
+    # the peak RSS of a long run of map writes.
+    rows = zip(_cells_template(pmap.grid), pmap.values.tolist())
+    data = "".join(template % tuple(values) for template, values in rows)
+    meta = {**dataclasses.asdict(pmap.grid), "normalized": pmap.normalized}
+    _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), data)
 
 
 _SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def write_sweep_csv(path, result: SweepResult):
-    rows = (",".join(map(_text, dataclasses.astuple(r))) for r in result.rows)
-    _write_table(path, SWEEP_FORMAT, {}, _SWEEP_COLUMNS, rows)
+    data = "".join(",".join(map(_text, dataclasses.astuple(r))) + "\n" for r in result.rows)
+    _write_table(path, SWEEP_FORMAT, {}, _SWEEP_COLUMNS, data)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,57 @@ class TestReconstruct:
         assert result.exit_code == 2
         assert "3 signal frames" in result.output
 
+    def test_median_of_static_frames_says_why_no_peak(self, runner, tmp_path):
+        # Every frame holds the same still target, so their median holds its
+        # return too and subtracting it leaves no peak at any pixel.
+        scene = CONFIGS / "single_person.json"
+        sim, rec = tmp_path / "sim", tmp_path / "rec"
+        assert runner.invoke(
+            main, ["simulate", str(scene), "--out", str(sim), "--frames", "5"]
+        ).exit_code == 0
+        result = runner.invoke(
+            main, ["reconstruct", str(scene), "--hist-dir", str(sim), "--out", str(rec),
+                   "--background", "median"]
+        )
+        assert result.exit_code == 3, result.output
+        notes = json.loads((rec / "tracks.json").read_text())["diagnostics"]
+        assert notes[:4] == [f"pixel {i}: no peak above threshold" for i in range(4)]
+        assert notes[-1].startswith("median background (pixels 0, 1, 2, 3): a median over "
+                                    "frames removes any target that stays still")
+        assert f"  {notes[-1]}\n" in result.output
+        # The same frames against the background files carry no such note.
+        result = runner.invoke(
+            main, ["reconstruct", str(scene), "--hist-dir", str(sim), "--out", str(rec),
+                   "--background", "file"]
+        )
+        notes = json.loads((rec / "tracks.json").read_text())["diagnostics"]
+        assert not any("median" in note for note in notes), notes
+
+    def test_signal_files_read_without_globbing(self, runner, scene_file, tmp_path,
+                                                monkeypatch):
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)])
+
+        def no_glob(self, pattern):
+            raise AssertionError(f"globbed {pattern}")
+
+        monkeypatch.setattr(Path, "glob", no_glob)
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
+                   "--out", str(tmp_path / "rec")]
+        )
+        assert result.exit_code == 0, result.output
+
+    def test_no_signal_histogram_exit_2(self, runner, scene_file, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--hist-dir", str(empty),
+                   "--out", str(tmp_path / "rec")]
+        )
+        assert result.exit_code == 2
+        assert result.output == f"error: no signal histogram for pixel 0 in {empty}\n"
+
     def test_zero_irf_width_exit_2_without_warnings(self, runner, tmp_path):
         scene = tmp_path / "delta.json"
         scene.write_text(json.dumps(dict(

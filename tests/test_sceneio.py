@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlostrack import (
     AcquisitionParams, GridSpec, Point3, ProbabilityMap, TransientHistogram, backproject,
+    simulate_histogram,
 )
 from nlostrack.processing import PeakEstimate
 from nlostrack import sceneio
@@ -175,6 +179,135 @@ class TestHistogramCsv:
         path = tmp_path_factory.mktemp("prop") / "h.csv"
         sceneio.write_histogram_csv(path, h)
         assert sceneio.read_histogram_csv(path) == h
+
+
+class TestReaderRefusals:
+    """What the histogram reader refuses, and the loose text it still accepts."""
+
+    HEADER = "# nlostrack-histogram v1\n# bin_width_s=4e-12\n# t0_offset_s=0.0\n# pixel=0\n" \
+             "bin_index,counts\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n2,3\n", "non-contiguous bin indices"),
+        ("0,1\n1,2,3\n", "requires 2 columns but 3 were found"),
+        ("0,1\n1\n", "requires 2 columns but 1 were found"),
+        ("0,1.5\n", "could not convert string '1.5'"),
+        ("0,a\n", "could not convert string 'a'"),
+        ("0,4\n1,-1\n", "counts must be non-negative"),
+        ("", "no histogram rows"),
+        ("\n  \n", "no histogram rows"),
+    ])
+    def test_refused_naming_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "h.csv"
+        path.write_text(self.HEADER + rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            sceneio.read_histogram_csv(path)
+
+    @pytest.mark.parametrize("rows", [
+        "0,4\n\n1,2\n",
+        " 0 , 4 \n1,\t2\n",
+        "0,4\n   \n1,2\n\t\n",
+        "\n\n0,4\r\n1,2",
+    ])
+    def test_blank_lines_and_padded_cells_accepted(self, tmp_path, rows):
+        path = tmp_path / "h.csv"
+        path.write_text(self.HEADER + rows)
+        assert sceneio.read_histogram_csv(path).counts.tolist() == [4, 2]
+
+
+def reference_table(fmt, meta, columns, rows) -> bytes:
+    # The table writer as first written: every line joined, rows included.
+    header = [f"# {fmt}", *(f"# {key}={sceneio._text(value)}" for key, value in meta.items())]
+    return ("\n".join([*header, ",".join(columns), *rows]) + "\n").encode()
+
+
+def reference_write_histogram(hist) -> bytes:
+    # The histogram rows as first written: one f-string per bin.
+    meta = {"bin_width_s": hist.bin_width_s, "t0_offset_s": hist.t0_offset_s,
+            "pixel": hist.pixel_index, "acq_time_s": hist.acq_time_s}
+    rows = (f"{i},{c}" for i, c in enumerate(hist.counts.tolist()))
+    return reference_table(sceneio.HISTOGRAM_FORMAT, meta, ("bin_index", "counts"), rows)
+
+
+def reference_write_map(pmap) -> bytes:
+    # The map rows as first written: one f-string per cell, centres and value by str.
+    g = pmap.grid
+    xs = list(map(str, g.x_centers().tolist()))
+    rows = (
+        f"{x},{y},{v}"
+        for y, values in zip(map(str, g.y_centers().tolist()), pmap.values.tolist())
+        for x, v in zip(xs, values)
+    )
+    meta = {**dataclasses.asdict(g), "normalized": pmap.normalized}
+    return reference_table(sceneio.MAP_FORMAT, meta, ("x", "y", "value"), rows)
+
+
+def assert_one_cache_entry():
+    for template in (sceneio._rows_template, sceneio._cells_template):
+        info = template.cache_info()
+        assert info.maxsize == 1 and info.currsize <= 1
+
+
+class TestWritersMatchReference:
+    """The template writers give the bytes of the row-by-row writers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 7000),
+        high=st.sampled_from([0, 1, 9, 1000, 2**31, 2**40]),
+        head=st.lists(st.integers(0, 2**40), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_histogram_property(self, tmp_path_factory, n, high, head, seed):
+        counts = np.random.default_rng(seed).integers(0, high, n, endpoint=True)
+        counts[:len(head)] = head[:n]
+        h = TransientHistogram(counts, 4e-12, -1.3e-8, 3, 1.0)
+        path = tmp_path_factory.mktemp("hist") / "h.csv"
+        sceneio.write_histogram_csv(path, h)
+        assert path.read_bytes() == reference_write_histogram(h)
+        assert_one_cache_entry()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x_min=st.floats(-3.0, 2.0),
+        y_min=st.floats(-2.0, 2.0),
+        resolution=st.sampled_from([0.05, 0.06, 0.08, 0.1]),
+        nx=st.integers(2, 40),
+        ny=st.integers(2, 40),
+        values=st.lists(
+            st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1e16]) | st.floats(0.0, 1e300),
+            min_size=1, max_size=50,
+        ),
+    )
+    def test_map_property(self, tmp_path_factory, x_min, y_min, resolution, nx, ny, values):
+        grid = GridSpec(x_min, x_min + nx * resolution, y_min, y_min + ny * resolution,
+                        resolution, 1.0)
+        pmap = ProbabilityMap(grid, np.resize(values, (grid.ny, grid.nx)))
+        path = tmp_path_factory.mktemp("map") / "m.csv"
+        sceneio.write_map_csv(path, pmap)
+        assert path.read_bytes() == reference_write_map(pmap)
+        assert_one_cache_entry()
+
+    def test_simulated_histogram_and_band(self, tmp_path):
+        scene, params, grid = sceneio.load_scene(
+            Path(__file__).resolve().parent.parent / "configs" / "single_person.json")
+        hist = simulate_histogram(scene, 0, params)
+        assert hist.num_bins == 6250
+        sceneio.write_histogram_csv(tmp_path / "h.csv", hist)
+        assert (tmp_path / "h.csv").read_bytes() == reference_write_histogram(hist)
+
+        grid = dataclasses.replace(grid, resolution=0.05)
+        peak = PeakEstimate(t_s=9e-9, sigma_s=120e-12, amplitude=5.0, pixel_index=0)
+        band = backproject(peak, scene.laser_spot, scene.pixels[0], grid)
+        assert 0 < np.count_nonzero(band.values) < band.values.size
+        sceneio.write_map_csv(tmp_path / "m.csv", band)
+        assert (tmp_path / "m.csv").read_bytes() == reference_write_map(band)
+        # A second map on the same grid, as the fused and band maps of one
+        # reconstruct are, reuses the cached template.
+        hits = sceneio._cells_template.cache_info().hits
+        sceneio.write_map_csv(tmp_path / "m2.csv", band)
+        assert sceneio._cells_template.cache_info().hits == hits + 1
+        assert_one_cache_entry()
 
 
 class TestMapAndTracks:
