@@ -1,6 +1,10 @@
 """Command-line surface: simulate, reconstruct, sweep.
 
 Exit codes: 0 ok, 1 I/O failure, 2 invalid input, 3 no target found.
+
+Every echo names its stream. Without ``file=``, click looks the stream up in
+a cache keyed by ``sys.stdout``/``sys.stderr`` whose entries never die, so
+each in-process run on fresh streams (click's CliRunner) would leak them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import sceneio
+from . import localization, sceneio
 from .acquisition import (
     calibration_offset_s,
     simulate_background,
@@ -42,7 +46,7 @@ def _exit_codes():
     try:
         yield
     except (OSError, ValueError, PipelineError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID)
 
 
@@ -84,7 +88,7 @@ def simulate(scene_file, out, seed, frames):
         for names, simulate_group in groups:
             for name, hist in zip(names, simulate_group(), strict=True):
                 sceneio.write_histogram_csv(out_dir / name, hist)
-    click.echo(f"wrote {len(outputs)} histogram files to {out_dir}")
+    click.echo(f"wrote {len(outputs)} histogram files to {out_dir}", file=sys.stdout)
 
 
 def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str):
@@ -171,14 +175,20 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
             "does not mean nothing is there"
         )
 
-    # Every map is built before the manifest lists it; the bands are association's.
+    # Every map is built before the manifest lists it. A track's fused map is
+    # localize's, from its detections' bands summed in detection order;
+    # localize is looked up on its module, where tracing wrappers sit.
     maps = {}
     if write_maps:
-        for track, fused in zip(result.tracks, result.fused_maps):
-            maps[f"fused_map_{track.target_label}.csv"] = fused
         used = result.used_pixels
         bands, _ = _peak_bands(result.peaks_per_pixel, scene.laser_spot,
                                [scene.pixels[pix] for pix in used], grid)
+        for track, det in zip(result.tracks, result.detections):
+            log_density = bands[det[0]].log_values + bands[det[1]].log_values
+            for pair in det[2:]:
+                log_density += bands[pair].log_values
+            _, maps[f"fused_map_{track.target_label}.csv"] = localization.localize(
+                log_density, grid, track.position, track.target_label)
         for (i, j), band in bands.items():
             maps[f"pixel{used[i]:02d}_peak{j}_map.csv"] = band
     out_dir = Path(out)
@@ -189,14 +199,14 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
             sceneio.write_map_csv(out_dir / name, pmap)
 
     if not result.tracks:
-        click.echo("no target found", err=True)
+        click.echo("no target found", file=sys.stderr)
         for note in result.notes:
-            click.echo(f"  {note}", err=True)
+            click.echo(f"  {note}", file=sys.stderr)
         sys.exit(EXIT_NO_TARGET)
     for t in result.tracks:
         click.echo(
             f"{t.target_label}: x={t.position[0]:.3f} m y={t.position[1]:.3f} m "
-            f"(sigma {t.sigma_x:.3f}, {t.sigma_y:.3f})"
+            f"(sigma {t.sigma_x:.3f}, {t.sigma_y:.3f})", file=sys.stdout,
         )
 
 
@@ -216,7 +226,8 @@ def sweep(config_file, out, seed):
     with sceneio.run_manifest(out_dir, config_file, config.acquisition, ["sweep.csv"]):
         result = run_baseline_sweep(config)
         sceneio.write_sweep_csv(out_dir / "sweep.csv", result)
-    click.echo(f"wrote {len(result.rows)} sweep rows to {out_dir / 'sweep.csv'}")
+    click.echo(f"wrote {len(result.rows)} sweep rows to {out_dir / 'sweep.csv'}",
+               file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -196,6 +196,30 @@ class EllipseBand(ProbabilityMap):
         return values
 
 
+def _ellipse(peak: PeakEstimate, r_l: Point3, r_i: Point3) -> tuple[float, float]:
+    # (c t, c sigma) of one return, in meters; InfeasibleTimeError when c t
+    # does not exceed the focus separation, so no ellipse exists.
+    ct = SPEED_OF_LIGHT * peak.t_s
+    baseline = r_l.distance_to(r_i)
+    if ct <= baseline:
+        raise InfeasibleTimeError(
+            f"c*t = {ct:.4f} m does not exceed the focus separation {baseline:.4f} m"
+        )
+    return ct, SPEED_OF_LIGHT * peak.sigma_s
+
+
+def _band_log(paths: np.ndarray, ct: float, c_sigma: float, out=None) -> np.ndarray:
+    # The one band formula: -(path - c t)^2 / (2 (c sigma)^2) at the cells
+    # whose two-bounce paths are ``paths``, -inf where its exp underflows.
+    # Elementwise, so a lattice of the paths gives that lattice of the band.
+    log_values = np.subtract(paths, ct, out=out)
+    log_values /= c_sigma
+    np.square(log_values, out=log_values)
+    log_values *= -0.5
+    log_values[log_values <= _EXP_UNDERFLOW] = -np.inf
+    return log_values
+
+
 def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) -> EllipseBand:
     """Map one fitted return time onto its ellipse band over the grid.
 
@@ -203,19 +227,8 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
     two-bounce distance through the cell center; the fitted time width is
     converted to meters so the exponent is dimensionless.
     """
-    ct = SPEED_OF_LIGHT * peak.t_s
-    c_sigma = SPEED_OF_LIGHT * peak.sigma_s
-    baseline = r_l.distance_to(r_i)
-    if ct <= baseline:
-        raise InfeasibleTimeError(
-            f"c*t = {ct:.4f} m does not exceed the focus separation {baseline:.4f} m"
-        )
-    log_values = path_length_map(r_l, r_i, grid) - ct
-    log_values /= c_sigma
-    np.square(log_values, out=log_values)
-    log_values *= -0.5
-    log_values[log_values <= _EXP_UNDERFLOW] = -np.inf
-    return EllipseBand(grid, log_values)
+    ct, c_sigma = _ellipse(peak, r_l, r_i)
+    return EllipseBand(grid, _band_log(path_length_map(r_l, r_i, grid), ct, c_sigma))
 
 
 def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
@@ -349,6 +362,13 @@ AMBIGUITY_MARGIN = 0.01
 # refinement then climbs, and a lattice sum costs 1/16 of a full-grid one.
 _SEED_STRIDE = 4
 
+# Cells of the buffer a returned target's bands are added through (64 KB).
+# A second full-grid buffer, freed with the density every trial, makes
+# glibc's allocator hand its pages back to the OS and fault them in again:
+# 4042 minor page faults per perfbench sweep op (20 trials), against 2 with
+# this buffer.
+_BLOCK_CELLS = 8192
+
 
 def _check_k_targets(k_targets: int) -> None:
     # The one check of a requested target count, made before any work.
@@ -376,8 +396,8 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
 
 
 def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
-    # The bands that association scores and --maps writes, keyed (pixel index,
-    # peak index), skipping peaks without an ellipse; and the last such error.
+    # The full-grid bands that --maps writes, keyed (pixel index, peak index),
+    # skipping peaks without an ellipse; and the last such error.
     bands, last_error = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
@@ -394,7 +414,7 @@ def associate_and_localize(
     pixels: list[Point3],
     grid: GridSpec,
     k_targets: int = 1,
-) -> tuple[list[TrackEstimate], list[ProbabilityMap]]:
+) -> tuple[list[TrackEstimate], list[tuple[tuple[int, int], ...]]]:
     """Assign per-pixel peaks to targets and localize each target.
 
     Exhaustively enumerates peak-to-target assignments (tiny at this
@@ -402,7 +422,9 @@ def associate_and_localize(
     continuous density at its optimum (a pure consistency measure). Each
     winning target is placed at that optimum; its spreads and peak value
     come from its fused map. Targets must be seen by at least two pixels.
-    Returns the tracks, sorted by position, and their fused maps.
+    Returns the tracks, sorted by position, and for each track its
+    detections: the (pixel index, peak index) pairs whose bands it fuses,
+    the pixel index counting ``pixels``.
 
     Raises AmbiguousAssociationError when the runner-up assignment scores
     within AMBIGUITY_MARGIN (relative) of the winner, carrying both
@@ -414,34 +436,57 @@ def associate_and_localize(
     if any(len(p) == 0 for p in peaks_per_pixel):
         raise ValueError("every pixel must contribute at least one peak")
 
-    # Associations only recombine the bands, and _refine_position works on
-    # each band's (r_l, r_i, ct, c_sigma).
-    bands, last_error = _peak_bands(peaks_per_pixel, r_l, pixels, grid)
-    measured = {(i, j): (r_l, pixels[i], SPEED_OF_LIGHT * peaks_per_pixel[i][j].t_s,
-                         SPEED_OF_LIGHT * peaks_per_pixel[i][j].sigma_s) for i, j in bands}
+    # _refine_position works on each detection's (r_l, r_i, ct, c_sigma);
+    # seeding reads its band only on the seed lattice, which is that band's
+    # own every _SEED_STRIDE-th row and column.
+    measured, lattice, last_error = {}, {}, None
+    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
+        lattice_paths = path_length_map(r_l, pixel, grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
+        for ipk, peak in enumerate(peaks):
+            try:
+                ct, c_sigma = _ellipse(peak, r_l, pixel)
+            except InfeasibleTimeError as exc:
+                last_error = exc
+                continue
+            measured[ipix, ipk] = (r_l, pixel, ct, c_sigma)
+            lattice[ipix, ipk] = _band_log(lattice_paths, ct, c_sigma)
 
-    def _log_product(det, step=1, out=None):
-        # Sum of the detections' band log-densities on every step-th row and
-        # column, added in detection order.
-        logs = [bands[pair].log_values[::step, ::step] for pair in det]
-        log_prod = np.add(logs[0], logs[1], out=out)
-        for log_values in logs[2:]:
-            log_prod += log_values
-        return log_prod
+    rows = max(1, _BLOCK_CELLS // grid.nx)
+
+    def _log_density(det):
+        # The target's band log-densities over the full grid, added in
+        # detection order into one array. Each band after the first is
+        # evaluated a block of rows at a time into one small reused buffer.
+        (_, r_i, ct, c_sigma), *rest = (measured[pair] for pair in det)
+        total = _band_log(path_length_map(r_l, r_i, grid), ct, c_sigma)
+        band = np.empty((min(rows, grid.ny), grid.nx))
+        for _, r_i, ct, c_sigma in rest:
+            paths = path_length_map(r_l, r_i, grid)
+            for r0 in range(0, grid.ny, rows):
+                block = total[r0:r0 + rows]
+                block += _band_log(paths[r0:r0 + rows], ct, c_sigma, out=band[:len(block)])
+        return total
 
     xc, yc = grid.x_centers(), grid.y_centers()
     work = np.empty((len(yc[::_SEED_STRIDE]), len(xc[::_SEED_STRIDE])))  # lattice sums
+
+    def _best_cell(log_prod, step):
+        # Center of the best cell of a density sampled on every step-th row
+        # and column, or None when no sampled cell is finite.
+        iy, ix = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
+        if np.isfinite(log_prod[iy, ix]):
+            return float(xc[step * ix]), float(yc[step * iy])
+        return None
 
     def _seed(det):
         # The target's best cell on the seed lattice. The full grid is summed
         # only when no lattice cell is finite, so a target is dropped exactly
         # when its bands share no finite cell anywhere.
-        for step, out in ((_SEED_STRIDE, work), (1, None)):
-            log_prod = _log_product(det, step, out)
-            iy, ix = np.unravel_index(int(np.argmax(log_prod)), log_prod.shape)
-            if np.isfinite(log_prod[iy, ix]):
-                return float(xc[step * ix]), float(yc[step * iy])
-        return None
+        logs = [lattice[pair] for pair in det]
+        log_prod = np.add(logs[0], logs[1], out=work)
+        for log_values in logs[2:]:
+            log_prod += log_values
+        return _best_cell(log_prod, _SEED_STRIDE) or _best_cell(_log_density(det), 1)
 
     candidates = {}
     for combo in itertools.product(
@@ -454,7 +499,7 @@ def associate_and_localize(
         key = frozenset(detections)  # quotient out target relabeling
         if key in candidates or any(len(det) < 2 for det in detections):
             continue
-        if any(pair not in bands for det in detections for pair in det):
+        if any(pair not in measured for det in detections for pair in det):
             continue
         # Score each target at the continuous optimum of its fused density:
         # the sampled cell maximum wobbles by a few percent with cell
@@ -479,12 +524,14 @@ def associate_and_localize(
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
     def _solve(targets):
-        # Fused maps are built only here, for the targets a caller gets back.
-        solved = [
-            localize(_log_product(det), grid, pos, f"target-{i + 1}")
-            for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0]))
+        # Full-grid densities are built only here, one target at a time, for
+        # the targets a caller gets back; each fused map dies with its step.
+        ordered = sorted(targets, key=lambda t: t[0])
+        tracks = [
+            localize(_log_density(det), grid, pos, f"target-{i + 1}")[0]
+            for i, (pos, det) in enumerate(ordered)
         ]
-        return [track for track, _ in solved], [fused for _, fused in solved]
+        return tracks, [det for _, det in ordered]
 
     def _distinct(targets):
         # Every pair of targets resolves to positions more than a cell apart.

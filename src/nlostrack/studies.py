@@ -27,7 +27,6 @@ from .localization import (
     EmptyIntersectionError,
     GridSpec,
     InfeasibleTimeError,
-    ProbabilityMap,
     TrackEstimate,
     _check_k_targets,
     associate_and_localize,
@@ -102,14 +101,19 @@ def auto_time_window(
 
 @dataclass
 class ScenarioResult:
-    """Tracks plus the per-pixel intermediates that produced them."""
+    """Tracks plus the per-pixel intermediates that produced them.
+
+    ``detections`` holds, for each track of an ``ok`` result, the
+    (pixel index, peak index) pairs whose bands it fuses, the pixel index
+    counting ``used_pixels``; it is empty for any other status.
+    """
 
     tracks: list[TrackEstimate]
     peaks_per_pixel: list[list[PeakEstimate]]
     used_pixels: list[int]
     status: str  # "ok", "ambiguous" or "no_target"
     notes: list[str] = field(default_factory=list)
-    fused_maps: list[ProbabilityMap] = field(default_factory=list)
+    detections: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -182,7 +186,7 @@ def reconstruct_from_histograms(
         return result
 
     try:
-        tracks, maps = associate_and_localize(
+        tracks, detections = associate_and_localize(
             peaks_per_pixel, laser_spot, [pixels[i] for i in used], grid, k_targets=k_targets
         )
         result.status = "ok"
@@ -193,13 +197,13 @@ def reconstruct_from_histograms(
             "ambiguous association; best "
             + _fmt_tracks(exc.best) + " vs runner-up " + _fmt_tracks(exc.second)
         )
-        tracks, maps = exc.best, []
+        tracks, detections = exc.best, []
     except (EmptyIntersectionError, InfeasibleTimeError) as exc:
         result.notes.append(f"no target found: {exc}")
         return result
 
     result.tracks = tracks
-    result.fused_maps = maps
+    result.detections = detections
     return result
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import functools
+import gc
 import json
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -221,6 +226,11 @@ class TestReconstruct:
                    "--out", str(tmp_path / "rec"), "--background", "median"]
         )
         assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "rec" / "tracks.json").read_text())
+        assert doc["status"] == "ok"
+        assert len(doc["tracks"]) == 1
+        track = doc["tracks"][0]
+        assert math.dist((track["x"], track["y"]), (0.6, 1.2)) < 0.1
 
     def test_median_without_enough_frames_exit_2(self, runner, scene_file, tmp_path):
         sim = tmp_path / "sim"
@@ -375,28 +385,20 @@ class TestReconstruct:
         assert len(manifest["outputs"]) < 1 + len(doc["pixels"])
 
     @pytest.mark.parametrize("case", ["ok", "ambiguous", "infeasible"])
-    def test_maps_are_the_bands_association_built(self, runner, tmp_path, monkeypatch, case):
-        # Every band association back-projects is recorded; --maps writes
-        # exactly those, named by scene pixel and peak index, and no other.
-        built, peaks_seen, running = [], [], {}
-        backproject, associate = localization.backproject, studies.associate_and_localize
+    def test_maps_are_every_band_and_each_track_fused_map(self, runner, tmp_path, monkeypatch,
+                                                          case):
+        # --maps writes the band of every peak that has an ellipse, named by
+        # scene pixel and peak index, and, for an ok result, each track's
+        # fused map: the bands of its detections summed in detection order,
+        # then normalised. It writes no other map.
+        calls = []
+        associate = studies.associate_and_localize
 
-        def recording_backproject(peak, r_l, r_i, grid):
-            band = backproject(peak, r_l, r_i, grid)
-            if running:  # inside association
-                ipix = running["pixels"].index(r_i)
-                built.append((r_i, running["peaks"][ipix].index(peak), band))
-            return band
+        def recording_associate(peaks_per_pixel, r_l, pixels, grid, **kwargs):
+            calls.append([peaks_per_pixel, r_l, pixels, grid, None])
+            calls[-1][-1] = associate(peaks_per_pixel, r_l, pixels, grid, **kwargs)
+            return calls[-1][-1]
 
-        def recording_associate(peaks_per_pixel, r_l, pixels, *args, **kwargs):
-            running.update(peaks=peaks_per_pixel, pixels=pixels)
-            peaks_seen.append(sum(len(peaks) for peaks in peaks_per_pixel))
-            try:
-                return associate(peaks_per_pixel, r_l, pixels, *args, **kwargs)
-            finally:
-                running.clear()
-
-        monkeypatch.setattr(localization, "backproject", recording_backproject)
         monkeypatch.setattr(studies, "associate_and_localize", recording_associate)
         scene, rec = tmp_path / "scene.json", tmp_path / "rec"
         if case == "infeasible":
@@ -416,15 +418,26 @@ class TestReconstruct:
             warnings.simplefilter("ignore", UserWarning)  # the ambiguity warning
             runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps", *args])
         assert json.loads((rec / "tracks.json").read_text())["status"] == status
-        pixels = [Point3(*p) for p in doc["pixels"]]
-        want = {}
-        for r_i, ipk, band in built:
-            name = f"pixel{pixels.index(r_i):02d}_peak{ipk}_map.csv"
-            sceneio.write_map_csv(tmp_path / name, band)
+        assert len(calls) == 1
+        peaks_per_pixel, r_l, pixels, grid, returned = calls[0]
+        scene_pixels = [Point3(*p) for p in doc["pixels"]]
+        bands, want = {}, {}
+        for i, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
+            for j, pk in enumerate(peaks):
+                with contextlib.suppress(localization.InfeasibleTimeError):
+                    bands[i, j] = localization.backproject(pk, r_l, pixel, grid)
+        maps = {f"pixel{scene_pixels.index(pixels[i]):02d}_peak{j}_map.csv": band
+                for (i, j), band in bands.items()}
+        if returned is not None:
+            for track, det in zip(*returned):
+                maps[f"fused_map_{track.target_label}.csv"] = localization._normalized(
+                    functools.reduce(np.add, [bands[pair].log_values for pair in det]), grid)
+        for name, pmap in maps.items():
+            sceneio.write_map_csv(tmp_path / name, pmap)
             want[name] = (tmp_path / name).read_bytes()
-        assert len(peaks_seen) == 1 and want
-        assert read_bytes_sorted(rec, "pixel*_peak*_map.csv") == want
-        assert (len(want) < peaks_seen[0]) == (case == "infeasible")
+        assert read_bytes_sorted(rec, "*map*.csv") == want
+        assert (returned is not None) == (case == "ok")
+        assert (len(bands) < sum(map(len, peaks_per_pixel))) == (case == "infeasible")
 
     def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
                                                          monkeypatch):
@@ -493,6 +506,34 @@ SWEEP_DOC = {
     "grid": {"x_min": -3.0, "x_max": 3.0, "y_min": 0.0, "y_max": 4.0,
              "resolution": 0.02, "z_plane": 1.0},
 }
+
+
+class TestInProcessRuns:
+    @staticmethod
+    def runner_streams():
+        # Live stream objects of the kinds CliRunner makes for each call.
+        gc.collect()
+        kinds = {"_NamedTextIOWrapper", "BytesIOCopy"}
+        return sum(type(obj).__name__ in kinds for obj in gc.get_objects())
+
+    def test_repeated_runs_leave_no_streams_behind(self, runner, scene_file, tmp_path):
+        # Each invocation gives the command new sys.stdout and sys.stderr
+        # streams; an echo must not keep them alive once the call returns.
+        sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+        runs = [
+            (["simulate", str(scene_file), "--out", sim], 0),
+            (["reconstruct", str(scene_file), "--hist-dir", sim, "--out", rec,
+              "--grid-res", "0.1"], 0),
+            (["reconstruct", str(scene_file), "--out", rec, "--window", "bad"], 2),
+            (["simulate", str(scene_file), "--out", sim, "--frames", "0"], 2),
+            (["reconstruct", str(scene_file), "--hist-dir", sim, "--out", rec,
+              "--grid-res", "0.1", "--maps"], 0),
+        ]
+        assert runner.invoke(main, runs[0][0]).exit_code == 0
+        before = self.runner_streams()
+        for args, code in runs:
+            assert runner.invoke(main, args).exit_code == code
+        assert self.runner_streams() == before
 
 
 class TestSweep:

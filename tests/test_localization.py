@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,11 @@ from nlostrack import (
     path_length,
     tof,
 )
-from nlostrack import localization
+from nlostrack import localization, sceneio
 from nlostrack.localization import _EXP_UNDERFLOW, _exp, path_length_map
 
 C = SPEED_OF_LIGHT
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def peak(t_s, sigma_s=120e-12, pixel=0):
@@ -296,14 +299,19 @@ class TestAssociate:
             assert abs(gx - tx) <= self.grid.resolution
             assert abs(gy - ty) <= self.grid.resolution
 
-    def test_two_target_spreads_and_peaks_match_fuse_localize(self):
+    def test_two_target_spreads_and_peaks_match_fuse_localize(self, monkeypatch):
         # Each track's spreads and peak value are those of the fused map of
-        # its own detections; the map returned with it is that fused map.
+        # its own detections, which are returned with it; localize builds
+        # that fused map.
+        fused_maps = self.record_fused_maps(monkeypatch)
         truths = [(0.5, 0.9), (1.2, 1.6)]
         peaks = self.peaks_for(truths)
-        tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        tracks, detections = associate_and_localize(
+            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         assert [t.target_label for t in tracks] == ["target-1", "target-2"]
-        for t, (track, fused) in enumerate(zip(tracks, maps)):
+        assert detections == [tuple((i, t) for i in range(4)) for t in range(2)]
+        assert len(fused_maps) == 2
+        for t, (track, fused) in enumerate(zip(tracks, fused_maps)):
             reference_map = reference_fuse([
                 backproject(p[t], self.r_l, pix, self.grid)
                 for p, pix in zip(peaks, self.pixels)
@@ -312,20 +320,31 @@ class TestAssociate:
                 (*localization._spreads(reference_map), reference_map.values.max()), rel=1e-12)
             np.testing.assert_allclose(fused.values, reference_map.values, rtol=1e-12, atol=0)
 
-    def test_backprojects_each_peak_once_in_the_log_domain(self, monkeypatch):
-        # Association resolves the module-level backproject and reads only
-        # the bands' logs, so no band's exp is ever built.
-        bands = []
+    def test_builds_full_grid_bands_only_for_the_returned_targets(self, monkeypatch):
+        # Association calls no backproject: every peak gets one band on the
+        # seed lattice, and only the returned targets' detections get one
+        # over the full grid (in blocks of rows after a target's first).
+        backprojected = self.count_calls(monkeypatch, "backproject")
+        band_shapes = []
+        band_log = localization._band_log
 
-        def recording(*args):
-            bands.append(backproject(*args))
-            return bands[-1]
+        def recording(paths, *args, **kwargs):
+            band_shapes.append(paths.shape)
+            return band_log(paths, *args, **kwargs)
 
-        monkeypatch.setattr(localization, "backproject", recording)
+        monkeypatch.setattr(localization, "_band_log", recording)
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
-        associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
-        assert len(bands) == sum(len(p) for p in peaks)
-        assert not any("values" in vars(b) for b in bands)
+        tracks, detections = associate_and_localize(
+            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        stride = localization._SEED_STRIDE
+        lattice = (len(range(0, self.grid.ny, stride)), len(range(0, self.grid.nx, stride)))
+        n_peaks = sum(len(p) for p in peaks)
+        assert backprojected == []
+        assert len(tracks) == 2
+        assert band_shapes[:n_peaks] == [lattice] * n_peaks
+        assert lattice not in band_shapes[n_peaks:]
+        assert sum(rows * cols for rows, cols in band_shapes[n_peaks:]) == (
+            self.grid.ny * self.grid.nx * sum(len(det) for det in detections))
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
@@ -371,8 +390,21 @@ class TestAssociate:
         )
 
     @staticmethod
+    def record_fused_maps(monkeypatch):
+        # The fused maps localize builds, in call order.
+        fused_maps, localize_ = [], localization.localize
+
+        def recording(*args):
+            track, fused = localize_(*args)
+            fused_maps.append(fused)
+            return track, fused
+
+        monkeypatch.setattr(localization, "localize", recording)
+        return fused_maps
+
+    @staticmethod
     def count_calls(monkeypatch, name):
-        # Association looks both helpers up by their module-level names.
+        # Association looks these helpers up by their module-level names.
         calls = []
         original = getattr(localization, name)
 
@@ -387,8 +419,9 @@ class TestAssociate:
         normalized = self.count_calls(monkeypatch, "_normalized")
         localized = self.count_calls(monkeypatch, "localize")
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
-        tracks, maps = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
-        assert len(tracks) == len(maps) == 2
+        tracks, detections = associate_and_localize(
+            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        assert len(tracks) == len(detections) == 2
         assert len(normalized) == len(localized) == 2  # not one per scored assignment (16 here)
         assert [args[2] for args in localized] == [t.position for t in tracks]
 
@@ -403,6 +436,29 @@ class TestAssociate:
             associate_and_localize(peaks, r_l, pixels, GridSpec(-2, 2, 0, 3, 0.02, 1.0), k_targets=2)
         assert len(info.value.best) + len(info.value.second) == 4
         assert len(normalized) == len(localized) == 4
+
+
+    def test_heap_stays_within_four_full_grid_arrays(self):
+        # One two-target association on the bundled two-person layout, with
+        # its path maps cached by a first run: at its peak it holds at most
+        # four full-grid float64 arrays beyond what it started with, and it
+        # keeps less than a tenth of one once it returns.
+        scene, _, grid = sceneio.load_scene(CONFIGS / "two_person.json")
+        pixels = list(scene.pixels)
+        peaks = [[peak(tof(scene.laser_spot, obj.position, pix), pixel=i) for obj in scene.objects]
+                 for i, pix in enumerate(pixels)]
+        associate_and_localize(peaks, scene.laser_spot, pixels, grid, k_targets=2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = associate_and_localize(peaks, scene.laser_spot, pixels, grid, k_targets=2)
+            retained, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full_grid = grid.nx * grid.ny * np.dtype(np.float64).itemsize
+        assert len(result[0]) == 2
+        assert (peak_bytes - start) / full_grid <= 4.0
+        assert (retained - start) / full_grid < 0.1
 
 
 def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
@@ -453,14 +509,14 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
     def solve(targets):
-        tracks, maps = [], []
+        tracks, detections = [], []
         for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0])):
             fused = localization._normalized(log_product(det), grid)
             sigma_x, sigma_y = localization._spreads(fused)
             tracks.append(TrackEstimate(pos, sigma_x, sigma_y, float(fused.values.max()),
                                         f"target-{i + 1}"))
-            maps.append(fused)
-        return tracks, maps
+            detections.append(det)
+        return tracks, detections
 
     ranked = sorted(candidates.values(), key=lambda e: e[0], reverse=True)
     pool = [
@@ -477,25 +533,33 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
 
 
 def association_outcome(fn, *args, **kwargs):
-    # (status, tracks, maps, refined) of one association, exceptions
-    # included; refined lists every _refine_position call, in call order, as
+    # (status, tracks, detections, fused, refined) of one association,
+    # exceptions included. fused lists every map _normalized built and
+    # refined every _refine_position call, in call order, the latter as
     # (arguments, (position, log_score)).
-    refined, refine = [], localization._refine_position
+    refined, fused = [], []
+    refine, normalized = localization._refine_position, localization._normalized
 
-    def recording(*call):
+    def recording_refine(*call):
         refined.append((call, refine(*call)))
         return refined[-1][1]
 
-    localization._refine_position = recording
+    def recording_normalized(*call):
+        fused.append(normalized(*call))
+        return fused[-1]
+
+    localization._refine_position = recording_refine
+    localization._normalized = recording_normalized
     try:
-        tracks, maps = fn(*args, **kwargs)
+        tracks, detections = fn(*args, **kwargs)
     except AmbiguousAssociationError as exc:
-        return "ambiguous", exc.best + exc.second, [], refined
+        return "ambiguous", exc.best + exc.second, [], fused, refined
     except (InfeasibleTimeError, EmptyIntersectionError) as exc:
-        return type(exc).__name__, [], [], refined
+        return type(exc).__name__, [], [], fused, refined
     finally:
         localization._refine_position = refine
-    return "ok", tracks, maps, refined
+        localization._normalized = normalized
+    return "ok", tracks, detections, fused, refined
 
 
 def log_score(position, z, measurements):
@@ -526,10 +590,12 @@ def refined_position_bound(position, z, measurements):
 def assert_same_association(got, want):
     # Each returned target stops within REFINE_TOLERANCE of its optimum's
     # score whatever its seed, so its score agrees within the tolerance and
-    # its position within refined_position_bound. Statuses, spreads, peak
-    # values, labels and fused maps are bit-identical.
-    (status, tracks, maps, refined), (want_status, want_tracks, want_maps, want_refined) = got, want
+    # its position within refined_position_bound. Statuses, detections,
+    # spreads, peak values, labels and fused maps are bit-identical.
+    status, tracks, detections, maps, refined = got
+    want_status, want_tracks, want_detections, want_maps, want_refined = want
     assert status == want_status
+    assert detections == want_detections
     assert len(tracks) == len(want_tracks) and len(maps) == len(want_maps)
     calls = {position: (call, score) for call, (position, score) in refined}
     want_scores = {position: score for _, (position, score) in want_refined}
@@ -590,7 +656,7 @@ def test_refinement_stops_on_its_decrement_not_its_cap(monkeypatch):
         got = association_outcome(associate_and_localize, peaks, r_l, pixels, grid, 2)
         want = association_outcome(reference_associate, peaks, r_l, pixels, grid, 2)
         assert_same_association(got, want)
-        calls += got[3] + want[3]
+        calls += got[4] + want[4]
     monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
     assert all(localization._refine_position(*call) == result for call, result in calls)
 
@@ -617,7 +683,7 @@ class TestSeedFallback:
     def test_target_sharing_cells_only_off_the_seed_lattice_is_kept(self):
         truth = Point3(0.3, 1.1, 1.0)
         grid = centered_grid(truth.x, truth.y)  # truth is cell (25, 25), off the lattice
-        finite, (status, tracks, _, _) = self.associate_both_ways([truth, truth], grid)
+        finite, (status, tracks, *_) = self.associate_both_ways([truth, truth], grid)
         stride = localization._SEED_STRIDE
         assert finite.any() and not finite[::stride, ::stride].any()
         assert status == "ok"
@@ -626,7 +692,7 @@ class TestSeedFallback:
     def test_target_sharing_no_cell_is_dropped(self):
         truths = [Point3(0.3, 0.6, 1.0), Point3(0.3, 3.5, 1.0)]
         grid = GridSpec(-3, 3, 0, 4, 0.02, 1.0)
-        finite, (status, _, _, _) = self.associate_both_ways(truths, grid)
+        finite, (status, *_) = self.associate_both_ways(truths, grid)
         assert not finite.any()
         assert status == "EmptyIntersectionError"
         peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14)]

@@ -151,7 +151,7 @@ class TestRunScenario:
             res = run_scenario(scene, params, DEFAULT_GRID, k_targets=2)
         assert res.status == "ambiguous"
         assert len(res.tracks) == 2
-        assert res.fused_maps == []
+        assert res.detections == []
         assert any(n.startswith("ambiguous association") for n in res.notes)
 
     def test_determinism(self):
