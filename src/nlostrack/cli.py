@@ -23,7 +23,7 @@ from .acquisition import (
     simulate_frames,
     simulate_histogram,
 )
-from .localization import _check_k_targets, _peak_bands
+from .localization import _check_k_targets, _fused_log, _peak_bands
 from .processing import TimeWindow, estimate_background_median
 from .studies import (
     PipelineError,
@@ -176,7 +176,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         )
 
     # Every map is built before the manifest lists it. A track's fused map is
-    # localize's, from its detections' bands summed in detection order;
+    # localize's, from its detections' bands summed as association sums them;
     # localize is looked up on its module, where tracing wrappers sit.
     maps = {}
     if write_maps:
@@ -184,9 +184,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
         bands, _ = _peak_bands(result.peaks_per_pixel, scene.laser_spot,
                                [scene.pixels[pix] for pix in used], grid)
         for track, det in zip(result.tracks, result.detections):
-            log_density = bands[det[0]].log_values + bands[det[1]].log_values
-            for pair in det[2:]:
-                log_density += bands[pair].log_values
+            log_density = _fused_log(lambda pair: bands[pair].log_values, det)
             _, maps[f"fused_map_{track.target_label}.csv"] = localization.localize(
                 log_density, grid, track.position, track.target_label)
         for (i, j), band in bands.items():

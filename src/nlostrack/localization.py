@@ -178,16 +178,29 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class EllipseBand(ProbabilityMap):
-    """One ellipse band, held as its exponent.
+    """One ellipse band, held as its formula.
 
-    ``log_values`` is -inf exactly where exp underflows to 0.0. ``values``
-    (its exp) is built on first read, so fusion never pays for it.
+    The band of a return whose path is ``ct`` and width ``c_sigma``, over
+    cells whose two-bounce paths are ``paths``. ``log_values`` (the
+    exponent, -inf exactly where exp underflows to 0.0) and ``values`` (its
+    exp) are built on first read; ``log_rows`` evaluates a block of rows of
+    the exponent without building either, so a sum of bands need not hold
+    a full band beside it.
     """
 
-    def __init__(self, grid: GridSpec, log_values: np.ndarray):
-        log_values.setflags(write=False)
+    def __init__(self, grid: GridSpec, paths: np.ndarray, ct: float, c_sigma: float):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "log_values", log_values)
+        object.__setattr__(self, "_formula", (paths, ct, c_sigma))
+
+    def log_rows(self, rows: slice) -> np.ndarray:
+        paths, ct, c_sigma = self._formula
+        return _band_log(paths[rows], ct, c_sigma)
+
+    @functools.cached_property
+    def log_values(self) -> np.ndarray:
+        log_values = self.log_rows(slice(None))
+        log_values.setflags(write=False)
+        return log_values
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -208,11 +221,12 @@ def _ellipse(peak: PeakEstimate, r_l: Point3, r_i: Point3) -> tuple[float, float
     return ct, SPEED_OF_LIGHT * peak.sigma_s
 
 
-def _band_log(paths: np.ndarray, ct: float, c_sigma: float, out=None) -> np.ndarray:
+def _band_log(paths: np.ndarray, ct: float, c_sigma: float) -> np.ndarray:
     # The one band formula: -(path - c t)^2 / (2 (c sigma)^2) at the cells
     # whose two-bounce paths are ``paths``, -inf where its exp underflows.
-    # Elementwise, so a lattice of the paths gives that lattice of the band.
-    log_values = np.subtract(paths, ct, out=out)
+    # Elementwise, so a lattice or a block of rows of the paths gives that
+    # part of the band.
+    log_values = paths - ct
     log_values /= c_sigma
     np.square(log_values, out=log_values)
     log_values *= -0.5
@@ -225,10 +239,10 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
 
     Cell value is exp(-(path - c t)^2 / (2 (c sigma)^2)) with path the
     two-bounce distance through the cell center; the fitted time width is
-    converted to meters so the exponent is dimensionless.
+    converted to meters so the exponent is dimensionless. Raises
+    InfeasibleTimeError when c t does not exceed the focus separation.
     """
-    ct, c_sigma = _ellipse(peak, r_l, r_i)
-    return EllipseBand(grid, _band_log(path_length_map(r_l, r_i, grid), ct, c_sigma))
+    return EllipseBand(grid, path_length_map(r_l, r_i, grid), *_ellipse(peak, r_l, r_i))
 
 
 def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
@@ -362,11 +376,11 @@ AMBIGUITY_MARGIN = 0.01
 # refinement then climbs, and a lattice sum costs 1/16 of a full-grid one.
 _SEED_STRIDE = 4
 
-# Cells of the buffer a returned target's bands are added through (64 KB).
-# A second full-grid buffer, freed with the density every trial, makes
-# glibc's allocator hand its pages back to the OS and fault them in again:
-# 4042 minor page faults per perfbench sweep op (20 trials), against 2 with
-# this buffer.
+# Cells of a block of rows a returned target's bands are summed in (64 KB).
+# Full-grid band arrays, freed with the density every trial, make glibc's
+# allocator hand their pages back to the OS and fault them in again: per
+# perfbench sweep op (20 trials) 4041 minor page faults with one full band
+# beside the sum and 6401 with two, against 2 with blocks.
 _BLOCK_CELLS = 8192
 
 
@@ -395,17 +409,36 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
             yield tuple(assignment)
 
 
-def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
-    # The full-grid bands that --maps writes, keyed (pixel index, peak index),
-    # skipping peaks without an ellipse; and the last such error.
-    bands, last_error = {}, None
+def _ellipses(peaks_per_pixel, r_l, pixels):
+    # (c t, c sigma) of every peak that has an ellipse, keyed (pixel index,
+    # peak index); and the last InfeasibleTimeError of a peak that has none.
+    ellipses, last_error = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
             try:
-                bands[(ipix, ipk)] = backproject(peak, r_l, pixel, grid)
+                ellipses[ipix, ipk] = _ellipse(peak, r_l, pixel)
             except InfeasibleTimeError as exc:
                 last_error = exc
+    return ellipses, last_error
+
+
+def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
+    # The full-grid bands that --maps writes, keyed (pixel index, peak index),
+    # skipping peaks without an ellipse; and the last such error.
+    ellipses, last_error = _ellipses(peaks_per_pixel, r_l, pixels)
+    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in ellipses}
     return bands, last_error
+
+
+def _fused_log(band_log, det, out=None):
+    # One target's band log-densities summed in detection order, the order
+    # every fused map is built in: ``band_log(pair)`` gives the (pixel, peak)
+    # pair's band; the first two are added into ``out`` (a new array when
+    # None) and each later one in place, freed before the next is built.
+    total = np.add(band_log(det[0]), band_log(det[1]), out=out)
+    for pair in det[2:]:
+        total += band_log(pair)
+    return total
 
 
 def associate_and_localize(
@@ -439,32 +472,22 @@ def associate_and_localize(
     # _refine_position works on each detection's (r_l, r_i, ct, c_sigma);
     # seeding reads its band only on the seed lattice, which is that band's
     # own every _SEED_STRIDE-th row and column.
-    measured, lattice, last_error = {}, {}, None
-    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
-        lattice_paths = path_length_map(r_l, pixel, grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
-        for ipk, peak in enumerate(peaks):
-            try:
-                ct, c_sigma = _ellipse(peak, r_l, pixel)
-            except InfeasibleTimeError as exc:
-                last_error = exc
-                continue
-            measured[ipix, ipk] = (r_l, pixel, ct, c_sigma)
-            lattice[ipix, ipk] = _band_log(lattice_paths, ct, c_sigma)
+    ellipses, last_error = _ellipses(peaks_per_pixel, r_l, pixels)
+    measured = {(i, j): (r_l, pixels[i], *ellipse) for (i, j), ellipse in ellipses.items()}
+    lattice_paths = [path_length_map(r_l, pixel, grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
+                     for pixel in pixels]
+    lattice = {(i, j): _band_log(lattice_paths[i], *ellipse) for (i, j), ellipse in ellipses.items()}
 
     rows = max(1, _BLOCK_CELLS // grid.nx)
 
     def _log_density(det):
-        # The target's band log-densities over the full grid, added in
-        # detection order into one array. Each band after the first is
-        # evaluated a block of rows at a time into one small reused buffer.
-        (_, r_i, ct, c_sigma), *rest = (measured[pair] for pair in det)
-        total = _band_log(path_length_map(r_l, r_i, grid), ct, c_sigma)
-        band = np.empty((min(rows, grid.ny), grid.nx))
-        for _, r_i, ct, c_sigma in rest:
-            paths = path_length_map(r_l, r_i, grid)
-            for r0 in range(0, grid.ny, rows):
-                block = total[r0:r0 + rows]
-                block += _band_log(paths[r0:r0 + rows], ct, c_sigma, out=band[:len(block)])
+        # The target's full-grid log-density. Its bands come from the
+        # module-level backproject and are summed a block of rows at a time.
+        bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in det}
+        total = np.empty((grid.ny, grid.nx))
+        for r0 in range(0, grid.ny, rows):
+            block = slice(r0, r0 + rows)
+            _fused_log(lambda pair: bands[pair].log_rows(block), det, out=total[block])
         return total
 
     xc, yc = grid.x_centers(), grid.y_centers()
@@ -482,10 +505,7 @@ def associate_and_localize(
         # The target's best cell on the seed lattice. The full grid is summed
         # only when no lattice cell is finite, so a target is dropped exactly
         # when its bands share no finite cell anywhere.
-        logs = [lattice[pair] for pair in det]
-        log_prod = np.add(logs[0], logs[1], out=work)
-        for log_values in logs[2:]:
-            log_prod += log_values
+        log_prod = _fused_log(lattice.__getitem__, det, out=work)
         return _best_cell(log_prod, _SEED_STRIDE) or _best_cell(_log_density(det), 1)
 
     candidates = {}

@@ -142,7 +142,12 @@ class TestBackproject:
         grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
         band = backproject(peak(3.0 / C), Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0), grid)
         assert isinstance(band, ProbabilityMap) and not band.normalized
-        assert "values" not in vars(band)
+        assert "values" not in vars(band) and "log_values" not in vars(band)
+        # Blocks of rows are the full exponent's own rows, bit for bit, and
+        # reading them builds neither array.
+        blocks = [band.log_rows(slice(r0, r0 + 7)) for r0 in range(0, grid.ny, 7)]
+        assert "log_values" not in vars(band)
+        np.testing.assert_array_equal(np.concatenate(blocks), band.log_values)
         assert band.values is band.values
         for arr in (band.values, band.log_values):
             assert not arr.flags.writeable
@@ -321,9 +326,10 @@ class TestAssociate:
             np.testing.assert_allclose(fused.values, reference_map.values, rtol=1e-12, atol=0)
 
     def test_builds_full_grid_bands_only_for_the_returned_targets(self, monkeypatch):
-        # Association calls no backproject: every peak gets one band on the
-        # seed lattice, and only the returned targets' detections get one
-        # over the full grid (in blocks of rows after a target's first).
+        # Every peak gets one band on the seed lattice; only the returned
+        # targets' detections are back-projected over the full grid, each
+        # once, in detection order, through the module-level backproject,
+        # and evaluated in blocks of rows, never as a whole band.
         backprojected = self.count_calls(monkeypatch, "backproject")
         band_shapes = []
         band_log = localization._band_log
@@ -339,12 +345,14 @@ class TestAssociate:
         stride = localization._SEED_STRIDE
         lattice = (len(range(0, self.grid.ny, stride)), len(range(0, self.grid.nx, stride)))
         n_peaks = sum(len(p) for p in peaks)
-        assert backprojected == []
+        returned = [pair for det in detections for pair in det]
         assert len(tracks) == 2
         assert band_shapes[:n_peaks] == [lattice] * n_peaks
-        assert lattice not in band_shapes[n_peaks:]
-        assert sum(rows * cols for rows, cols in band_shapes[n_peaks:]) == (
-            self.grid.ny * self.grid.nx * sum(len(det) for det in detections))
+        blocks = band_shapes[n_peaks:]
+        assert all(rows < self.grid.ny and cols == self.grid.nx for rows, cols in blocks)
+        assert sum(rows for rows, _ in blocks) == self.grid.ny * len(returned)
+        assert [(args[0], args[2]) for args in backprojected] == [
+            (peaks[i][j], self.pixels[i]) for i, j in returned]
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
