@@ -8,7 +8,6 @@ from .acquisition import (
     expected_counts,
     expected_signal_rate,
     simulate_background,
-    simulate_frames,
     simulate_histogram,
 )
 from .geometry import SPEED_OF_LIGHT, HiddenObject, Point3, Scene, path_length, tof
@@ -32,7 +31,6 @@ from .processing import (
     apply_offset,
     crop,
     detect_peaks,
-    estimate_background_median,
     fit_gaussian_mixture,
     fit_peaks,
     subtract_background,

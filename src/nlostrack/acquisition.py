@@ -301,10 +301,10 @@ def _intensity(scene, pixel_index, params, include_objects):
     return mu
 
 
-def _draw(mu, params, pixel_index, *stream):
+def _draw(mu, params, pixel_index, stream):
     # One Poisson realisation of the intensity mu, from the generator keyed
-    # on [seed, pixel, *stream].
-    rng = np.random.default_rng([params.rng_seed, pixel_index, *stream])
+    # on [seed, pixel, stream]: stream 0 is the signal, 1 the background.
+    rng = np.random.default_rng([params.rng_seed, pixel_index, stream])
     return TransientHistogram(
         counts=rng.poisson(mu).astype(np.int64),
         bin_width_s=params.bin_width_s,
@@ -328,12 +328,3 @@ def simulate_background(scene: Scene, pixel_index: int, params: AcquisitionParam
     mu = expected_counts(scene, pixel_index, params, include_objects=False)
     return _draw(mu, params, pixel_index, 1)
 
-
-def simulate_frames(
-    scene: Scene, pixel_index: int, params: AcquisitionParams, num_frames: int
-) -> list[TransientHistogram]:
-    """Repeated signal acquisitions with independent noise (median-background input)."""
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    mu = expected_counts(scene, pixel_index, params)
-    return [_draw(mu, params, pixel_index, 2, k) for k in range(num_frames)]

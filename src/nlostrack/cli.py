@@ -17,14 +17,8 @@ from pathlib import Path
 import click
 
 from . import localization, sceneio
-from .acquisition import (
-    calibration_offset_s,
-    simulate_background,
-    simulate_frames,
-    simulate_histogram,
-)
-from .localization import _check_k_targets, _fused_log, _peak_bands
-from .processing import TimeWindow, estimate_background_median
+from .acquisition import calibration_offset_s, simulate_background, simulate_histogram
+from .localization import _check_k_targets
 from .studies import (
     PipelineError,
     reconstruct_from_histograms,
@@ -55,74 +49,55 @@ def main():
     """Hidden-target localization from single-photon flight-time histograms."""
 
 
+# The two histograms simulate writes per pixel and reconstruct --hist-dir reads.
+_KINDS = ("signal", "background")
+
+
+def _histogram_name(pixel: int, kind: str) -> str:
+    return f"pixel{pixel:02d}_{kind}.csv"
+
+
 @main.command()
 @click.argument("scene_file", type=click.Path())
 @click.option("--out", required=True, type=click.Path(), help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override the acquisition seed.")
-@click.option("--frames", type=int, default=1, show_default=True,
-              help="Signal frames per pixel (several enable a median background).")
 @_exit_codes()
-def simulate(scene_file, out, seed, frames):
+def simulate(scene_file, out, seed):
     """Simulate signal and background histograms for SCENE_FILE."""
     scene, params, _grid = sceneio.load_scene(scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
-    if frames < 1:
-        raise ValueError("--frames must be >= 1")
 
-    # Every file the run writes, in write order, grouped with the call that
-    # makes their histograms: the manifest lists exactly the names written.
-    groups = []
-    for i in range(scene.num_pixels):
-        if frames == 1:
-            groups.append(([f"pixel{i:02d}_signal.csv"],
-                           lambda i=i: [simulate_histogram(scene, i, params)]))
-        else:
-            groups.append(([f"pixel{i:02d}_frame{k:02d}.csv" for k in range(frames)],
-                           lambda i=i: simulate_frames(scene, i, params, frames)))
-        groups.append(([f"pixel{i:02d}_background.csv"],
-                       lambda i=i: [simulate_background(scene, i, params)]))
-    outputs = [name for names, _ in groups for name in names]
+    # The manifest lists exactly the names written, in write order.
+    outputs = [_histogram_name(i, kind) for i in range(scene.num_pixels) for kind in _KINDS]
     out_dir = Path(out)
     with sceneio.run_manifest(out_dir, scene_file, params, outputs):
-        for names, simulate_group in groups:
-            for name, hist in zip(names, simulate_group(), strict=True):
-                sceneio.write_histogram_csv(out_dir / name, hist)
+        for i in range(scene.num_pixels):
+            sceneio.write_histogram_csv(out_dir / _histogram_name(i, "signal"),
+                                        simulate_histogram(scene, i, params))
+            sceneio.write_histogram_csv(out_dir / _histogram_name(i, "background"),
+                                        simulate_background(scene, i, params))
     click.echo(f"wrote {len(outputs)} histogram files to {out_dir}", file=sys.stdout)
 
 
-def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str):
+def _read_pixel_histograms(hist_dir: Path, num_pixels: int):
     """Collect (signal, background) per pixel from a simulate output directory.
 
-    Also returns the pixels whose background is the median of their frames.
+    A file whose ``# pixel=`` header is not the pixel its name gives is refused.
     """
-    signals, backgrounds, median_pixels = [], [], []
+    signals, backgrounds = [], []
     for i in range(num_pixels):
-        single = hist_dir / f"pixel{i:02d}_signal.csv"
-        if single.exists():
-            frames = [sceneio.read_histogram_csv(single)]
-        else:
-            frames = [sceneio.read_histogram_csv(f)
-                      for f in sorted(hist_dir.glob(f"pixel{i:02d}_frame*.csv"))]
-            if not frames:
-                raise ValueError(f"no signal histogram for pixel {i} in {hist_dir}")
-        bg_file = hist_dir / f"pixel{i:02d}_background.csv"
-        mode = background_mode
-        if mode == "auto":
-            mode = "file" if bg_file.exists() else "median"
-        if mode == "file":
-            if not bg_file.exists():
-                raise ValueError(f"missing background file {bg_file}")
-            background = sceneio.read_histogram_csv(bg_file)
-        else:
-            if len(frames) < 3:
-                raise ValueError(f"median background needs >= 3 signal frames for pixel {i}, "
-                                 f"got {len(frames)}")
-            background = estimate_background_median(frames)
-            median_pixels.append(i)
-        signals.append(frames[0])
-        backgrounds.append(background)
-    return signals, backgrounds, median_pixels
+        for kind, hists in zip(_KINDS, (signals, backgrounds)):
+            path = hist_dir / _histogram_name(i, kind)
+            if not path.exists():
+                raise ValueError(f"no {kind} histogram for pixel {i} in {hist_dir}: "
+                                 f"{path.name} is missing")
+            hist = sceneio.read_histogram_csv(path)
+            if hist.pixel_index != i:
+                raise ValueError(f"{path}: header pixel={hist.pixel_index} is not the "
+                                 f"pixel {i} its name gives")
+            hists.append(hist)
+    return signals, backgrounds
 
 
 @main.command()
@@ -133,14 +108,9 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int, background_mode: str
 @click.option("--seed", type=int, default=None, help="Override the acquisition seed.")
 @click.option("--grid-res", type=float, default=None, help="Override grid resolution (m).")
 @click.option("--targets", type=int, default=1, show_default=True, help="Targets to resolve.")
-@click.option("--background", type=click.Choice(["auto", "file", "median"]), default="auto",
-              show_default=True, help="Background source when reading histograms.")
-@click.option("--window", type=str, default=None,
-              help="Crop window 'start,end' in seconds (default: derived from the grid).")
 @click.option("--maps", "write_maps", is_flag=True, help="Also write probability-map CSVs.")
 @_exit_codes()
-def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
-                window, write_maps):
+def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
     """Localize hidden targets from histograms (read from --hist-dir or simulated)."""
     scene, params, grid = sceneio.load_scene(scene_file)
     if seed is not None:
@@ -148,45 +118,25 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, background,
     if grid_res is not None:
         grid = dataclasses.replace(grid, resolution=grid_res)
     _check_k_targets(targets)
-    win = None
-    if window is not None:
-        try:
-            start, end = (float(v) for v in window.split(","))
-            win = TimeWindow(start, end)
-        except ValueError as exc:
-            raise ValueError(f"bad --window: {exc}") from exc
 
-    median_pixels = []
     if hist_dir is not None:
-        signals, backgrounds, median_pixels = _read_pixel_histograms(
-            Path(hist_dir), scene.num_pixels, background)
+        signals, backgrounds = _read_pixel_histograms(Path(hist_dir), scene.num_pixels)
     else:
         signals, backgrounds = simulate_scene(scene, params)
     result = reconstruct_from_histograms(
         signals, backgrounds, scene.laser_spot, list(scene.pixels), grid, params,
-        offset_s=calibration_offset_s(scene, params),
-        k_targets=targets, window=win,
+        offset_s=calibration_offset_s(scene, params), k_targets=targets,
     )
-    blind = [i for i in median_pixels if i not in result.used_pixels]
-    if blind:
-        result.notes.append(
-            f"median background (pixels {', '.join(map(str, blind))}): a median over "
-            "frames removes any target that stays still across them, so 'no peak' "
-            "does not mean nothing is there"
-        )
 
-    # Every map is built before the manifest lists it. A track's fused map is
-    # localize's, from its detections' bands summed as association sums them;
-    # localize is looked up on its module, where tracing wrappers sit.
+    # Every map is built before the manifest lists it.
     maps = {}
     if write_maps:
         used = result.used_pixels
-        bands, _ = _peak_bands(result.peaks_per_pixel, scene.laser_spot,
-                               [scene.pixels[pix] for pix in used], grid)
-        for track, det in zip(result.tracks, result.detections):
-            log_density = _fused_log(lambda pair: bands[pair].log_values, det)
-            _, maps[f"fused_map_{track.target_label}.csv"] = localization.localize(
-                log_density, grid, track.position, track.target_label)
+        bands, fused = localization.result_maps(
+            result.peaks_per_pixel, scene.laser_spot, [scene.pixels[i] for i in used], grid,
+            result.tracks, result.detections)
+        for track, fused_map in zip(result.tracks, fused):
+            maps[f"fused_map_{track.target_label}.csv"] = fused_map
         for (i, j), band in bands.items():
             maps[f"pixel{used[i]:02d}_peak{j}_map.csv"] = band
     out_dir = Path(out)

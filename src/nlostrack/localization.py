@@ -422,14 +422,6 @@ def _ellipses(peaks_per_pixel, r_l, pixels):
     return ellipses, last_error
 
 
-def _peak_bands(peaks_per_pixel, r_l, pixels, grid):
-    # The full-grid bands that --maps writes, keyed (pixel index, peak index),
-    # skipping peaks without an ellipse; and the last such error.
-    ellipses, last_error = _ellipses(peaks_per_pixel, r_l, pixels)
-    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in ellipses}
-    return bands, last_error
-
-
 def _fused_log(band_log, det, out=None):
     # One target's band log-densities summed in detection order, the order
     # every fused map is built in: ``band_log(pair)`` gives the (pixel, peak)
@@ -439,6 +431,32 @@ def _fused_log(band_log, det, out=None):
     for pair in det[2:]:
         total += band_log(pair)
     return total
+
+
+def result_maps(
+    peaks_per_pixel: list[list[PeakEstimate]],
+    r_l: Point3,
+    pixels: list[Point3],
+    grid: GridSpec,
+    tracks: list[TrackEstimate],
+    detections: list[tuple[tuple[int, int], ...]],
+) -> tuple[dict[tuple[int, int], EllipseBand], list[ProbabilityMap]]:
+    """The maps of one association result: every band and each track's fused map.
+
+    The bands are keyed (pixel index, peak index), the pixel index counting
+    ``pixels``, and skip peaks without an ellipse. Each track's fused map is
+    ``localize``'s, from the bands of its detections summed as association
+    sums them, so it is the map association built, bit for bit; empty
+    ``detections`` (a result that is not ``ok``) give none.
+    """
+    ellipses, _ = _ellipses(peaks_per_pixel, r_l, pixels)
+    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in ellipses}
+    fused = [
+        localize(_fused_log(lambda pair: bands[pair].log_values, det), grid,
+                 track.position, track.target_label)[1]
+        for track, det in zip(tracks, detections)
+    ]
+    return bands, fused
 
 
 def associate_and_localize(

@@ -133,19 +133,6 @@ def subtract_background(hist: TransientHistogram, background: TransientHistogram
     return replace(hist, counts=diff)
 
 
-def estimate_background_median(frames: list[TransientHistogram]) -> TransientHistogram:
-    """Per-bin lower median over repeated frames; robust to a target present in a few."""
-    if len(frames) < 3:
-        raise ValueError(f"need at least 3 frames for a median background, got {len(frames)}")
-    first = frames[0]
-    for f in frames[1:]:
-        _require_same_shape(first, f)
-    stacked = np.stack([f.counts for f in frames])
-    stacked.sort(axis=0)
-    lower_median = stacked[(len(frames) - 1) // 2]
-    return replace(first, counts=lower_median)
-
-
 def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
     # The indices scipy.signal.find_peaks(x, height=height, distance=distance)
     # returns, without importing scipy. A peak is a rise followed, after a

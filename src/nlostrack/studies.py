@@ -120,11 +120,11 @@ class ScenarioResult:
         return self.status in ("ok", "ambiguous") and bool(self.tracks)
 
 
-def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets, window):
+def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets):
     # Subtraction is per bin and cropping only selects and reorders bins, so
     # subtracting the raw histograms first needs one offset and one crop.
-    win = window if window is not None else auto_time_window(r_l, r_i, grid, params)
-    cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), win)
+    window = auto_time_window(r_l, r_i, grid, params)
+    cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), window)
     seeds = detect_peaks(cleaned, max_peaks=k_targets, irf_sigma_s=params.irf_sigma_s)
     if not seeds:
         return []
@@ -140,7 +140,6 @@ def reconstruct_from_histograms(
     params: AcquisitionParams,
     offset_s: float,
     k_targets: int = 1,
-    window: TimeWindow | None = None,
 ) -> ScenarioResult:
     """Run the retrieval chain on already-acquired raw histograms.
 
@@ -166,9 +165,8 @@ def reconstruct_from_histograms(
     used: list[int] = []
     for i, (sig, bg) in enumerate(zip(signal_hists, background_hists)):
         try:
-            peaks = _process_pixel(
-                sig, bg, laser_spot, pixels[i], offset_s, grid, params, k_targets, window
-            )
+            peaks = _process_pixel(sig, bg, laser_spot, pixels[i], offset_s, grid, params,
+                                   k_targets)
         except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"pixel {i}: {exc}") from exc
         if peaks:

@@ -19,7 +19,6 @@ from nlostrack import (
     expected_counts,
     expected_signal_rate,
     simulate_background,
-    simulate_frames,
     simulate_histogram,
     tof,
 )
@@ -311,19 +310,17 @@ class TestSimulate:
 
     def test_draws_keep_their_generator_keys(self):
         # Each draw is a Poisson realisation of the (shared) intensity from
-        # default_rng([seed, pixel, stream...]).
+        # default_rng([seed, pixel, stream]): stream 0 the signal, 1 the background.
         scene = make_scene(objects=[HiddenObject(Point3(0.6, 1.2, 1.0), 3.0)])
         p = AcquisitionParams(rng_seed=29, system_throughput=1e5)
         mu = expected_counts(scene, 1, p)
         bg = expected_counts(scene, 1, p, include_objects=False)
 
-        def poisson(lam, *key):
-            return np.random.default_rng([29, 1, *key]).poisson(lam)
+        def poisson(lam, stream):
+            return np.random.default_rng([29, 1, stream]).poisson(lam)
 
         np.testing.assert_array_equal(simulate_histogram(scene, 1, p).counts, poisson(mu, 0))
         np.testing.assert_array_equal(simulate_background(scene, 1, p).counts, poisson(bg, 1))
-        for k, frame in enumerate(simulate_frames(scene, 1, p, 3)):
-            np.testing.assert_array_equal(frame.counts, poisson(mu, 2, k))
 
     def test_aliasing_refused(self):
         # 10 m of path at 40 MHz exceeds the 7.5 m unambiguous range
@@ -348,20 +345,7 @@ class TestSimulate:
         assert np.all(np.abs(mean - var) <= 5 * se)
 
 
-class TestFramesAndOffset:
-    def test_frames_deterministic_and_independent(self):
-        scene = make_scene(objects=[HiddenObject(Point3(0.6, 1.2, 1.0), 3.0)])
-        p = AcquisitionParams(rng_seed=9)
-        a = simulate_frames(scene, 0, p, 3)
-        b = simulate_frames(scene, 0, p, 3)
-        assert all(x == y for x, y in zip(a, b))
-        assert not np.array_equal(a[0].counts, a[1].counts)
-
-    def test_frames_validates_count(self):
-        scene = make_scene()
-        with pytest.raises(ValueError):
-            simulate_frames(scene, 0, AcquisitionParams(), 0)
-
+class TestCalibrationOffset:
     def test_calibration_offset_range_and_wrap(self):
         p = AcquisitionParams()
         near = calibration_offset_s(make_scene(standoff=2.0), p)

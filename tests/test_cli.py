@@ -2,10 +2,11 @@ import contextlib
 import functools
 import gc
 import json
-import math
+import re
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from nlostrack import Point3, localization, sceneio, studies
 from nlostrack.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 SCENE = {
     "laser_spot": [-0.5, 0.0, 1.15],
@@ -111,15 +113,6 @@ class TestSimulate:
             assert result.exit_code == 0
         assert read_bytes_sorted(tmp_path / "a", "*.csv") == read_bytes_sorted(tmp_path / "b", "*.csv")
 
-    def test_frames_mode(self, runner, scene_file, tmp_path):
-        out = tmp_path / "frames"
-        result = runner.invoke(
-            main, ["simulate", str(scene_file), "--out", str(out), "--frames", "4"]
-        )
-        assert result.exit_code == 0
-        assert len(list(out.glob("pixel00_frame*.csv"))) == 4
-        assert (out / "pixel00_background.csv").exists()
-
     def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
                                                          monkeypatch):
         out = tmp_path / "sim"
@@ -145,17 +138,14 @@ class TestSimulate:
         assert result.exit_code == 2
         assert f"scene.{field} must be a JSON object" in result.output
 
-
-    @pytest.mark.parametrize("frames", [1, 3])
-    def test_manifest_outputs_are_the_files_written(self, runner, scene_file, tmp_path, frames):
+    def test_manifest_outputs_are_the_files_written(self, runner, scene_file, tmp_path):
         out = tmp_path / "sim"
-        result = runner.invoke(
-            main, ["simulate", str(scene_file), "--out", str(out), "--frames", str(frames)]
-        )
+        result = runner.invoke(main, ["simulate", str(scene_file), "--out", str(out)])
         assert result.exit_code == 0, result.output
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         written = {p.name for p in out.iterdir()} - {"manifest.json"}
-        assert len(outputs) == len(set(outputs)) == 4 * (frames + 1)
+        assert outputs == [f"pixel{i:02d}_{kind}.csv"
+                           for i in range(4) for kind in ("signal", "background")]
         assert set(outputs) == written
         assert f"wrote {len(outputs)} histogram files" in result.output
 
@@ -216,59 +206,36 @@ class TestReconstruct:
         runner.invoke(main, ["reconstruct", str(scene_file), "--out", str(direct)])
         assert (via_files / "tracks.json").read_bytes() == (direct / "tracks.json").read_bytes()
 
-    def test_median_fallback_with_frames(self, runner, scene_file, tmp_path):
+    def test_missing_background_file_exit_2_names_file(self, runner, scene_file, tmp_path):
         sim = tmp_path / "sim"
-        runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim), "--frames", "5"])
-        for bg in sim.glob("*_background.csv"):
-            bg.unlink()
-        result = runner.invoke(
-            main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
-                   "--out", str(tmp_path / "rec"), "--background", "median"]
-        )
-        assert result.exit_code == 0, result.output
-        doc = json.loads((tmp_path / "rec" / "tracks.json").read_text())
-        assert doc["status"] == "ok"
-        assert len(doc["tracks"]) == 1
-        track = doc["tracks"][0]
-        assert math.dist((track["x"], track["y"]), (0.6, 1.2)) < 0.1
-
-    def test_median_without_enough_frames_exit_2(self, runner, scene_file, tmp_path):
-        sim = tmp_path / "sim"
-        runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)])
-        for bg in sim.glob("*_background.csv"):
-            bg.unlink()
+        assert runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)]).exit_code == 0
+        (sim / "pixel00_background.csv").unlink()
         result = runner.invoke(
             main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
                    "--out", str(tmp_path / "rec")]
         )
         assert result.exit_code == 2
-        assert "3 signal frames" in result.output
+        assert result.output == (f"error: no background histogram for pixel 0 in {sim}: "
+                                 "pixel00_background.csv is missing\n")
 
-    def test_median_of_static_frames_says_why_no_peak(self, runner, tmp_path):
-        # Every frame holds the same still target, so their median holds its
-        # return too and subtracting it leaves no peak at any pixel.
-        scene = CONFIGS / "single_person.json"
-        sim, rec = tmp_path / "sim", tmp_path / "rec"
+    @pytest.mark.parametrize("kind", ["signal", "background"])
+    def test_histogram_of_another_pixel_exit_2_names_file(self, runner, tmp_path, kind):
+        # pixel 1's histogram under pixel 0's name would otherwise localize
+        # a target from the wrong pixel's return, with status ok.
+        scene, sim = CONFIGS / "single_person.json", tmp_path / "sim"
         assert runner.invoke(
-            main, ["simulate", str(scene), "--out", str(sim), "--frames", "5"]
+            main, ["simulate", str(scene), "--out", str(sim), "--seed", "7"]
         ).exit_code == 0
+        wrong = sim / f"pixel00_{kind}.csv"
+        wrong.write_bytes((sim / f"pixel01_{kind}.csv").read_bytes())
         result = runner.invoke(
-            main, ["reconstruct", str(scene), "--hist-dir", str(sim), "--out", str(rec),
-                   "--background", "median"]
+            main, ["reconstruct", str(scene), "--hist-dir", str(sim), "--seed", "7",
+                   "--out", str(tmp_path / "rec")]
         )
-        assert result.exit_code == 3, result.output
-        notes = json.loads((rec / "tracks.json").read_text())["diagnostics"]
-        assert notes[:4] == [f"pixel {i}: no peak above threshold" for i in range(4)]
-        assert notes[-1].startswith("median background (pixels 0, 1, 2, 3): a median over "
-                                    "frames removes any target that stays still")
-        assert f"  {notes[-1]}\n" in result.output
-        # The same frames against the background files carry no such note.
-        result = runner.invoke(
-            main, ["reconstruct", str(scene), "--hist-dir", str(sim), "--out", str(rec),
-                   "--background", "file"]
-        )
-        notes = json.loads((rec / "tracks.json").read_text())["diagnostics"]
-        assert not any("median" in note for note in notes), notes
+        assert result.exit_code == 2
+        assert result.output == (f"error: {wrong}: header pixel=1 is not the pixel 0 "
+                                 "its name gives\n")
+        assert not (tmp_path / "rec").exists()
 
     def test_signal_files_read_without_globbing(self, runner, scene_file, tmp_path,
                                                 monkeypatch):
@@ -293,7 +260,8 @@ class TestReconstruct:
                    "--out", str(tmp_path / "rec")]
         )
         assert result.exit_code == 2
-        assert result.output == f"error: no signal histogram for pixel 0 in {empty}\n"
+        assert result.output == (f"error: no signal histogram for pixel 0 in {empty}: "
+                                 "pixel00_signal.csv is missing\n")
 
     def test_zero_irf_width_exit_2_without_warnings(self, runner, tmp_path):
         scene = tmp_path / "delta.json"
@@ -460,22 +428,6 @@ class TestReconstruct:
         assert str(signal) in result.output
         assert sceneio.HISTOGRAM_FORMAT in result.output
 
-    def test_bad_window_exit_2(self, runner, scene_file, tmp_path):
-        result = runner.invoke(
-            main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
-                   "--window", "oops"]
-        )
-        assert result.exit_code == 2
-
-    def test_window_shorter_than_smoothing_exit_2(self, runner, scene_file, tmp_path):
-        # 20 ps is 5 bins of 4 ps, fewer than the 30-bin detection average
-        result = runner.invoke(
-            main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
-                   "--window", "1e-8,1.002e-8"]
-        )
-        assert result.exit_code == 2
-        assert "pixel 0: histogram of 5 bins is shorter than the 30-bin" in result.output
-
     @pytest.mark.parametrize("targets", ["0", "-1"])
     def test_nonpositive_targets_exit_2(self, runner, scene_file, tmp_path, targets):
         result = runner.invoke(
@@ -520,12 +472,14 @@ class TestInProcessRuns:
         # Each invocation gives the command new sys.stdout and sys.stderr
         # streams; an echo must not keep them alive once the call returns.
         sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, grid=5)))
         runs = [
             (["simulate", str(scene_file), "--out", sim], 0),
             (["reconstruct", str(scene_file), "--hist-dir", sim, "--out", rec,
               "--grid-res", "0.1"], 0),
-            (["reconstruct", str(scene_file), "--out", rec, "--window", "bad"], 2),
-            (["simulate", str(scene_file), "--out", sim, "--frames", "0"], 2),
+            (["reconstruct", str(scene_file), "--out", rec, "--targets", "0"], 2),
+            (["simulate", str(bad), "--out", str(tmp_path / "x")], 2),
             (["reconstruct", str(scene_file), "--hist-dir", sim, "--out", rec,
               "--grid-res", "0.1", "--maps"], 0),
         ]
@@ -648,3 +602,14 @@ class TestExitCodes:
                                       "--out", str(inputs / "out")])
         assert result.exit_code != 0
         assert "error:" not in result.output
+
+
+def test_readme_cli_section_names_exactly_the_cli_options():
+    # Every option of simulate, reconstruct and sweep is documented in the
+    # README's CLI section, and that section names no option the CLI lacks.
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    options = {opt for command in main.commands.values() for param in command.params
+               if isinstance(param, click.Option) for opt in param.opts}
+    assert sorted(main.commands) == ["reconstruct", "simulate", "sweep"]
+    assert named == options

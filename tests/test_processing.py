@@ -21,7 +21,6 @@ from nlostrack import (
     calibration_offset_s,
     crop,
     detect_peaks,
-    estimate_background_median,
     fit_gaussian_mixture,
     fit_peaks,
     simulate_background,
@@ -209,39 +208,6 @@ class TestSubtract:
         centers = np.where(centers < 0, centers + out.span_s, centers)
         expect = tof(scene.laser_spot, scene.objects[0].position, scene.pixels[0])
         assert abs(centers[np.argmax(out.counts)] - expect) < 2 * BW
-
-
-class TestMedianBackground:
-    def test_identical_frames_pass_through(self):
-        h = hist_from([2, 4, 6])
-        assert estimate_background_median([h, h, h]) == h
-
-    def test_lower_median_robust_to_outlier(self):
-        frames = [hist_from([0]), hist_from([0]), hist_from([0]), hist_from([9])]
-        assert estimate_background_median(frames).counts[0] == 0
-
-    def test_needs_three_frames(self):
-        h = hist_from([1])
-        with pytest.raises(ValueError, match="at least 3"):
-            estimate_background_median([h, h])
-
-    def test_median_recovers_background_with_transient_object(self):
-        # 11 frames, object present in only 2: per-bin median tracks the
-        # background expectation within 3 sigma
-        scene = quiet_scene()
-        bg_scene = dataclasses.replace(scene, objects=())
-        p = AcquisitionParams(dark_rate_hz=500.0, rng_seed=0)
-        frames = []
-        for k in range(11):
-            seed_p = dataclasses.replace(p, rng_seed=100 + k)
-            src = scene if k in (4, 7) else bg_scene
-            frames.append(simulate_histogram(src, 0, seed_p))
-        med = estimate_background_median(frames)
-        from nlostrack import expected_counts
-
-        mu = expected_counts(bg_scene, 0, p)
-        bound = 3 * np.maximum(np.sqrt(mu), 1.0)
-        assert np.all(np.abs(med.counts - mu) <= bound)
 
 
 class TestDetect:
