@@ -108,7 +108,7 @@ def _read_pixel_histograms(hist_dir: Path, num_pixels: int):
 @click.option("--seed", type=int, default=None, help="Override the acquisition seed.")
 @click.option("--grid-res", type=float, default=None, help="Override grid resolution (m).")
 @click.option("--targets", type=int, default=1, show_default=True, help="Targets to resolve.")
-@click.option("--maps", "write_maps", is_flag=True, help="Also write probability-map CSVs.")
+@click.option("--maps", "write_maps", is_flag=True, help="Also write each track's fused-map CSV.")
 @_exit_codes()
 def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
     """Localize hidden targets from histograms (read from --hist-dir or simulated)."""
@@ -131,18 +131,13 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
     # Every map is built before the manifest lists it.
     maps = {}
     if write_maps:
-        used = result.used_pixels
-        bands, fused = localization.result_maps(
-            result.peaks_per_pixel, scene.laser_spot, [scene.pixels[i] for i in used], grid,
-            result.tracks, result.detections)
-        for track, fused_map in zip(result.tracks, fused):
-            maps[f"fused_map_{track.target_label}.csv"] = fused_map
-        for (i, j), band in bands.items():
-            maps[f"pixel{used[i]:02d}_peak{j}_map.csv"] = band
+        fused = localization.fused_maps(
+            result.peaks_per_pixel, scene.laser_spot,
+            [scene.pixels[i] for i in result.used_pixels], grid, result.tracks, result.detections)
+        maps = {f"fused_map_{t.target_label}.csv": m for t, m in zip(result.tracks, fused)}
     out_dir = Path(out)
     with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):
-        sceneio.write_tracks_json(out_dir / "tracks.json", result.tracks,
-                                  result.notes, result.status)
+        sceneio.write_tracks_json(out_dir / "tracks.json", result)
         for name, pmap in maps.items():
             sceneio.write_map_csv(out_dir / name, pmap)
 

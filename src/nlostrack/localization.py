@@ -280,8 +280,8 @@ def localize(
 ) -> tuple[TrackEstimate, ProbabilityMap]:
     """One target's track and fused map from its summed band log-density.
 
-    ``log_density`` is the sum of the target's band ``log_values``, a fresh
-    array that becomes the fused map's values. The track sits at
+    ``log_density`` is the target's band log-densities summed over the grid,
+    a fresh array that becomes the fused map's values. The track sits at
     ``position``, the target's optimum on the continuous density; its
     spreads are the fused map's second moments and its peak value the map's
     maximum. Raises EmptyIntersectionError when the density underflows to
@@ -409,54 +409,44 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
             yield tuple(assignment)
 
 
-def _ellipses(peaks_per_pixel, r_l, pixels):
-    # (c t, c sigma) of every peak that has an ellipse, keyed (pixel index,
-    # peak index); and the last InfeasibleTimeError of a peak that has none.
-    ellipses, last_error = {}, None
-    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
-        for ipk, peak in enumerate(peaks):
-            try:
-                ellipses[ipix, ipk] = _ellipse(peak, r_l, pixel)
-            except InfeasibleTimeError as exc:
-                last_error = exc
-    return ellipses, last_error
-
-
-def _fused_log(band_log, det, out=None):
+def _fused_log(band_log, det, out):
     # One target's band log-densities summed in detection order, the order
     # every fused map is built in: ``band_log(pair)`` gives the (pixel, peak)
-    # pair's band; the first two are added into ``out`` (a new array when
-    # None) and each later one in place, freed before the next is built.
+    # pair's band; the first two are added into ``out`` and each later one in
+    # place, freed before the next is built.
     total = np.add(band_log(det[0]), band_log(det[1]), out=out)
     for pair in det[2:]:
         total += band_log(pair)
     return total
 
 
-def result_maps(
-    peaks_per_pixel: list[list[PeakEstimate]],
-    r_l: Point3,
-    pixels: list[Point3],
-    grid: GridSpec,
-    tracks: list[TrackEstimate],
-    detections: list[tuple[tuple[int, int], ...]],
-) -> tuple[dict[tuple[int, int], EllipseBand], list[ProbabilityMap]]:
-    """The maps of one association result: every band and each track's fused map.
+def _log_density(peaks_per_pixel, r_l, pixels, grid, det):
+    # One target's full-grid log-density, its one builder: the bands come
+    # from the module-level backproject and are summed a block of rows at a
+    # time, so no full-grid band is held beside the sum.
+    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in det}
+    total = np.empty((grid.ny, grid.nx))
+    rows = max(1, _BLOCK_CELLS // grid.nx)
+    for r0 in range(0, grid.ny, rows):
+        block = slice(r0, r0 + rows)
+        _fused_log(lambda pair: bands[pair].log_rows(block), det, out=total[block])
+    return total
 
-    The bands are keyed (pixel index, peak index), the pixel index counting
-    ``pixels``, and skip peaks without an ellipse. Each track's fused map is
-    ``localize``'s, from the bands of its detections summed as association
-    sums them, so it is the map association built, bit for bit; empty
-    ``detections`` (a result that is not ``ok``) give none.
+
+def fused_maps(
+    peaks_per_pixel: list[list[PeakEstimate]], r_l: Point3, pixels: list[Point3], grid: GridSpec,
+    tracks: list[TrackEstimate], detections: list[tuple[tuple[int, int], ...]],
+) -> list[ProbabilityMap]:
+    """Each track's fused map from its detections, as association built it, bit for bit.
+
+    A detection's pixel index counts ``pixels``. Empty ``detections`` (a
+    result that is not ``ok``) give no map.
     """
-    ellipses, _ = _ellipses(peaks_per_pixel, r_l, pixels)
-    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in ellipses}
-    fused = [
-        localize(_fused_log(lambda pair: bands[pair].log_values, det), grid,
+    return [
+        localize(_log_density(peaks_per_pixel, r_l, pixels, grid, det), grid,
                  track.position, track.target_label)[1]
         for track, det in zip(tracks, detections)
     ]
-    return bands, fused
 
 
 def associate_and_localize(
@@ -487,26 +477,23 @@ def associate_and_localize(
     if any(len(p) == 0 for p in peaks_per_pixel):
         raise ValueError("every pixel must contribute at least one peak")
 
+    # (c t, c sigma) of every peak that has an ellipse, keyed (pixel index,
+    # peak index), and the last InfeasibleTimeError of a peak that has none.
     # _refine_position works on each detection's (r_l, r_i, ct, c_sigma);
     # seeding reads its band only on the seed lattice, which is that band's
     # own every _SEED_STRIDE-th row and column.
-    ellipses, last_error = _ellipses(peaks_per_pixel, r_l, pixels)
+    ellipses, last_error = {}, None
+    for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
+        for ipk, peak in enumerate(peaks):
+            try:
+                ellipses[ipix, ipk] = _ellipse(peak, r_l, pixel)
+            except InfeasibleTimeError as exc:
+                last_error = exc
     measured = {(i, j): (r_l, pixels[i], *ellipse) for (i, j), ellipse in ellipses.items()}
     lattice_paths = [path_length_map(r_l, pixel, grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
                      for pixel in pixels]
     lattice = {(i, j): _band_log(lattice_paths[i], *ellipse) for (i, j), ellipse in ellipses.items()}
-
-    rows = max(1, _BLOCK_CELLS // grid.nx)
-
-    def _log_density(det):
-        # The target's full-grid log-density. Its bands come from the
-        # module-level backproject and are summed a block of rows at a time.
-        bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in det}
-        total = np.empty((grid.ny, grid.nx))
-        for r0 in range(0, grid.ny, rows):
-            block = slice(r0, r0 + rows)
-            _fused_log(lambda pair: bands[pair].log_rows(block), det, out=total[block])
-        return total
+    log_density = functools.partial(_log_density, peaks_per_pixel, r_l, pixels, grid)
 
     xc, yc = grid.x_centers(), grid.y_centers()
     work = np.empty((len(yc[::_SEED_STRIDE]), len(xc[::_SEED_STRIDE])))  # lattice sums
@@ -524,7 +511,7 @@ def associate_and_localize(
         # only when no lattice cell is finite, so a target is dropped exactly
         # when its bands share no finite cell anywhere.
         log_prod = _fused_log(lattice.__getitem__, det, out=work)
-        return _best_cell(log_prod, _SEED_STRIDE) or _best_cell(_log_density(det), 1)
+        return _best_cell(log_prod, _SEED_STRIDE) or _best_cell(log_density(det), 1)
 
     candidates = {}
     for combo in itertools.product(
@@ -566,7 +553,7 @@ def associate_and_localize(
         # the targets a caller gets back; each fused map dies with its step.
         ordered = sorted(targets, key=lambda t: t[0])
         tracks = [
-            localize(_log_density(det), grid, pos, f"target-{i + 1}")[0]
+            localize(log_density(det), grid, pos, f"target-{i + 1}")[0]
             for i, (pos, det) in enumerate(ordered)
         ]
         return tracks, [det for _, det in ordered]

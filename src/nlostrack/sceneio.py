@@ -22,8 +22,8 @@ import numpy as np
 
 from .acquisition import AcquisitionParams, TransientHistogram
 from .geometry import HiddenObject, Point3, Scene
-from .localization import GridSpec, ProbabilityMap, TrackEstimate
-from .studies import SweepConfig, SweepResult, SweepRow
+from .localization import GridSpec, ProbabilityMap
+from .studies import ScenarioResult, SweepConfig, SweepResult, SweepRow
 
 HISTOGRAM_FORMAT = "nlostrack-histogram v1"
 MAP_FORMAT = "nlostrack-map v1"
@@ -209,20 +209,32 @@ def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_dict(_load_json_object(path, "sweep config"))
 
 
-def tracks_to_dict(tracks: list[TrackEstimate], notes: list[str], status: str) -> dict:
+def tracks_to_dict(result: ScenarioResult) -> dict:
+    """The ``tracks.json`` document; ``detections`` lists every fitted return.
+
+    Returns come in (pixel, peak) order, pixels numbered as in the scene,
+    each with the label of the track that fuses it or None.
+    """
+    fused_by = {pair: track.target_label
+                for track, det in zip(result.tracks, result.detections) for pair in det}
     return {
-        "status": status,
+        "status": result.status,
         "tracks": [
             {"label": t.target_label, "x": t.position[0], "y": t.position[1],
              "sigma_x": t.sigma_x, "sigma_y": t.sigma_y, "peak_value": t.peak_value}
-            for t in tracks
+            for t in result.tracks
         ],
-        "diagnostics": list(notes),
+        "detections": [
+            {"pixel": result.used_pixels[i], "peak": j, "t_s": p.t_s, "sigma_s": p.sigma_s,
+             "amplitude": p.amplitude, "track": fused_by.get((i, j))}
+            for i, peaks in enumerate(result.peaks_per_pixel) for j, p in enumerate(peaks)
+        ],
+        "diagnostics": list(result.notes),
     }
 
 
-def write_tracks_json(path, tracks, notes, status):
-    _write_json(path, tracks_to_dict(tracks, notes, status))
+def write_tracks_json(path, result: ScenarioResult):
+    _write_json(path, tracks_to_dict(result))
 
 
 # ---------------------------------------------------------------------------

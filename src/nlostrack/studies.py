@@ -103,9 +103,12 @@ def auto_time_window(
 class ScenarioResult:
     """Tracks plus the per-pixel intermediates that produced them.
 
-    ``detections`` holds, for each track of an ``ok`` result, the
-    (pixel index, peak index) pairs whose bands it fuses, the pixel index
-    counting ``used_pixels``; it is empty for any other status.
+    ``peaks_per_pixel`` holds every fitted return of each of ``used_pixels``
+    (scene pixel numbers). ``detections`` holds, for each track of an ``ok``
+    result, the (pixel index, peak index) pairs whose bands it fuses, the
+    pixel index counting ``used_pixels``; it is empty for any other status.
+    ``sceneio.tracks_to_dict`` writes every return with the label of the
+    track that fuses it, which is all a band or fused map is rebuilt from.
     """
 
     tracks: list[TrackEstimate]

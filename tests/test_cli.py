@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import gc
 import json
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nlostrack import Point3, localization, sceneio, studies
+from nlostrack import (
+    SPEED_OF_LIGHT, PeakEstimate, Point3, backproject, localization, localize, sceneio,
+    studies,
+)
 from nlostrack.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,6 +64,12 @@ def scene_file(tmp_path):
 
 def read_bytes_sorted(directory, pattern):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).glob(pattern))}
+
+
+def map_bytes(tmp_path, pmap):
+    path = tmp_path / "map.csv"
+    sceneio.write_map_csv(path, pmap)
+    return path.read_bytes()
 
 
 def interrupt(*args, **kwargs):
@@ -314,8 +324,8 @@ class TestReconstruct:
                    "--maps", "--grid-res", "0.1"]
         )
         assert result.exit_code == 0, result.output
-        assert (rec / "fused_map_target-1.csv").exists()
-        assert len(list(rec.glob("pixel*_peak*_map.csv"))) == 4
+        assert [p.name for p in rec.glob("*map*.csv")] == ["fused_map_target-1.csv"]
+        assert not list(rec.glob("pixel*_peak*_map.csv"))
 
     def test_ambiguous_maps_manifest_lists_only_written_files(self, runner, tmp_path):
         # mirror-symmetric pixels and targets: the association is ambiguous,
@@ -334,7 +344,8 @@ class TestReconstruct:
     def test_maps_skip_infeasible_peaks(self, runner, tmp_path):
         # histograms of the bundled scene read with a 1.4 m standoff error:
         # one pixel's corrected return time is too short to reach its pixel,
-        # so it has no ellipse, no map and no place in the manifest
+        # so it has no ellipse; tracks.json lists it with no track, and no
+        # map is written
         sim, rec = tmp_path / "sim", tmp_path / "rec"
         assert runner.invoke(
             main, ["simulate", str(CONFIGS / "single_person.json"), "--out", str(sim),
@@ -350,15 +361,22 @@ class TestReconstruct:
         assert result.exit_code == 3, result.output
         assert "no feasible assignment" in result.output
         manifest = assert_manifest_complete_and_lists_only_written_files(rec)
-        assert len(manifest["outputs"]) < 1 + len(doc["pixels"])
+        assert manifest["outputs"] == ["tracks.json"]
+        detections = json.loads((rec / "tracks.json").read_text())["detections"]
+        laser = Point3(*doc["laser_spot"])
+        infeasible = [d for d in detections if SPEED_OF_LIGHT * d["t_s"]
+                      <= laser.distance_to(Point3(*doc["pixels"][d["pixel"]]))]
+        assert len(infeasible) == 1 and infeasible[0]["track"] is None
 
-    @pytest.mark.parametrize("case", ["ok", "ambiguous", "infeasible"])
-    def test_maps_are_every_band_and_each_track_fused_map(self, runner, tmp_path, monkeypatch,
-                                                          case):
-        # --maps writes the band of every peak that has an ellipse, named by
-        # scene pixel and peak index, and, for an ok result, each track's
-        # fused map: the bands of its detections summed in detection order,
-        # then normalised. It writes no other map.
+    @pytest.mark.parametrize("case", ["ok", "two_target", "ambiguous", "infeasible"])
+    def test_tracks_json_rebuilds_every_map(self, runner, tmp_path, monkeypatch, case):
+        # tracks.json lists every return association was given, with the
+        # label of the returned track that fuses it, and --maps writes each
+        # track's fused map and no other map. tracks.json and the scene file
+        # alone rebuild, byte for byte, every band map (one per return with
+        # an ellipse, named by scene pixel and peak index) as built from
+        # association's inputs, and each fused map, from the returns listed
+        # with its track's label.
         calls = []
         associate = studies.associate_and_localize
 
@@ -369,6 +387,7 @@ class TestReconstruct:
 
         monkeypatch.setattr(studies, "associate_and_localize", recording_associate)
         scene, rec = tmp_path / "scene.json", tmp_path / "rec"
+        grid_res = 0.1
         if case == "infeasible":
             # the histograms and 1.4 m standoff error of test_maps_skip_infeasible_peaks
             doc = json.loads((CONFIGS / "single_person.json").read_text())
@@ -376,36 +395,70 @@ class TestReconstruct:
             assert runner.invoke(main, ["simulate", str(CONFIGS / "single_person.json"),
                                         "--out", str(sim), "--seed", "3"]).exit_code == 0
             doc = dict(doc, standoff_m=3.4)
-            args, status = ["--hist-dir", str(sim), "--seed", "3", "--grid-res", "0.1"], "no_target"
+            args, status = ["--hist-dir", str(sim), "--seed", "3"], "no_target"
+        elif case == "two_target":
+            doc = json.loads((CONFIGS / "two_person.json").read_text())
+            args, status, grid_res = ["--targets", "2"], "ok", 0.05
         elif case == "ambiguous":
-            doc, args, status = MIRROR_SCENE, ["--targets", "2"], "ambiguous"
+            doc, args, status, grid_res = MIRROR_SCENE, ["--targets", "2"], "ambiguous", 0.02
         else:
-            doc, args, status = SCENE, ["--grid-res", "0.1"], "ok"
+            doc, args, status = SCENE, [], "ok"
         scene.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the ambiguity warning
-            runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps", *args])
-        assert json.loads((rec / "tracks.json").read_text())["status"] == status
+            runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps",
+                                 "--grid-res", str(grid_res), *args])
+        tracks_doc = json.loads((rec / "tracks.json").read_text())
+        assert tracks_doc["status"] == status
+        written = read_bytes_sorted(rec, "*map*.csv")
+        assert sorted(written) == sorted(f"fused_map_{t['label']}.csv"
+                                         for t in tracks_doc["tracks"] if status == "ok")
+
+        # The record and the band maps from association's recorded inputs.
         assert len(calls) == 1
         peaks_per_pixel, r_l, pixels, grid, returned = calls[0]
+        assert (returned is not None) == (status == "ok")
+        labels = {pair: track.target_label for track, det in zip(*returned or ((), ()))
+                  for pair in det}
         scene_pixels = [Point3(*p) for p in doc["pixels"]]
-        bands, want = {}, {}
+        records, want = [], {}
         for i, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
             for j, pk in enumerate(peaks):
+                ipix = scene_pixels.index(pixel)
+                records.append({"pixel": ipix, "peak": j, "t_s": pk.t_s, "sigma_s": pk.sigma_s,
+                                "amplitude": pk.amplitude, "track": labels.get((i, j))})
                 with contextlib.suppress(localization.InfeasibleTimeError):
-                    bands[i, j] = localization.backproject(pk, r_l, pixel, grid)
-        maps = {f"pixel{scene_pixels.index(pixels[i]):02d}_peak{j}_map.csv": band
-                for (i, j), band in bands.items()}
-        if returned is not None:
-            for track, det in zip(*returned):
-                maps[f"fused_map_{track.target_label}.csv"] = localization._normalized(
-                    functools.reduce(np.add, [bands[pair].log_values for pair in det]), grid)
-        for name, pmap in maps.items():
-            sceneio.write_map_csv(tmp_path / name, pmap)
-            want[name] = (tmp_path / name).read_bytes()
-        assert read_bytes_sorted(rec, "*map*.csv") == want
-        assert (returned is not None) == (case == "ok")
-        assert (len(bands) < sum(map(len, peaks_per_pixel))) == (case == "infeasible")
+                    want[f"pixel{ipix:02d}_peak{j}_map.csv"] = map_bytes(
+                        tmp_path, localization.backproject(pk, r_l, pixel, grid))
+        assert tracks_doc["detections"] == records
+        want.update(written)
+
+        # The same maps from tracks.json and the scene file alone.
+        loaded, _, grid = sceneio.load_scene(scene)
+        grid = dataclasses.replace(grid, resolution=grid_res)
+        got, bands = {}, {}
+        for d in tracks_doc["detections"]:
+            peak = PeakEstimate(d["t_s"], d["sigma_s"], d["amplitude"], d["pixel"])
+            try:
+                bands[d["pixel"], d["peak"]] = backproject(
+                    peak, loaded.laser_spot, loaded.pixels[d["pixel"]], grid)
+            except localization.InfeasibleTimeError:
+                assert d["track"] is None
+                continue
+            got[f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv"] = map_bytes(
+                tmp_path, bands[d["pixel"], d["peak"]])
+        for t in tracks_doc["tracks"]:
+            fused = [bands[d["pixel"], d["peak"]].log_values
+                     for d in tracks_doc["detections"] if d["track"] == t["label"]]
+            assert bool(fused) == (status == "ok")
+            if fused:
+                track, fused_map = localize(functools.reduce(np.add, fused), grid,
+                                            (t["x"], t["y"]), t["label"])
+                assert (track.sigma_x, track.sigma_y, track.peak_value) == (
+                    t["sigma_x"], t["sigma_y"], t["peak_value"])
+                got[f"fused_map_{t['label']}.csv"] = map_bytes(tmp_path, fused_map)
+        assert got == want
+        assert (len(bands) < len(tracks_doc["detections"])) == (case == "infeasible")
 
     def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
                                                          monkeypatch):
@@ -421,7 +474,7 @@ class TestReconstruct:
         assert runner.invoke(main, ["reconstruct", str(scene_file), "--out", str(rec),
                                     "--maps", "--grid-res", "0.1"]).exit_code == 0
         signal = sim / "pixel00_signal.csv"
-        signal.write_bytes(next(rec.glob("pixel*_peak*_map.csv")).read_bytes())
+        signal.write_bytes((rec / "fused_map_target-1.csv").read_bytes())
         result = runner.invoke(main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
                                       "--out", str(tmp_path / "rec2")])
         assert result.exit_code == 2

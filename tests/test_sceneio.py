@@ -16,7 +16,7 @@ from nlostrack import (
 from nlostrack.processing import PeakEstimate
 from nlostrack import sceneio
 from nlostrack.sceneio import SceneFormatError
-from nlostrack.studies import SweepResult, SweepRow
+from nlostrack.studies import ScenarioResult, SweepResult, SweepRow
 
 
 def scene_doc():
@@ -327,13 +327,29 @@ class TestMapAndTracks:
     def test_tracks_json(self, tmp_path):
         from nlostrack import TrackEstimate
 
+        # Scene pixels 0 and 2 were used; pixel 2 has two returns, of which
+        # the track fuses the second. Floats are written by repr, so a time
+        # of many digits reads back exactly.
         path = tmp_path / "tracks.json"
         tracks = [TrackEstimate(position=(0.5, 1.0), sigma_x=0.1, sigma_y=0.2,
                                 peak_value=3.0, target_label="target-1")]
-        sceneio.write_tracks_json(path, tracks, ["note"], "ok")
+        peaks = [[PeakEstimate(4e-9, 1.2e-10, 30.0, 0)],
+                 [PeakEstimate(5e-9, 1.1e-10, 20.0, 2), PeakEstimate(1e-8 / 3, 1e-10, 9.5, 2)]]
+        result = ScenarioResult(tracks=tracks, peaks_per_pixel=peaks, used_pixels=[0, 2],
+                                status="ok", notes=["note"], detections=[((0, 0), (1, 1))])
+        sceneio.write_tracks_json(path, result)
         doc = json.loads(path.read_text())
+        assert list(doc) == ["status", "tracks", "detections", "diagnostics"]
         assert doc["status"] == "ok"
         assert doc["tracks"][0]["x"] == 0.5
+        assert doc["detections"] == [
+            {"pixel": 0, "peak": 0, "t_s": 4e-9, "sigma_s": 1.2e-10, "amplitude": 30.0,
+             "track": "target-1"},
+            {"pixel": 2, "peak": 0, "t_s": 5e-9, "sigma_s": 1.1e-10, "amplitude": 20.0,
+             "track": None},
+            {"pixel": 2, "peak": 1, "t_s": 1e-8 / 3, "sigma_s": 1e-10, "amplitude": 9.5,
+             "track": "target-1"},
+        ]
         assert doc["diagnostics"] == ["note"]
 
 

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlostrack import (
     SPEED_OF_LIGHT,
@@ -24,7 +28,7 @@ from nlostrack import (
     run_two_person,
     tof,
 )
-from nlostrack import localization, studies
+from nlostrack import localization, sceneio, studies
 from nlostrack.studies import DEFAULT_GRID, DEFAULT_LASER, DEFAULT_PIXELS, _trial_seed
 from test_localization import log_score, refined_position_bound
 
@@ -208,6 +212,46 @@ def test_tracks_match_reference_values(seed, k_targets):
             track.position, z, measurements)
         assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
             (sx, sy, pv), rel=1e-9)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_histograms(config, seed):
+    scene, params, grid = sceneio.load_scene(CONFIGS / config)
+    params = dataclasses.replace(params, rng_seed=seed)
+    return scene, params, grid, studies.simulate_scene(scene, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _reconstruct_in_order(config, seed, k_targets, order):
+    # The chain on a bundled scene's histograms, its pixels passed in ``order``.
+    scene, params, grid, (signal, background) = _bundled_histograms(config, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an ambiguous association
+        return studies.reconstruct_from_histograms(
+            [signal[i] for i in order], [background[i] for i in order], scene.laser_spot,
+            [scene.pixels[i] for i in order], grid, params,
+            offset_s=calibration_offset_s(scene, params), k_targets=k_targets,
+        )
+
+
+@pytest.mark.parametrize("config,k_targets", [("single_person.json", 1), ("two_person.json", 2)])
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(4)), seed=st.integers(0, 9))
+def test_tracks_do_not_depend_on_pixel_order(config, k_targets, order, seed):
+    # Permuting the pixels together with their histograms changes only the
+    # order bands are summed in: status and track count stay, and positions
+    # and spreads agree to rounding.
+    want = _reconstruct_in_order(config, seed, k_targets, (0, 1, 2, 3))
+    got = _reconstruct_in_order(config, seed, k_targets, tuple(order))
+    assert got.status == want.status
+    assert len(got.tracks) == len(want.tracks)
+    for a, b in zip(got.tracks, want.tracks):
+        assert a.target_label == b.target_label
+        assert np.allclose((*a.position, a.sigma_x, a.sigma_y),
+                           (*b.position, b.sigma_x, b.sigma_y), rtol=0, atol=1e-12)
 
 
 class TestRunTwoPerson:
