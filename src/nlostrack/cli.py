@@ -131,12 +131,12 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
     # Every map is built before the manifest lists it.
     maps = {}
     if write_maps:
-        fused = localization.fused_maps(
-            result.peaks_per_pixel, scene.laser_spot,
-            [scene.pixels[i] for i in result.used_pixels], grid, result.tracks, result.detections)
+        fused = localization.fused_maps(result.peaks_per_pixel, scene.laser_spot,
+                                        list(scene.pixels), grid, result.tracks, result.detections)
         maps = {f"fused_map_{t.target_label}.csv": m for t, m in zip(result.tracks, fused)}
     out_dir = Path(out)
-    with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps]):
+    with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps],
+                              grid=dataclasses.asdict(grid), targets=targets):
         sceneio.write_tracks_json(out_dir / "tracks.json", result)
         for name, pmap in maps.items():
             sceneio.write_map_csv(out_dir / name, pmap)

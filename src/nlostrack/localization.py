@@ -60,12 +60,13 @@ class GridSpec:
     z_plane: float = 1.0
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max", "z_plane"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid extent must satisfy x_min < x_max and y_min < y_max")
         if not (math.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError(f"resolution must be > 0, got {self.resolution!r}")
-        if not math.isfinite(self.z_plane):
-            raise ValueError(f"z_plane must be finite, got {self.z_plane!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid must have at least 2 cells per axis")
 
@@ -439,8 +440,9 @@ def fused_maps(
 ) -> list[ProbabilityMap]:
     """Each track's fused map from its detections, as association built it, bit for bit.
 
-    A detection's pixel index counts ``pixels``. Empty ``detections`` (a
-    result that is not ``ok``) give no map.
+    The arguments are association's own: a detection's pixel index counts
+    both ``peaks_per_pixel`` and ``pixels``. Empty ``detections`` (a result
+    that is not ``ok``) give no map.
     """
     return [
         localize(_log_density(peaks_per_pixel, r_l, pixels, grid, det), grid,
@@ -462,10 +464,11 @@ def associate_and_localize(
     scale) and scores each by the product over targets of the target's
     continuous density at its optimum (a pure consistency measure). Each
     winning target is placed at that optimum; its spreads and peak value
-    come from its fused map. Targets must be seen by at least two pixels.
-    Returns the tracks, sorted by position, and for each track its
-    detections: the (pixel index, peak index) pairs whose bands it fuses,
-    the pixel index counting ``pixels``.
+    come from its fused map. Targets must be seen by at least two pixels;
+    a pixel with no returns (an empty list) serves no target. Returns the
+    tracks, sorted by position, and for each track its detections: the
+    (pixel index, peak index) pairs whose bands it fuses, the pixel index
+    counting ``pixels`` and ``peaks_per_pixel`` alike.
 
     Raises AmbiguousAssociationError when the runner-up assignment scores
     within AMBIGUITY_MARGIN (relative) of the winner, carrying both
@@ -474,8 +477,6 @@ def associate_and_localize(
     _check_k_targets(k_targets)
     if len(peaks_per_pixel) != len(pixels):
         raise ValueError("peaks_per_pixel and pixels must align")
-    if any(len(p) == 0 for p in peaks_per_pixel):
-        raise ValueError("every pixel must contribute at least one peak")
 
     # (c t, c sigma) of every peak that has an ellipse, keyed (pixel index,
     # peak index), and the last InfeasibleTimeError of a peak that has none.
@@ -490,8 +491,8 @@ def associate_and_localize(
             except InfeasibleTimeError as exc:
                 last_error = exc
     measured = {(i, j): (r_l, pixels[i], *ellipse) for (i, j), ellipse in ellipses.items()}
-    lattice_paths = [path_length_map(r_l, pixel, grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
-                     for pixel in pixels]
+    lattice_paths = {i: path_length_map(r_l, pixels[i], grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
+                     for i, peaks in enumerate(peaks_per_pixel) if peaks}
     lattice = {(i, j): _band_log(lattice_paths[i], *ellipse) for (i, j), ellipse in ellipses.items()}
     log_density = functools.partial(_log_density, peaks_per_pixel, r_l, pixels, grid)
 

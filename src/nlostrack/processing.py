@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,7 @@ class PeakEstimate:
     t_s: float
     sigma_s: float
     amplitude: float
-    pixel_index: int
+    _: KW_ONLY
     center_stderr_s: float = 0.0
 
     def __post_init__(self):
@@ -424,7 +424,6 @@ def fit_peaks(
                 t_s=float(t[0] + mu * scale),
                 sigma_s=float(s * scale),
                 amplitude=float(amp),
-                pixel_index=hist.pixel_index,
                 center_stderr_s=stderr,
             )
         )

@@ -212,8 +212,8 @@ def load_sweep_config(path) -> SweepConfig:
 def tracks_to_dict(result: ScenarioResult) -> dict:
     """The ``tracks.json`` document; ``detections`` lists every fitted return.
 
-    Returns come in (pixel, peak) order, pixels numbered as in the scene,
-    each with the label of the track that fuses it or None.
+    Returns come in (pixel, peak) order, pixels numbered as in the scene
+    and in ``result``, each with the label of the track that fuses it or None.
     """
     fused_by = {pair: track.target_label
                 for track, det in zip(result.tracks, result.detections) for pair in det}
@@ -225,7 +225,7 @@ def tracks_to_dict(result: ScenarioResult) -> dict:
             for t in result.tracks
         ],
         "detections": [
-            {"pixel": result.used_pixels[i], "peak": j, "t_s": p.t_s, "sigma_s": p.sigma_s,
+            {"pixel": i, "peak": j, "t_s": p.t_s, "sigma_s": p.sigma_s,
              "amplitude": p.amplitude, "track": fused_by.get((i, j))}
             for i, peaks in enumerate(result.peaks_per_pixel) for j, p in enumerate(peaks)
         ],
@@ -354,7 +354,7 @@ def sha256_of(path) -> str:
 
 
 def write_manifest(path, scene_file, scene_sha256, params: dict, master_seed: int,
-                   outputs: list[str], status: str = "incomplete"):
+                   outputs: list[str], status: str = "incomplete", **settings):
     """Write the run manifest; ``run_manifest`` brackets a run with two calls."""
     doc = {
         "tool": "nlostrack",
@@ -362,6 +362,7 @@ def write_manifest(path, scene_file, scene_sha256, params: dict, master_seed: in
         "scene_file": str(scene_file) if scene_file else None,
         "scene_sha256": scene_sha256,
         "params": params,
+        **settings,
         "master_seed": master_seed,
         "status": status,
         "written_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -371,17 +372,18 @@ def write_manifest(path, scene_file, scene_sha256, params: dict, master_seed: in
 
 
 @contextlib.contextmanager
-def run_manifest(out_dir, source_file, params: AcquisitionParams, outputs: list[str]):
+def run_manifest(out_dir, source_file, params: AcquisitionParams, outputs: list[str], **settings):
     """Create ``out_dir`` and bracket the body with its manifest.
 
     The manifest says ``incomplete`` while the body runs and ``complete``
     only once it finishes, so an interrupted or failed run stays visible.
-    Both carry the digest of ``source_file`` as it was when the run started.
+    Both carry the digest of ``source_file`` as it was when the run started,
+    and the command's own ``settings`` after ``params``.
     """
     path = Path(out_dir) / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = sha256_of(source_file) if source_file else None
     args = (path, source_file, digest, dataclasses.asdict(params), params.rng_seed, outputs)
-    write_manifest(*args)
+    write_manifest(*args, **settings)
     yield
-    write_manifest(*args, status="complete")
+    write_manifest(*args, status="complete", **settings)

@@ -103,17 +103,17 @@ def auto_time_window(
 class ScenarioResult:
     """Tracks plus the per-pixel intermediates that produced them.
 
-    ``peaks_per_pixel`` holds every fitted return of each of ``used_pixels``
-    (scene pixel numbers). ``detections`` holds, for each track of an ``ok``
-    result, the (pixel index, peak index) pairs whose bands it fuses, the
-    pixel index counting ``used_pixels``; it is empty for any other status.
-    ``sceneio.tracks_to_dict`` writes every return with the label of the
-    track that fuses it, which is all a band or fused map is rebuilt from.
+    ``peaks_per_pixel`` holds every fitted return of each pixel, in the
+    order the pixels were passed in (an empty list for a pixel with none).
+    ``detections`` holds, for each track of an ``ok`` result, the (pixel
+    index, peak index) pairs whose bands it fuses, in that same pixel
+    numbering; it is empty for any other status. ``sceneio.tracks_to_dict``
+    writes every return with the label of the track that fuses it, which is
+    all a band or fused map is rebuilt from.
     """
 
     tracks: list[TrackEstimate]
     peaks_per_pixel: list[list[PeakEstimate]]
-    used_pixels: list[int]
     status: str  # "ok", "ambiguous" or "no_target"
     notes: list[str] = field(default_factory=list)
     detections: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
@@ -146,12 +146,12 @@ def reconstruct_from_histograms(
 ) -> ScenarioResult:
     """Run the retrieval chain on already-acquired raw histograms.
 
-    Peaks are detected at the fixed threshold of ``detect_peaks``.
-    Pixels whose histogram shows no usable return are dropped with a note;
-    if fewer than two remain, or the surviving measurements cannot be
-    reconciled, the result reports ``no_target`` instead of raising. An
-    ambiguous association reports ``ambiguous`` with the best assignment's
-    tracks and a UserWarning. Processing failures propagate as
+    Peaks are detected at the fixed threshold of ``detect_peaks``. A pixel
+    whose histogram shows no usable return keeps an empty peak list and gets
+    a note; if fewer than two pixels have returns, or the measurements
+    cannot be reconciled, the result reports ``no_target`` instead of
+    raising. An ambiguous association reports ``ambiguous`` with the best
+    assignment's tracks and a UserWarning. Processing failures propagate as
     PipelineError naming the pixel.
     """
     if len(pixels) < 2:
@@ -165,30 +165,25 @@ def reconstruct_from_histograms(
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []
-    used: list[int] = []
     for i, (sig, bg) in enumerate(zip(signal_hists, background_hists)):
         try:
             peaks = _process_pixel(sig, bg, laser_spot, pixels[i], offset_s, grid, params,
                                    k_targets)
         except (ValueError, RuntimeError) as exc:
             raise PipelineError(f"pixel {i}: {exc}") from exc
-        if peaks:
-            used.append(i)
-            peaks_per_pixel.append(peaks)
-        else:
+        peaks_per_pixel.append(peaks)
+        if not peaks:
             notes.append(f"pixel {i}: no peak above threshold")
 
-    result = ScenarioResult(
-        tracks=[], peaks_per_pixel=peaks_per_pixel, used_pixels=used,
-        status="no_target", notes=notes,
-    )
-    if len(used) < 2:
+    result = ScenarioResult(tracks=[], peaks_per_pixel=peaks_per_pixel, status="no_target",
+                            notes=notes)
+    if sum(map(bool, peaks_per_pixel)) < 2:
         result.notes.append("no target found: fewer than two pixels with usable returns")
         return result
 
     try:
         tracks, detections = associate_and_localize(
-            peaks_per_pixel, laser_spot, [pixels[i] for i in used], grid, k_targets=k_targets
+            peaks_per_pixel, laser_spot, pixels, grid, k_targets=k_targets
         )
         result.status = "ok"
     except AmbiguousAssociationError as exc:
@@ -330,14 +325,21 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
     """Monte-Carlo sweep of the D1-D2 separation, one row per (baseline, object).
 
     Deterministic given the config (trial seeds derive from the
-    acquisition seed). Steps where more than half the trials fail to
-    localize are marked invalid rather than aborting the sweep.
+    acquisition seed). A trial fails on a PipelineError or a result with no
+    track, and steps where more than half the trials fail are marked
+    invalid; any other error (an invalid scene or setting) propagates.
     """
     master = config.acquisition.rng_seed
     rows: list[SweepRow] = []
     for si, d2 in enumerate(config.d2_positions()):
         baseline = abs(d2.x - config.d1_position.x)
         for oi, opos in enumerate(config.object_positions):
+            scene = Scene(
+                laser_spot=config.laser_spot,
+                pixels=(config.d1_position, d2),
+                objects=(HiddenObject(opos, config.object_reflectivity, "target"),),
+                standoff_m=config.standoff_m,
+            )
             xs, ys, pdf_sx, pdf_sy = [], [], [], []
             failed = 0
             for trial in range(config.trials_per_point):
@@ -345,14 +347,8 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
                     config.acquisition, rng_seed=_trial_seed(master, si, oi, trial)
                 )
                 try:
-                    scene = Scene(
-                        laser_spot=config.laser_spot,
-                        pixels=(config.d1_position, d2),
-                        objects=(HiddenObject(opos, config.object_reflectivity, "target"),),
-                        standoff_m=config.standoff_m,
-                    )
                     result = run_scenario(scene, params, config.grid)
-                except (ValueError, RuntimeError):
+                except PipelineError:
                     failed += 1
                     continue
                 if not result.ok:

@@ -43,7 +43,7 @@ def test_c1_backprojection_matches_closed_form():
         r_i = nt.Point3(rng.uniform(-2, 2), 0.0, rng.uniform(0.8, 1.4))
         sigma = rng.uniform(3e-11, 1e-9)
         t = (r_l.distance_to(r_i) + rng.uniform(0.2, 6.0)) / C
-        peak = nt.PeakEstimate(t_s=t, sigma_s=sigma, amplitude=1.0, pixel_index=0)
+        peak = nt.PeakEstimate(t_s=t, sigma_s=sigma, amplitude=1.0)
         pmap = nt.backproject(peak, r_l, r_i, grid)
         iy = int(rng.integers(0, grid.ny))
         ix = int(rng.integers(0, grid.nx))

@@ -4,6 +4,7 @@ import functools
 import gc
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from nlostrack import (
-    SPEED_OF_LIGHT, PeakEstimate, Point3, backproject, localization, localize, sceneio,
-    studies,
+    SPEED_OF_LIGHT, GridSpec, PeakEstimate, Point3, backproject, localization, localize,
+    sceneio, studies,
 )
 from nlostrack.cli import main
 
@@ -185,6 +186,16 @@ class TestSimulate:
         assert result.output == f"error: scene.scatter_height_z: must be finite, got {height!r}\n"
 
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_non_finite_grid_bound_exit_2_names_field(self, runner, tmp_path, command):
+        # Python's JSON reader accepts Infinity.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, grid=dict(SCENE["grid"], x_max=float("inf")))))
+        result = runner.invoke(main, [command, str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == "error: x_max must be finite, got inf\n"
+
+
 class TestReconstruct:
     def test_matches_run_scenario_exactly(self, runner, scene_file, tmp_path):
         sim = tmp_path / "sim"
@@ -317,6 +328,20 @@ class TestReconstruct:
         assert result.exit_code == 3
         assert "no target" in result.output
 
+    def test_manifest_records_grid_and_targets(self, runner, scene_file, tmp_path):
+        # reconstruct's manifest names the grid it searched, after --grid-res,
+        # and --targets; simulate's, which searches nothing, names neither.
+        sim, rec = tmp_path / "sim", tmp_path / "rec"
+        assert runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)]).exit_code == 0
+        result = runner.invoke(main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
+                                      "--out", str(rec), "--grid-res", "0.1", "--targets", "1"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((rec / "manifest.json").read_text())
+        assert manifest["grid"] == dict(SCENE["grid"], resolution=0.1, z_plane=1.0)
+        assert manifest["targets"] == 1
+        simulated = json.loads((sim / "manifest.json").read_text())
+        assert set(manifest) - set(simulated) == {"grid", "targets"}
+
     def test_maps_flag_writes_csvs(self, runner, scene_file, tmp_path):
         rec = tmp_path / "rec"
         result = runner.invoke(
@@ -420,25 +445,26 @@ class TestReconstruct:
         assert (returned is not None) == (status == "ok")
         labels = {pair: track.target_label for track, det in zip(*returned or ((), ()))
                   for pair in det}
-        scene_pixels = [Point3(*p) for p in doc["pixels"]]
+        assert pixels == [Point3(*p) for p in doc["pixels"]]
         records, want = [], {}
         for i, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
             for j, pk in enumerate(peaks):
-                ipix = scene_pixels.index(pixel)
-                records.append({"pixel": ipix, "peak": j, "t_s": pk.t_s, "sigma_s": pk.sigma_s,
+                records.append({"pixel": i, "peak": j, "t_s": pk.t_s, "sigma_s": pk.sigma_s,
                                 "amplitude": pk.amplitude, "track": labels.get((i, j))})
                 with contextlib.suppress(localization.InfeasibleTimeError):
-                    want[f"pixel{ipix:02d}_peak{j}_map.csv"] = map_bytes(
+                    want[f"pixel{i:02d}_peak{j}_map.csv"] = map_bytes(
                         tmp_path, localization.backproject(pk, r_l, pixel, grid))
         assert tracks_doc["detections"] == records
         want.update(written)
 
-        # The same maps from tracks.json and the scene file alone.
-        loaded, _, grid = sceneio.load_scene(scene)
-        grid = dataclasses.replace(grid, resolution=grid_res)
+        # The same maps from tracks.json, the grid manifest.json records and
+        # the scene file alone.
+        loaded, _, _ = sceneio.load_scene(scene)
+        grid = GridSpec(**json.loads((rec / "manifest.json").read_text())["grid"])
+        assert grid == dataclasses.replace(sceneio.load_scene(scene)[2], resolution=grid_res)
         got, bands = {}, {}
         for d in tracks_doc["detections"]:
-            peak = PeakEstimate(d["t_s"], d["sigma_s"], d["amplitude"], d["pixel"])
+            peak = PeakEstimate(d["t_s"], d["sigma_s"], d["amplitude"])
             try:
                 bands[d["pixel"], d["peak"]] = backproject(
                     peak, loaded.laser_spot, loaded.pixels[d["pixel"]], grid)
@@ -608,6 +634,22 @@ class TestSweep:
         assert result.exit_code == 2
         assert "must be an integer" in result.output
 
+    @pytest.mark.parametrize("doc, message", [
+        (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.0)),
+         "retrieval needs irf_sigma_s > 0, got 0.0"),
+        (dict(SWEEP_DOC, d2_x={"min": -0.2, "max": -1.2, "steps": 2}),
+         "wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
+    ], ids=["irf_sigma_zero", "d2_on_d1"])
+    def test_invalid_setting_is_no_failed_trial(self, runner, tmp_path, doc, message):
+        # A setting no trial can run with exits 2; it is not a row of failed trials.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+        assert not (out / "sweep.csv").exists()
+
     def test_non_finite_plane_height_exit_2(self, runner, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(
@@ -666,3 +708,48 @@ def test_readme_cli_section_names_exactly_the_cli_options():
                if isinstance(param, click.Option) for opt in param.opts}
     assert sorted(main.commands) == ["reconstruct", "simulate", "sweep"]
     assert named == options
+
+
+def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
+    # README's band-rebuild block, run on a fresh output of the CLI section's
+    # simulate and reconstruct --maps commands, writes one band map per
+    # detection with an ellipse; summing a track's bands' log_values in
+    # listed order and passing the sum to localize gives the fused map
+    # reconstruct --maps wrote, byte for byte.
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+                if "backproject(" in b]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    shutil.copy(CONFIGS / "single_person.json", tmp_path / "configs")
+    scene = "configs/single_person.json"
+    assert runner.invoke(main, ["simulate", scene, "--out", "runs/sim",
+                                "--seed", "7"]).exit_code == 0
+    assert runner.invoke(main, ["reconstruct", scene, "--hist-dir", "runs/sim",
+                                "--out", "runs/rec", "--maps"]).exit_code == 0
+
+    bands, write_map_csv = {}, sceneio.write_map_csv
+
+    def recording(path, pmap):
+        bands[path] = pmap
+        write_map_csv(path, pmap)
+
+    monkeypatch.setattr(sceneio, "write_map_csv", recording)
+    exec(block, {})
+    monkeypatch.setattr(sceneio, "write_map_csv", write_map_csv)
+
+    doc = json.loads(Path("runs/rec/tracks.json").read_text())
+    loaded, _, _ = sceneio.load_scene(scene)
+    feasible = [d for d in doc["detections"] if SPEED_OF_LIGHT * d["t_s"]
+                > loaded.laser_spot.distance_to(loaded.pixels[d["pixel"]])]
+    names = [f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv" for d in feasible]
+    assert list(bands) == names
+    assert sorted(p.name for p in tmp_path.glob("pixel*_map.csv")) == sorted(names)
+    assert doc["status"] == "ok" and doc["tracks"]
+    for t in doc["tracks"]:
+        fused = [bands[name].log_values for name, d in zip(names, feasible)
+                 if d["track"] == t["label"]]
+        grid = bands[names[0]].grid
+        _, fused_map = localize(functools.reduce(np.add, fused), grid, (t["x"], t["y"]),
+                                t["label"])
+        assert map_bytes(tmp_path, fused_map) == Path(
+            f"runs/rec/fused_map_{t['label']}.csv").read_bytes()

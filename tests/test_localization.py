@@ -33,8 +33,8 @@ C = SPEED_OF_LIGHT
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def peak(t_s, sigma_s=120e-12, pixel=0):
-    return PeakEstimate(t_s=t_s, sigma_s=sigma_s, amplitude=100.0, pixel_index=pixel)
+def peak(t_s, sigma_s=120e-12):
+    return PeakEstimate(t_s=t_s, sigma_s=sigma_s, amplitude=100.0)
 
 
 def reference_fuse(bands):
@@ -69,6 +69,12 @@ class TestGridSpec:
             GridSpec(0, 0.02, 0, 1, resolution=0.02)
         with pytest.raises(ValueError, match="z_plane must be finite"):
             GridSpec(0, 1, 0, 1, z_plane=math.inf)
+        for i, name in enumerate(["x_min", "x_max", "y_min", "y_max"]):
+            bounds = [0, 1, 0, 1]
+            for value in (math.inf, -math.inf, math.nan):
+                bounds[i] = value
+                with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+                    GridSpec(*bounds)
 
 
 class TestProbabilityMap:
@@ -274,7 +280,7 @@ class TestAssociate:
     def peaks_for(self, truth, order=None):
         out = []
         for i, pix in enumerate(self.pixels):
-            ps = [peak(tof(self.r_l, Point3(*t, 1.0), pix), pixel=i) for t in truth]
+            ps = [peak(tof(self.r_l, Point3(*t, 1.0), pix)) for t in truth]
             if order:
                 ps = [ps[j] for j in order[i]]
             out.append(ps)
@@ -371,11 +377,28 @@ class TestAssociate:
                 self.peaks_for([(0.5, 0.9)]), self.r_l, self.pixels, self.grid, k_targets=3
             )
 
-    def test_every_pixel_needs_a_peak(self):
-        peaks = self.peaks_for([(0.5, 0.9)])
-        peaks[2] = []
-        with pytest.raises(ValueError, match="at least one peak"):
-            associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
+    @pytest.mark.parametrize("k_targets", [1, 2])
+    def test_pixel_without_returns_serves_no_target(self, k_targets):
+        # A pixel with an empty return list, inserted at any position of the
+        # inputs, leaves tracks, spreads and fused maps bit-identical; only
+        # the detections' pixel numbers, which count it, shift past it.
+        rng = np.random.default_rng(k_targets)
+        problems = [(self.peaks_for([(0.5, 0.9), (1.2, 1.6)][:k_targets]), self.r_l, self.pixels)]
+        problems += [random_problem(rng, k_targets) for _ in range(3)]
+        grid = GridSpec(-3, 3, 0, 4, 0.04, 1.0)
+        for peaks, r_l, pixels in problems:
+            status, tracks, detections, fused, _ = association_outcome(
+                associate_and_localize, peaks, r_l, pixels, grid, k_targets)
+            assert status == "ok"
+            for at in range(len(pixels) + 1):
+                got = association_outcome(
+                    associate_and_localize, [*peaks[:at], [], *peaks[at:]], r_l,
+                    [*pixels[:at], Point3(0.3, 0, 1.0), *pixels[at:]], grid, k_targets)
+                assert got[:2] == (status, tracks)
+                assert got[2] == [tuple((i + (i >= at), j) for i, j in det) for det in detections]
+                assert len(got[3]) == len(fused)
+                for a, b in zip(got[3], fused):
+                    np.testing.assert_array_equal(a.values, b.values)
 
     def test_symmetric_layout_is_ambiguous(self):
         # mirror-symmetric targets and pixels about the laser axis: swapping
@@ -383,10 +406,7 @@ class TestAssociate:
         r_l = Point3(0.0, 0.0, 1.0)
         pixels = [Point3(-0.6, 0, 1.0), Point3(0.6, 0, 1.0)]
         truths = [Point3(-0.8, 1.4, 1.0), Point3(0.8, 1.4, 1.0)]
-        peaks = [
-            [peak(tof(r_l, t, pix), pixel=i) for t in truths]
-            for i, pix in enumerate(pixels)
-        ]
+        peaks = [[peak(tof(r_l, t, pix)) for t in truths] for pix in pixels]
         grid = GridSpec(-2, 2, 0, 3, 0.02, 1.0)
         with pytest.raises(AmbiguousAssociationError) as info:
             associate_and_localize(peaks, r_l, pixels, grid, k_targets=2)
@@ -439,7 +459,7 @@ class TestAssociate:
         r_l = Point3(0.0, 0.0, 1.0)
         pixels = [Point3(-0.6, 0, 1.0), Point3(0.6, 0, 1.0)]
         truths = [Point3(-0.8, 1.4, 1.0), Point3(0.8, 1.4, 1.0)]
-        peaks = [[peak(tof(r_l, t, pix), pixel=i) for t in truths] for i, pix in enumerate(pixels)]
+        peaks = [[peak(tof(r_l, t, pix)) for t in truths] for pix in pixels]
         with pytest.raises(AmbiguousAssociationError) as info:
             associate_and_localize(peaks, r_l, pixels, GridSpec(-2, 2, 0, 3, 0.02, 1.0), k_targets=2)
         assert len(info.value.best) + len(info.value.second) == 4
@@ -453,8 +473,8 @@ class TestAssociate:
         # keeps less than a tenth of one once it returns.
         scene, _, grid = sceneio.load_scene(CONFIGS / "two_person.json")
         pixels = list(scene.pixels)
-        peaks = [[peak(tof(scene.laser_spot, obj.position, pix), pixel=i) for obj in scene.objects]
-                 for i, pix in enumerate(pixels)]
+        peaks = [[peak(tof(scene.laser_spot, obj.position, pix)) for obj in scene.objects]
+                 for pix in pixels]
         associate_and_localize(peaks, scene.laser_spot, pixels, grid, k_targets=2)
         tracemalloc.start()
         try:
@@ -628,11 +648,11 @@ def random_problem(rng, k_targets):
     truths = [Point3(rng.uniform(-1.0, 1.5), rng.uniform(0.5, 2.5), 1.0)
               for _ in range(k_targets)]
     peaks = []
-    for i, pix in enumerate(pixels):
+    for pix in pixels:
         ps = [peak(tof(r_l, t, pix) + rng.normal(0, 30e-12),
-                   sigma_s=rng.uniform(80e-12, 200e-12), pixel=i) for t in truths]
+                   sigma_s=rng.uniform(80e-12, 200e-12)) for t in truths]
         if k_targets == 1 and rng.random() < 0.3:
-            ps.append(peak(ps[0].t_s + rng.uniform(1e-9, 4e-9), pixel=i))
+            ps.append(peak(ps[0].t_s + rng.uniform(1e-9, 4e-9)))
         peaks.append(list(rng.permutation(ps)))
     return peaks, r_l, pixels
 
@@ -677,8 +697,8 @@ class TestSeedFallback:
         self.pixels = [Point3(-1.2, 0, 1.0), Point3(1.2, 0, 1.0)]
 
     def associate_both_ways(self, truths, grid):
-        peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14, pixel=i)]
-                 for i, (t, pix) in enumerate(zip(truths, self.pixels))]
+        peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14)]
+                 for t, pix in zip(truths, self.pixels)]
         shared = functools.reduce(np.add, [
             backproject(p[0], self.r_l, pix, grid).log_values
             for p, pix in zip(peaks, self.pixels)

@@ -374,9 +374,13 @@ class TestFit:
 
     def test_peak_estimate_validation(self):
         with pytest.raises(ValueError):
-            PeakEstimate(t_s=1e-9, sigma_s=0.0, amplitude=1.0, pixel_index=0)
+            PeakEstimate(t_s=1e-9, sigma_s=0.0, amplitude=1.0)
         with pytest.raises(ValueError):
-            PeakEstimate(t_s=1e-9, sigma_s=1e-10, amplitude=0.0, pixel_index=0)
+            PeakEstimate(t_s=1e-9, sigma_s=1e-10, amplitude=0.0)
+        # The stderr is keyword-only: a fourth positional value is refused.
+        with pytest.raises(TypeError):
+            PeakEstimate(1e-9, 1e-10, 1.0, 2)
+        assert PeakEstimate(1e-9, 1e-10, 1.0, center_stderr_s=2e-12).center_stderr_s == 2e-12
 
 
 IRF = 120e-12

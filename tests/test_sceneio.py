@@ -297,7 +297,7 @@ class TestWritersMatchReference:
         assert (tmp_path / "h.csv").read_bytes() == reference_write_histogram(hist)
 
         grid = dataclasses.replace(grid, resolution=0.05)
-        peak = PeakEstimate(t_s=9e-9, sigma_s=120e-12, amplitude=5.0, pixel_index=0)
+        peak = PeakEstimate(t_s=9e-9, sigma_s=120e-12, amplitude=5.0)
         band = backproject(peak, scene.laser_spot, scene.pixels[0], grid)
         assert 0 < np.count_nonzero(band.values) < band.values.size
         sceneio.write_map_csv(tmp_path / "m.csv", band)
@@ -313,7 +313,7 @@ class TestWritersMatchReference:
 class TestMapAndTracks:
     def test_map_csv_shape(self, tmp_path):
         grid = GridSpec(0, 0.1, 0, 0.1, 0.02, 1.0)
-        peak = PeakEstimate(t_s=10e-9, sigma_s=120e-12, amplitude=5.0, pixel_index=0)
+        peak = PeakEstimate(t_s=10e-9, sigma_s=120e-12, amplitude=5.0)
         pmap = backproject(peak, Point3(-0.5, 0, 1.0), Point3(0.5, 0, 1.0), grid)
         path = tmp_path / "map.csv"
         sceneio.write_map_csv(path, pmap)
@@ -327,16 +327,16 @@ class TestMapAndTracks:
     def test_tracks_json(self, tmp_path):
         from nlostrack import TrackEstimate
 
-        # Scene pixels 0 and 2 were used; pixel 2 has two returns, of which
-        # the track fuses the second. Floats are written by repr, so a time
-        # of many digits reads back exactly.
+        # Pixel 1 has no return and pixel 2 two, of which the track fuses the
+        # second; the result and tracks.json number pixels alike. Floats are
+        # written by repr, so a time of many digits reads back exactly.
         path = tmp_path / "tracks.json"
         tracks = [TrackEstimate(position=(0.5, 1.0), sigma_x=0.1, sigma_y=0.2,
                                 peak_value=3.0, target_label="target-1")]
-        peaks = [[PeakEstimate(4e-9, 1.2e-10, 30.0, 0)],
-                 [PeakEstimate(5e-9, 1.1e-10, 20.0, 2), PeakEstimate(1e-8 / 3, 1e-10, 9.5, 2)]]
-        result = ScenarioResult(tracks=tracks, peaks_per_pixel=peaks, used_pixels=[0, 2],
-                                status="ok", notes=["note"], detections=[((0, 0), (1, 1))])
+        peaks = [[PeakEstimate(4e-9, 1.2e-10, 30.0)], [],
+                 [PeakEstimate(5e-9, 1.1e-10, 20.0), PeakEstimate(1e-8 / 3, 1e-10, 9.5)]]
+        result = ScenarioResult(tracks=tracks, peaks_per_pixel=peaks, status="ok",
+                                notes=["note"], detections=[((0, 0), (2, 1))])
         sceneio.write_tracks_json(path, result)
         doc = json.loads(path.read_text())
         assert list(doc) == ["status", "tracks", "detections", "diagnostics"]
