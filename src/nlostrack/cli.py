@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import localization, sceneio
-from .acquisition import calibration_offset_s, simulate_background, simulate_histogram
+from .acquisition import calibration_offset_s
 from .localization import _check_k_targets
 from .studies import (
     PipelineError,
@@ -64,7 +64,7 @@ def _histogram_name(pixel: int, kind: str) -> str:
 @_exit_codes()
 def simulate(scene_file, out, seed):
     """Simulate signal and background histograms for SCENE_FILE."""
-    scene, params, _grid = sceneio.load_scene(scene_file)
+    scene, params, _ = sceneio.load_scene(scene_file)
     if seed is not None:
         params = dataclasses.replace(params, rng_seed=seed)
 
@@ -72,11 +72,10 @@ def simulate(scene_file, out, seed):
     outputs = [_histogram_name(i, kind) for i in range(scene.num_pixels) for kind in _KINDS]
     out_dir = Path(out)
     with sceneio.run_manifest(out_dir, scene_file, params, outputs):
-        for i in range(scene.num_pixels):
-            sceneio.write_histogram_csv(out_dir / _histogram_name(i, "signal"),
-                                        simulate_histogram(scene, i, params))
-            sceneio.write_histogram_csv(out_dir / _histogram_name(i, "background"),
-                                        simulate_background(scene, i, params))
+        signals, backgrounds = simulate_scene(scene, params)
+        for i, pair in enumerate(zip(signals, backgrounds)):
+            for kind, hist in zip(_KINDS, pair):
+                sceneio.write_histogram_csv(out_dir / _histogram_name(i, kind), hist)
     click.echo(f"wrote {len(outputs)} histogram files to {out_dir}", file=sys.stdout)
 
 

@@ -34,9 +34,6 @@ class Point3:
             (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
         )
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class HiddenObject:
@@ -89,6 +86,9 @@ class Scene:
                     )
         if len(self.wall_normal) != 3:
             raise ValueError("wall_normal must have three components")
+        if not all(map(math.isfinite, self.wall_normal)):
+            # A nan component would pass the unit-length test below.
+            raise ValueError(f"wall_normal must be finite, got {self.wall_normal!r}")
         norm = math.sqrt(sum(v * v for v in self.wall_normal))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"wall_normal must be unit length within 1e-9, |n|={norm!r}")

@@ -1,6 +1,9 @@
 """File formats: scene JSON, histogram/map/sweep CSV, track JSON, run manifest.
 
-The only module that touches the filesystem. Every CSV has one layout: a
+The only module that touches the filesystem. Scene and sweep documents are
+read field by field as the dataclasses they build annotate them (``_value``
+lists the JSON kinds), and every refusal names the field's path in the
+document, such as ``scene.objects[0].reflectivity``. Every CSV has one layout: a
 versioned ``# <format>`` line, ``# key=value`` header lines, the column line,
 then comma-separated rows with '.' decimals (Python float repr) and
 ``true``/``false`` booleans. The reader checks the format and column lines.
@@ -16,197 +19,151 @@ import hashlib
 import itertools
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .acquisition import AcquisitionParams, TransientHistogram
-from .geometry import HiddenObject, Point3, Scene
+from .geometry import Point3, Scene
 from .localization import GridSpec, ProbabilityMap
 from .studies import ScenarioResult, SweepConfig, SweepResult, SweepRow
 
 HISTOGRAM_FORMAT = "nlostrack-histogram v1"
 MAP_FORMAT = "nlostrack-map v1"
 SWEEP_FORMAT = "nlostrack-sweep v1"
-TOOL_VERSION = "0.1.0"
 
 
 class SceneFormatError(ValueError):
     """The scene/config document is malformed; the message names the field."""
 
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str):
+def _require_keys(doc, what: str, required, allowed=None):
+    """Check ``doc`` is a JSON object holding ``required`` and, if given, only ``allowed``."""
     if not isinstance(doc, dict):
-        raise SceneFormatError(f"{what} must be a JSON object")
-    unknown = set(doc) - allowed
+        raise SceneFormatError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = doc.keys() - allowed if allowed is not None else ()
     if unknown:
         raise SceneFormatError(f"{what}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(doc)
+    missing = required - doc.keys()
     if missing:
         raise SceneFormatError(f"{what}: missing required field(s) {sorted(missing)}")
 
 
-@contextlib.contextmanager
-def _format_errors(what: str = ""):
-    """Re-raise a TypeError or ValueError of the body as SceneFormatError."""
+def _build(cls, what: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a check of ``cls`` that fails is reported under ``what``.
+
+    An OverflowError is a JSON integer too large for a float.
+    """
     try:
-        yield
-    except SceneFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(f"{what}: {exc}" if what else str(exc)) from exc
+        return cls(*args, **kwargs)
+    except (OverflowError, ValueError) as exc:
+        raise SceneFormatError(f"{what}: {exc}") from exc
 
 
-def _point(raw, what: str) -> Point3:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
-        raise SceneFormatError(f"{what} must be a [x, y, z] triple")
-    with _format_errors(what):
-        return Point3(*[float(v) for v in raw])
+@functools.cache
+def _schema(cls) -> tuple[dict, frozenset]:
+    """Each field's annotated kind, and the fields without a default, of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = frozenset(f.name for f in fields if f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
 
 
-def _integer(raw, what: str) -> int:
-    """A count: an int, or a float with no fractional part; never a bool."""
-    if not (type(raw) is int or type(raw) is float and raw.is_integer()):
+def _value(kind, raw, what: str):
+    """Read the JSON value ``raw`` as a field annotated ``kind``; a refusal names ``what``.
+
+    A ``float`` is any JSON number, kept as given; an ``int`` a whole number
+    (``42.0`` reads as ``42``); neither is ever a bool. A ``Point3`` is an
+    ``[x, y, z]`` list, a dataclass a JSON object, and a tuple a list.
+    """
+    if kind is float:
+        if type(raw) is float or type(raw) is int:
+            return raw
+        raise SceneFormatError(f"{what} must be a number, got {raw!r}")
+    if kind is int:
+        if type(raw) is int or type(raw) is float and raw.is_integer():
+            return int(raw)
         raise SceneFormatError(f"{what} must be an integer, got {raw!r}")
-    return int(raw)
+    if kind is bool or kind is str:
+        if type(raw) is kind:
+            return raw
+        expected = "true or false" if kind is bool else "a string"
+        raise SceneFormatError(f"{what} must be {expected}, got {raw!r}")
+    if kind is Point3:
+        if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
+            raise SceneFormatError(f"{what} must be a [x, y, z] triple, got {raw!r}")
+        return _build(Point3, what, *[_value(float, v, f"{what}[{i}]") for i, v in enumerate(raw)])
+    if dataclasses.is_dataclass(kind):
+        return _record(kind, raw, what)
+    # The remaining kinds are tuples: tuple[X, ...] of any length, or tuple[X, Y, Z].
+    if not isinstance(raw, (list, tuple)):
+        raise SceneFormatError(f"{what} must be a list, got {raw!r}")
+    kinds = typing.get_args(kind)
+    if kinds[1:] == (...,):
+        kinds = kinds[:1] * len(raw)
+    if len(kinds) != len(raw):
+        raise SceneFormatError(f"{what} must be a list of {len(kinds)} items, got {raw!r}")
+    return tuple(_value(k, v, f"{what}[{i}]") for i, (k, v) in enumerate(zip(kinds, raw)))
 
 
-def _hidden_object(raw, what: str) -> HiddenObject:
-    _require_keys(raw, {"position", "reflectivity", "label"}, {"position"}, what)
-    position = _point(raw["position"], f"{what}.position")
-    with _format_errors(f"{what}.reflectivity"):
-        reflectivity = float(raw.get("reflectivity", 1.0))
-    with _format_errors(what):
-        return HiddenObject(position, reflectivity, str(raw.get("label", "")))
+def _record(cls, raw, what: str, **fixed):
+    """Build the dataclass ``cls`` from the JSON object ``raw``, each field read as annotated.
 
-
-_SCENE_KEYS = {
-    "laser_spot", "pixels", "objects", "background_scatterers",
-    "scatter_height_z", "wall_normal", "standoff_m", "acquisition", "grid",
-}
-_ACQ_KEYS = {f.name for f in dataclasses.fields(AcquisitionParams)}
-_GRID_KEYS = {f.name for f in dataclasses.fields(GridSpec)}
-
-
-def _acquisition(doc: dict, what: str) -> AcquisitionParams:
-    """The optional ``acquisition`` section of a scene or sweep document."""
-    raw = doc.get("acquisition", {})
-    _require_keys(raw, _ACQ_KEYS, set(), f"{what}.acquisition")
-    return AcquisitionParams(**raw)
-
-
-def _grid(doc: dict, what: str, **fixed) -> GridSpec:
-    """The ``grid`` section; fields in ``fixed`` come from elsewhere and may not appear."""
-    raw = doc["grid"]
-    _require_keys(raw, _GRID_KEYS - fixed.keys(), {"x_min", "x_max", "y_min", "y_max"},
-                  f"{what}.grid")
-    return GridSpec(**raw, **fixed)
+    Fields without a default are required; fields in ``fixed`` come from
+    elsewhere in the document and may not appear in ``raw``.
+    """
+    kinds, required = _schema(cls)
+    _require_keys(raw, what, required - fixed.keys(), kinds.keys() - fixed.keys())
+    values = {name: _value(kinds[name], v, f"{what}.{name}") for name, v in raw.items()}
+    return _build(cls, what, **values, **fixed)
 
 
 def scene_from_dict(doc: dict) -> tuple[Scene, AcquisitionParams, GridSpec]:
-    """Parse a scene document; unknown fields are rejected to catch typos."""
-    _require_keys(doc, _SCENE_KEYS, {"laser_spot", "pixels", "scatter_height_z", "grid"}, "scene")
-    with _format_errors("scene.scatter_height_z"):
-        z_plane = float(doc["scatter_height_z"])
-        if not math.isfinite(z_plane):
-            raise ValueError(f"must be finite, got {z_plane!r}")
-    with _format_errors():
-        params = _acquisition(doc, "scene")
-        grid = _grid(doc, "scene", z_plane=z_plane)
-        scene = Scene(
-            laser_spot=_point(doc["laser_spot"], "scene.laser_spot"),
-            pixels=tuple(_point(p, f"scene.pixels[{i}]") for i, p in enumerate(doc["pixels"])),
-            objects=tuple(
-                _hidden_object(o, f"scene.objects[{i}]")
-                for i, o in enumerate(doc.get("objects", []))
-            ),
-            background_scatterers=tuple(
-                _hidden_object(o, f"scene.background_scatterers[{i}]")
-                for i, o in enumerate(doc.get("background_scatterers", []))
-            ),
-            wall_normal=tuple(float(v) for v in doc.get("wall_normal", (0.0, 1.0, 0.0))),
-            standoff_m=float(doc.get("standoff_m", 2.0)),
-        )
-    return scene, params, grid
-
-
-def scene_to_dict(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> dict:
-    def obj_dict(o: HiddenObject) -> dict:
-        return {
-            "position": list(o.position.as_tuple()),
-            "reflectivity": o.reflectivity,
-            "label": o.label,
-        }
-
-    return {
-        "laser_spot": list(scene.laser_spot.as_tuple()),
-        "pixels": [list(p.as_tuple()) for p in scene.pixels],
-        "objects": [obj_dict(o) for o in scene.objects],
-        "background_scatterers": [obj_dict(o) for o in scene.background_scatterers],
-        "scatter_height_z": grid.z_plane,
-        "wall_normal": list(scene.wall_normal),
-        "standoff_m": scene.standoff_m,
-        "acquisition": dataclasses.asdict(params),
-        "grid": {k: v for k, v in dataclasses.asdict(grid).items() if k != "z_plane"},
-    }
+    """Parse a scene document: the fields of ``Scene``, ``scatter_height_z`` (the grid's
+    ``z_plane``), the ``grid`` without it and an optional ``acquisition``."""
+    _require_keys(doc, "scene", {"scatter_height_z", "grid"})
+    doc = dict(doc)
+    what = "scene.scatter_height_z"
+    z_plane = _build(float, what, _value(float, doc.pop("scatter_height_z"), what))
+    if not math.isfinite(z_plane):
+        raise SceneFormatError(f"{what}: must be finite, got {z_plane!r}")
+    params = _record(AcquisitionParams, doc.pop("acquisition", {}), "scene.acquisition")
+    grid = _record(GridSpec, doc.pop("grid"), "scene.grid", z_plane=z_plane)
+    return _record(Scene, doc, "scene"), params, grid
 
 
 def _write_json(path, doc: dict):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _load_json_object(path, what: str) -> dict:
+def _load_json(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"{path}: {what} must be a JSON object")
-    return doc
 
 
 def load_scene(path) -> tuple[Scene, AcquisitionParams, GridSpec]:
-    return scene_from_dict(_load_json_object(path, "scene document"))
-
-
-def save_scene(path, scene: Scene, params: AcquisitionParams, grid: GridSpec):
-    _write_json(path, scene_to_dict(scene, params, grid))
-
-
-_SWEEP_KEYS = {
-    "laser_spot", "d1_position", "d2_x", "object_positions", "trials_per_point",
-    "object_reflectivity", "standoff_m", "acquisition", "grid",
-}
+    return scene_from_dict(_load_json(path))
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
-    _require_keys(
-        doc, _SWEEP_KEYS,
-        {"laser_spot", "d1_position", "d2_x", "object_positions", "grid"},
-        "sweep",
-    )
-    d2 = doc["d2_x"]
-    _require_keys(d2, {"min", "max", "steps"}, {"min", "max", "steps"}, "sweep.d2_x")
-    with _format_errors():
-        return SweepConfig(
-            laser_spot=_point(doc["laser_spot"], "sweep.laser_spot"),
-            d1_position=_point(doc["d1_position"], "sweep.d1_position"),
-            d2_x_range=(float(d2["min"]), float(d2["max"]),
-                        _integer(d2["steps"], "sweep.d2_x.steps")),
-            object_positions=tuple(
-                _point(p, f"sweep.object_positions[{i}]")
-                for i, p in enumerate(doc["object_positions"])
-            ),
-            acquisition=_acquisition(doc, "sweep"),
-            grid=_grid(doc, "sweep"),
-            trials_per_point=_integer(doc.get("trials_per_point", 50), "sweep.trials_per_point"),
-            object_reflectivity=float(doc.get("object_reflectivity", 3.0)),
-            standoff_m=float(doc.get("standoff_m", 2.0)),
-        )
+    """Parse a sweep document: the fields of ``SweepConfig``, with ``d2_x`` as
+    ``{min, max, steps}`` for ``d2_x_range`` and ``acquisition`` optional."""
+    _require_keys(doc, "sweep", {"d2_x"})
+    doc = {"acquisition": {}, **doc}
+    d2, keys = doc.pop("d2_x"), ("min", "max", "steps")
+    _require_keys(d2, "sweep.d2_x", set(keys), set(keys))
+    kinds = typing.get_args(_schema(SweepConfig)[0]["d2_x_range"])
+    d2_x_range = tuple(_value(k, d2[key], f"sweep.d2_x.{key}") for key, k in zip(keys, kinds))
+    return _record(SweepConfig, doc, "sweep", d2_x_range=d2_x_range)
 
 
 def load_sweep_config(path) -> SweepConfig:
-    return sweep_config_from_dict(_load_json_object(path, "sweep config"))
+    return sweep_config_from_dict(_load_json(path))
 
 
 def tracks_to_dict(result: ScenarioResult) -> dict:
@@ -358,7 +315,7 @@ def write_manifest(path, scene_file, scene_sha256, params: dict, master_seed: in
     """Write the run manifest; ``run_manifest`` brackets a run with two calls."""
     doc = {
         "tool": "nlostrack",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "scene_file": str(scene_file) if scene_file else None,
         "scene_sha256": scene_sha256,
         "params": params,

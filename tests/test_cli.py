@@ -127,7 +127,7 @@ class TestSimulate:
     def test_interrupted_run_leaves_incomplete_manifest(self, runner, scene_file, tmp_path,
                                                          monkeypatch):
         out = tmp_path / "sim"
-        monkeypatch.setattr("nlostrack.cli.simulate_background", interrupt)
+        monkeypatch.setattr("nlostrack.studies.simulate_background", interrupt)
         result = runner.invoke(main, ["simulate", str(scene_file), "--out", str(out)])
         assert result.exit_code != 0
         assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
@@ -163,9 +163,9 @@ class TestSimulate:
     @pytest.mark.parametrize("obj, message", [
         ({"position": [1, 2]}, "error: scene.objects[0].position must be a [x, y, z] triple"),
         ({"position": [0.6, 1.2, 1.0], "reflectivity": None},
-         "error: scene.objects[0].reflectivity: float() argument"),
+         "error: scene.objects[0].reflectivity must be a number, got None\n"),
         ({"position": [0.6, 1.2, 1.0], "reflectivity": "bright"},
-         "error: scene.objects[0].reflectivity: could not convert"),
+         "error: scene.objects[0].reflectivity must be a number, got 'bright'\n"),
         ({"position": [0.6, 1.2, 1.0], "reflectivity": -1.0},
          "error: scene.objects[0]: reflectivity must be >= 0"),
     ])
@@ -193,7 +193,44 @@ class TestSimulate:
         bad.write_text(json.dumps(dict(SCENE, grid=dict(SCENE["grid"], x_max=float("inf")))))
         result = runner.invoke(main, [command, str(bad), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
-        assert result.output == "error: x_max must be finite, got inf\n"
+        assert result.output == "error: scene.grid: x_max must be finite, got inf\n"
+
+    def test_non_finite_wall_normal_exit_2(self, runner, tmp_path):
+        # Python's JSON reader accepts NaN. With Lambertian losses on, such a
+        # normal would give every return a rate of 0 and simulate none.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, wall_normal=[float("nan"), 1.0, 0.0])))
+        result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == "error: scene: wall_normal must be finite, got (nan, 1.0, 0.0)\n"
+
+    @pytest.mark.parametrize("field, what", [
+        ("scatter_height_z", "scene.scatter_height_z"), ("standoff_m", "scene"),
+        ("laser_spot", "scene.laser_spot"),
+    ])
+    def test_integer_beyond_float_range_exit_2_names_field(self, runner, tmp_path, field, what):
+        # Python's JSON reader reads any integer; a float holds none beyond 1.8e308.
+        huge = 10 ** 400
+        value = [huge, 0.0, 1.0] if field == "laser_spot" else huge
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SCENE, **{field: value})))
+        result = runner.invoke(main, ["simulate", str(bad), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {what}: int too large to convert to float\n"
+
+    def test_simulation_failure_worded_as_reconstruct_words_it(self, runner, tmp_path):
+        # At 80 MHz the clutter return of the bundled scene is beyond one period.
+        doc = json.loads((CONFIGS / "single_person.json").read_text())
+        doc["acquisition"]["rep_rate_hz"] = 8e7
+        doc["objects"][0]["position"] = [0.6, 3.9, 1.0]
+        scene = tmp_path / "aliased.json"
+        scene.write_text(json.dumps(doc))
+        for command in ("simulate", "reconstruct"):
+            result = runner.invoke(main, [command, str(scene), "--out", str(tmp_path / command)])
+            assert result.exit_code == 2
+            assert result.output == (
+                "error: pixel 0: time of flight 1.916e-08 s of clutter-wall exceeds the "
+                "repetition period 1.250e-08 s; returns would alias\n")
 
 
 class TestReconstruct:
@@ -657,7 +694,7 @@ class TestSweep:
         out = tmp_path / "x"
         result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
         assert result.exit_code == 2
-        assert result.output == "error: z_plane must be finite, got nan\n"
+        assert result.output == "error: sweep.grid: z_plane must be finite, got nan\n"
         assert not out.exists()
 
 
@@ -671,7 +708,7 @@ class TestExitCodes:
         return tmp_path
 
     @pytest.mark.parametrize("command, source, callee", [
-        ("simulate", "scene.json", "nlostrack.cli.simulate_background"),
+        ("simulate", "scene.json", "nlostrack.cli.simulate_scene"),
         ("reconstruct", "scene.json", "nlostrack.cli.reconstruct_from_histograms"),
         ("reconstruct", "scene.json", "nlostrack.sceneio.write_tracks_json"),
         ("sweep", "sweep.json", "nlostrack.cli.run_baseline_sweep"),

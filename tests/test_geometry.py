@@ -89,6 +89,12 @@ class TestTypes:
                 wall_normal=(0.0, 1.0 + 1e-6, 0.0),
             )
 
+    @pytest.mark.parametrize("normal", [(math.nan, 1.0, 0.0), (0.0, 1.0, math.inf)])
+    def test_scene_rejects_non_finite_normal(self, normal):
+        # A nan component fails every comparison, the unit-length test's too.
+        with pytest.raises(ValueError, match=r"wall_normal must be finite, got \("):
+            Scene(laser_spot=Point3(0, 0, 1), pixels=(Point3(1, 0, 1),), wall_normal=normal)
+
     def test_scene_rejects_bad_standoff(self):
         with pytest.raises(ValueError, match="standoff"):
             Scene(laser_spot=Point3(0, 0, 1), pixels=(Point3(1, 0, 1),), standoff_m=0.0)

@@ -6,17 +6,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlostrack
 from nlostrack import (
     AcquisitionParams, GridSpec, Point3, ProbabilityMap, TransientHistogram, backproject,
     simulate_histogram,
 )
 from nlostrack.processing import PeakEstimate
 from nlostrack import sceneio
+from nlostrack.cli import main
 from nlostrack.sceneio import SceneFormatError
 from nlostrack.studies import ScenarioResult, SweepResult, SweepRow
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def scene_doc():
@@ -35,21 +41,25 @@ def scene_doc():
 
 class TestSceneDocument:
     def test_roundtrip_identity(self, tmp_path):
-        scene, params, grid = sceneio.scene_from_dict(scene_doc())
         path = tmp_path / "scene.json"
-        sceneio.save_scene(path, scene, params, grid)
-        scene2, params2, grid2 = sceneio.load_scene(path)
-        assert scene2 == scene
-        assert params2 == params
-        assert grid2 == grid
+        path.write_text(json.dumps(scene_doc()))
+        assert sceneio.load_scene(path) == sceneio.scene_from_dict(scene_doc())
 
     def test_plane_height_is_the_grids(self):
         # Objects keep their own z; scatter_height_z only places the search plane.
         doc = dict(scene_doc(), scatter_height_z=1.3)
-        scene, params, grid = sceneio.scene_from_dict(doc)
+        scene, _, grid = sceneio.scene_from_dict(doc)
         assert grid.z_plane == 1.3
         assert scene.objects[0].position.z == 1.0
-        assert sceneio.scene_to_dict(scene, params, grid)["scatter_height_z"] == 1.3
+
+    def test_numbers_keep_their_json_type(self):
+        # Grid and acquisition numbers reach the map headers and the manifest
+        # as written; the plane height becomes the grid's float z_plane.
+        doc = dict(scene_doc(), scatter_height_z=1, grid=dict(scene_doc()["grid"], x_min=-3),
+                   acquisition={"dark_rate_hz": 500, "rng_seed": 7.0})
+        _, params, grid = sceneio.scene_from_dict(doc)
+        values = (grid.x_min, grid.z_plane, params.dark_rate_hz, params.rng_seed)
+        assert [(v, type(v)) for v in values] == [(-3, int), (1.0, float), (500, int), (7, int)]
 
     def test_unknown_field_rejected(self):
         doc = scene_doc()
@@ -85,6 +95,12 @@ class TestSceneDocument:
         bad = tmp_path / "scene.json"
         bad.write_text("{nope")
         with pytest.raises(SceneFormatError, match="not valid JSON"):
+            sceneio.load_scene(bad)
+
+    def test_not_an_object(self, tmp_path):
+        bad = tmp_path / "scene.json"
+        bad.write_text("[1, 2]")
+        with pytest.raises(SceneFormatError, match=r"^scene must be a JSON object, got \[1, 2\]$"):
             sceneio.load_scene(bad)
 
 
@@ -123,6 +139,106 @@ class TestSweepDocument:
         doc["d2_y"] = {}
         with pytest.raises(SceneFormatError, match="d2_y"):
             sceneio.sweep_config_from_dict(doc)
+
+
+NUMBER, INTEGER, BOOL, STRING, POINT, LIST, OBJECT = (
+    "a number", "an integer", "true or false", "a string", "a [x, y, z] triple", "a list",
+    "a JSON object",
+)
+
+# (field path, bad value, what the field must be) for the two sections both
+# documents hold.
+ACQUISITION_FIELDS = [
+    ("rep_rate_hz", "4e7", NUMBER), ("bin_width_s", None, NUMBER), ("acq_time_s", [1.0], NUMBER),
+    ("irf_sigma_s", {}, NUMBER), ("dark_rate_hz", True, NUMBER),
+    ("ambient_rate_hz", False, NUMBER), ("system_throughput", "1e4", NUMBER),
+    ("lambertian", "false", BOOL), ("lambertian", 0, BOOL), ("lambertian", None, BOOL),
+    ("rng_seed", 4.5, INTEGER), ("rng_seed", True, INTEGER), ("rng_seed", "42", INTEGER),
+]
+GRID_FIELDS = [
+    ("x_min", "a", NUMBER), ("x_max", None, NUMBER), ("y_min", [0.0], NUMBER),
+    ("y_max", False, NUMBER), ("resolution", True, NUMBER),
+]
+# (document, field path, bad value, what the field must be): every leaf
+# field of the scene and sweep documents, set in a bundled config.
+FIELD_CASES = [
+    ("scene", "laser_spot", "far", POINT), ("scene", "laser_spot", [0.0, 1.0], POINT),
+    ("scene", "laser_spot[1]", "a", NUMBER),
+    ("scene", "pixels", 3, LIST), ("scene", "pixels[0]", 7, POINT),
+    ("scene", "pixels[3][2]", True, NUMBER),
+    ("scene", "objects", 3, LIST), ("scene", "objects[0]", [], OBJECT),
+    ("scene", "objects[0].position", [1, 2], POINT),
+    ("scene", "objects[0].position[0]", None, NUMBER),
+    ("scene", "objects[0].reflectivity", "bright", NUMBER),
+    ("scene", "objects[0].reflectivity", True, NUMBER),
+    ("scene", "objects[0].label", 5, STRING),
+    ("scene", "background_scatterers", {}, LIST),
+    ("scene", "background_scatterers[0].position", "wall", POINT),
+    ("scene", "background_scatterers[0].reflectivity", "2", NUMBER),
+    ("scene", "background_scatterers[0].label", None, STRING),
+    ("scene", "scatter_height_z", "1", NUMBER), ("scene", "scatter_height_z", True, NUMBER),
+    ("scene", "wall_normal", 5, LIST), ("scene", "wall_normal", [0.0, 1.0], "a list of 3 items"),
+    ("scene", "wall_normal[1]", "1", NUMBER),
+    ("scene", "standoff_m", "far", NUMBER), ("scene", "standoff_m", True, NUMBER),
+    ("scene", "acquisition", None, OBJECT), ("scene", "grid", 5, OBJECT),
+    ("sweep", "laser_spot", [1.0], POINT), ("sweep", "d1_position", "here", POINT),
+    ("sweep", "d1_position[2]", "z", NUMBER),
+    ("sweep", "d2_x", [-0.3, -2.7, 25], OBJECT), ("sweep", "d2_x.min", "a", NUMBER),
+    ("sweep", "d2_x.max", None, NUMBER), ("sweep", "d2_x.steps", 2.5, INTEGER),
+    ("sweep", "object_positions", 3, LIST), ("sweep", "object_positions[1]", [1.6], POINT),
+    ("sweep", "object_positions[0][0]", "1", NUMBER),
+    ("sweep", "trials_per_point", "50", INTEGER),
+    ("sweep", "object_reflectivity", "bright", NUMBER),
+    ("sweep", "standoff_m", True, NUMBER),
+    ("sweep", "acquisition", [], OBJECT), ("sweep", "grid", "fine", OBJECT),
+    ("sweep", "grid.z_plane", "1", NUMBER),
+    *((doc, f"acquisition.{field}", value, kind)
+      for doc in ("scene", "sweep") for field, value, kind in ACQUISITION_FIELDS),
+    *((doc, f"grid.{field}", value, kind)
+      for doc in ("scene", "sweep") for field, value, kind in GRID_FIELDS),
+]
+DOCUMENTS = {
+    "scene": ("single_person.json", sceneio.scene_from_dict, "simulate"),
+    "sweep": ("baseline_sweep.json", sceneio.sweep_config_from_dict, "sweep"),
+}
+
+
+def set_field(doc, path, value):
+    """Set the field at ``path`` (``objects[0].label``) of the JSON document ``doc``."""
+    *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("document, path, value, kind", FIELD_CASES)
+def test_each_field_refusal_names_its_path(tmp_path, document, path, value, kind):
+    config, parse, command = DOCUMENTS[document]
+    doc = json.loads((CONFIGS / config).read_text())
+    set_field(doc, path, value)
+    message = f"{document}.{path} must be {kind}, got {value!r}"
+    with pytest.raises(SceneFormatError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [command, str(bad), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
+def test_readme_scene_block_and_every_config_parse():
+    # README's scene block is the bundled single-person scene without its clutter.
+    (block,) = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    scene, params, grid = sceneio.load_scene(CONFIGS / "single_person.json")
+    assert sceneio.scene_from_dict(json.loads(block)) == (
+        dataclasses.replace(scene, background_scatterers=()), params, grid)
+    configs = sorted(CONFIGS.glob("*.json"))
+    assert [p.name for p in configs] == ["baseline_sweep.json", "single_person.json",
+                                         "two_person.json"]
+    assert sceneio.load_sweep_config(configs[0]).d2_x_range == (-0.3, -2.7, 25)
+    for path in configs[1:]:
+        assert sceneio.load_scene(path)[0].objects
 
 
 def five_bin_histogram():
@@ -418,6 +534,14 @@ class TestManifest:
             assert doc["status"] == "incomplete"
             assert doc["scene_sha256"] == sceneio.sha256_of(scene)
         assert json.loads(manifest.read_text())["status"] == "complete"
+
+    def test_version_is_the_packages(self, tmp_path):
+        (version,) = re.findall(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(),
+                                re.M)
+        with sceneio.run_manifest(tmp_path, None, AcquisitionParams(), []):
+            pass
+        written = json.loads((tmp_path / "manifest.json").read_text())["version"]
+        assert written == nlostrack.__version__ == version == "0.1.0"
 
     def test_digest_is_of_the_scene_as_the_run_started(self, tmp_path):
         scene = tmp_path / "scene.json"
