@@ -131,8 +131,8 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
     maps = {}
     if write_maps:
         fused = localization.fused_maps(result.peaks_per_pixel, scene.laser_spot,
-                                        list(scene.pixels), grid, result.tracks, result.detections)
-        maps = {f"fused_map_{t.target_label}.csv": m for t, m in zip(result.tracks, fused)}
+                                        list(scene.pixels), grid, result.tracks)
+        maps = {f"fused_map_{label}.csv": m for label, m in fused.items()}
     out_dir = Path(out)
     with sceneio.run_manifest(out_dir, scene_file, params, ["tracks.json", *maps],
                               grid=dataclasses.asdict(grid), targets=targets):
@@ -140,10 +140,14 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
         for name, pmap in maps.items():
             sceneio.write_map_csv(out_dir / name, pmap)
 
-    if not result.tracks:
-        click.echo("no target found", file=sys.stderr)
+    if result.status != "ok":
+        headline = "no target found" if result.status == "no_target" else (
+            "ambiguous association: two assignments score within "
+            f"{localization.AMBIGUITY_MARGIN:.0%} of each other")
+        click.echo(headline, file=sys.stderr)
         for note in result.notes:
             click.echo(f"  {note}", file=sys.stderr)
+    if not result.tracks:
         sys.exit(EXIT_NO_TARGET)
     for t in result.tracks:
         click.echo(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,13 +115,14 @@ class ProbabilityMap:
 
 @dataclass(frozen=True)
 class TrackEstimate:
-    """A localized target on the scattering plane."""
+    """A localized target on the plane; ``detections`` are the (pixel, peak) pairs it fuses."""
 
     position: tuple[float, float]
     sigma_x: float
     sigma_y: float
     peak_value: float
     target_label: str = "target-1"
+    detections: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if not (self.sigma_x >= 0 and self.sigma_y >= 0):
@@ -277,7 +278,6 @@ def _spreads(pmap: ProbabilityMap) -> tuple[float, float]:
 
 def localize(
     log_density: np.ndarray, grid: GridSpec, position: tuple[float, float],
-    target_label: str = "target-1",
 ) -> tuple[TrackEstimate, ProbabilityMap]:
     """One target's track and fused map from its summed band log-density.
 
@@ -290,11 +290,7 @@ def localize(
     """
     fused = _normalized(log_density, grid)
     sigma_x, sigma_y = _spreads(fused)
-    track = TrackEstimate(
-        position=position, sigma_x=sigma_x, sigma_y=sigma_y,
-        peak_value=float(fused.values.max()), target_label=target_label,
-    )
-    return track, fused
+    return TrackEstimate(position, sigma_x, sigma_y, float(fused.values.max())), fused
 
 
 REFINE_TOLERANCE = 1e-10  # score units: 100x the rounding noise of scores near -3000
@@ -436,19 +432,17 @@ def _log_density(peaks_per_pixel, r_l, pixels, grid, det):
 
 def fused_maps(
     peaks_per_pixel: list[list[PeakEstimate]], r_l: Point3, pixels: list[Point3], grid: GridSpec,
-    tracks: list[TrackEstimate], detections: list[tuple[tuple[int, int], ...]],
-) -> list[ProbabilityMap]:
+    tracks: list[TrackEstimate],
+) -> dict[str, ProbabilityMap]:
     """Each track's fused map from its detections, as association built it, bit for bit.
 
-    The arguments are association's own: a detection's pixel index counts
-    both ``peaks_per_pixel`` and ``pixels``. Empty ``detections`` (a result
-    that is not ``ok``) give no map.
+    Keyed by label, one map for each track that has detections (an ambiguous
+    result's tracks have none). The arguments are association's own: a
+    detection's pixel index counts both ``peaks_per_pixel`` and ``pixels``.
     """
-    return [
-        localize(_log_density(peaks_per_pixel, r_l, pixels, grid, det), grid,
-                 track.position, track.target_label)[1]
-        for track, det in zip(tracks, detections)
-    ]
+    log_density = functools.partial(_log_density, peaks_per_pixel, r_l, pixels, grid)
+    return {t.target_label: localize(log_density(t.detections), grid, t.position)[1]
+            for t in tracks if t.detections}
 
 
 def associate_and_localize(
@@ -457,7 +451,7 @@ def associate_and_localize(
     pixels: list[Point3],
     grid: GridSpec,
     k_targets: int = 1,
-) -> tuple[list[TrackEstimate], list[tuple[tuple[int, int], ...]]]:
+) -> list[TrackEstimate]:
     """Assign per-pixel peaks to targets and localize each target.
 
     Exhaustively enumerates peak-to-target assignments (tiny at this
@@ -466,13 +460,13 @@ def associate_and_localize(
     winning target is placed at that optimum; its spreads and peak value
     come from its fused map. Targets must be seen by at least two pixels;
     a pixel with no returns (an empty list) serves no target. Returns the
-    tracks, sorted by position, and for each track its detections: the
-    (pixel index, peak index) pairs whose bands it fuses, the pixel index
-    counting ``pixels`` and ``peaks_per_pixel`` alike.
+    tracks, sorted by position and labelled in that order, each with its
+    detections: the (pixel index, peak index) pairs whose bands it fuses,
+    the pixel index counting ``pixels`` and ``peaks_per_pixel`` alike.
 
     Raises AmbiguousAssociationError when the runner-up assignment scores
     within AMBIGUITY_MARGIN (relative) of the winner, carrying both
-    solutions; TooManyTargetsError for k_targets > 2.
+    solutions' tracks; TooManyTargetsError for k_targets > 2.
     """
     _check_k_targets(k_targets)
     if len(peaks_per_pixel) != len(pixels):
@@ -552,12 +546,11 @@ def associate_and_localize(
     def _solve(targets):
         # Full-grid densities are built only here, one target at a time, for
         # the targets a caller gets back; each fused map dies with its step.
-        ordered = sorted(targets, key=lambda t: t[0])
-        tracks = [
-            localize(log_density(det), grid, pos, f"target-{i + 1}")[0]
-            for i, (pos, det) in enumerate(ordered)
+        return [
+            replace(localize(log_density(det), grid, pos)[0],
+                    target_label=f"target-{i + 1}", detections=det)
+            for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0]))
         ]
-        return tracks, [det for _, det in ordered]
 
     def _distinct(targets):
         # Every pair of targets resolves to positions more than a cell apart.
@@ -577,8 +570,8 @@ def associate_and_localize(
     if best_score - second_score < -math.log1p(-AMBIGUITY_MARGIN):
         raise AmbiguousAssociationError(
             f"top assignments score within {AMBIGUITY_MARGIN:.0%} of each other",
-            best=_solve(best)[0],
-            second=_solve(second)[0],
+            best=_solve(best),
+            second=_solve(second),
             best_score=best_score,
             second_score=second_score,
         )

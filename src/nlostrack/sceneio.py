@@ -1,12 +1,14 @@
 """File formats: scene JSON, histogram/map/sweep CSV, track JSON, run manifest.
 
-The only module that touches the filesystem. Scene and sweep documents are
+Every file is read and written here; the CLI only checks that a histogram
+file it expects exists, to name it. Scene and sweep documents are
 read field by field as the dataclasses they build annotate them (``_value``
 lists the JSON kinds), and every refusal names the field's path in the
 document, such as ``scene.objects[0].reflectivity``. Every CSV has one layout: a
 versioned ``# <format>`` line, ``# key=value`` header lines, the column line,
 then comma-separated rows with '.' decimals (Python float repr) and
-``true``/``false`` booleans. The reader checks the format and column lines.
+``true``/``false`` booleans. The reader checks the format and column lines and
+refuses a file missing a header line it reads.
 """
 
 from __future__ import annotations
@@ -172,8 +174,7 @@ def tracks_to_dict(result: ScenarioResult) -> dict:
     Returns come in (pixel, peak) order, pixels numbered as in the scene
     and in ``result``, each with the label of the track that fuses it or None.
     """
-    fused_by = {pair: track.target_label
-                for track, det in zip(result.tracks, result.detections) for pair in det}
+    fused_by = {pair: t.target_label for t in result.tracks for pair in t.detections}
     return {
         "status": result.status,
         "tracks": [
@@ -264,7 +265,7 @@ def read_histogram_csv(path) -> TransientHistogram:
         return TransientHistogram(
             counts=table["counts"], bin_width_s=float(meta["bin_width_s"]),
             t0_offset_s=float(meta["t0_offset_s"]), pixel_index=int(meta["pixel"]),
-            acq_time_s=float(meta.get("acq_time_s", 1.0)),
+            acq_time_s=float(meta["acq_time_s"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing header line for {exc}") from exc

@@ -9,7 +9,6 @@ which only the simulation stage is allowed to read.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,18 +104,17 @@ class ScenarioResult:
 
     ``peaks_per_pixel`` holds every fitted return of each pixel, in the
     order the pixels were passed in (an empty list for a pixel with none).
-    ``detections`` holds, for each track of an ``ok`` result, the (pixel
-    index, peak index) pairs whose bands it fuses, in that same pixel
-    numbering; it is empty for any other status. ``sceneio.tracks_to_dict``
-    writes every return with the label of the track that fuses it, which is
-    all a band or fused map is rebuilt from.
+    Each track of an ``ok`` result carries its detections, (pixel index,
+    peak index) pairs in that same pixel numbering; the tracks of an
+    ``ambiguous`` result carry none. ``sceneio.tracks_to_dict`` writes every
+    return with the label of the track that fuses it, which is all a band
+    or fused map is rebuilt from.
     """
 
     tracks: list[TrackEstimate]
     peaks_per_pixel: list[list[PeakEstimate]]
     status: str  # "ok", "ambiguous" or "no_target"
     notes: list[str] = field(default_factory=list)
-    detections: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -150,9 +148,9 @@ def reconstruct_from_histograms(
     whose histogram shows no usable return keeps an empty peak list and gets
     a note; if fewer than two pixels have returns, or the measurements
     cannot be reconciled, the result reports ``no_target`` instead of
-    raising. An ambiguous association reports ``ambiguous`` with the best
-    assignment's tracks and a UserWarning. Processing failures propagate as
-    PipelineError naming the pixel.
+    raising. An ambiguous association reports ``ambiguous`` and a note, with
+    the best assignment's tracks stripped of their detections. Processing
+    failures propagate as PipelineError naming the pixel.
     """
     if len(pixels) < 2:
         raise ValueError("localization needs at least two detector pixels")
@@ -182,24 +180,19 @@ def reconstruct_from_histograms(
         return result
 
     try:
-        tracks, detections = associate_and_localize(
+        result.tracks = associate_and_localize(
             peaks_per_pixel, laser_spot, pixels, grid, k_targets=k_targets
         )
         result.status = "ok"
     except AmbiguousAssociationError as exc:
-        warnings.warn(str(exc), stacklevel=2)
         result.status = "ambiguous"
         result.notes.append(
             "ambiguous association; best "
             + _fmt_tracks(exc.best) + " vs runner-up " + _fmt_tracks(exc.second)
         )
-        tracks, detections = exc.best, []
+        result.tracks = [replace(t, detections=()) for t in exc.best]
     except (EmptyIntersectionError, InfeasibleTimeError) as exc:
         result.notes.append(f"no target found: {exc}")
-        return result
-
-    result.tracks = tracks
-    result.detections = detections
     return result
 
 
@@ -275,6 +268,7 @@ class SweepConfig:
         if not self.object_positions:
             raise ValueError("need at least one object position")
         object.__setattr__(self, "object_positions", tuple(self.object_positions))
+        list(self.cells())  # a setting some cell's Scene refuses is refused here
 
     def d2_positions(self) -> list[Point3]:
         lo, hi, steps = self.d2_x_range
@@ -282,6 +276,14 @@ class SweepConfig:
             Point3(float(x), self.d1_position.y, self.d1_position.z)
             for x in np.linspace(lo, hi, int(steps))
         ]
+
+    def cells(self):
+        """(step index, baseline, object index, scene) of each (baseline, object) cell, in order."""
+        for si, d2 in enumerate(self.d2_positions()):
+            for oi, opos in enumerate(self.object_positions):
+                scene = Scene(self.laser_spot, (self.d1_position, d2), standoff_m=self.standoff_m,
+                              objects=(HiddenObject(opos, self.object_reflectivity, "target"),))
+                yield si, abs(d2.x - self.d1_position.x), oi, scene
 
 
 @dataclass(frozen=True)
@@ -327,54 +329,47 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
     Deterministic given the config (trial seeds derive from the
     acquisition seed). A trial fails on a PipelineError or a result with no
     track, and steps where more than half the trials fail are marked
-    invalid; any other error (an invalid scene or setting) propagates.
+    invalid; any other error (an invalid setting) propagates.
     """
     master = config.acquisition.rng_seed
     rows: list[SweepRow] = []
-    for si, d2 in enumerate(config.d2_positions()):
-        baseline = abs(d2.x - config.d1_position.x)
-        for oi, opos in enumerate(config.object_positions):
-            scene = Scene(
-                laser_spot=config.laser_spot,
-                pixels=(config.d1_position, d2),
-                objects=(HiddenObject(opos, config.object_reflectivity, "target"),),
-                standoff_m=config.standoff_m,
+    for si, baseline, oi, scene in config.cells():
+        opos = scene.objects[0].position
+        xs, ys, pdf_sx, pdf_sy = [], [], [], []
+        failed = 0
+        for trial in range(config.trials_per_point):
+            params = replace(
+                config.acquisition, rng_seed=_trial_seed(master, si, oi, trial)
             )
-            xs, ys, pdf_sx, pdf_sy = [], [], [], []
-            failed = 0
-            for trial in range(config.trials_per_point):
-                params = replace(
-                    config.acquisition, rng_seed=_trial_seed(master, si, oi, trial)
-                )
-                try:
-                    result = run_scenario(scene, params, config.grid)
-                except PipelineError:
-                    failed += 1
-                    continue
-                if not result.ok:
-                    failed += 1
-                    continue
-                track = result.tracks[0]
-                xs.append(track.position[0])
-                ys.append(track.position[1])
-                pdf_sx.append(track.sigma_x)
-                pdf_sy.append(track.sigma_y)
-            n_ok = len(xs)
-            # error, sigma, pdf_sigma and pdf_sigma_se, each as (x, y)
-            stats = (math.nan,) * 8
-            if n_ok:
-                def spread(values, scale=1.0):
-                    return float(np.std(values, ddof=1) / scale) if n_ok > 1 else 0.0
+            try:
+                result = run_scenario(scene, params, config.grid)
+            except PipelineError:
+                failed += 1
+                continue
+            if not result.ok:
+                failed += 1
+                continue
+            track = result.tracks[0]
+            xs.append(track.position[0])
+            ys.append(track.position[1])
+            pdf_sx.append(track.sigma_x)
+            pdf_sy.append(track.sigma_y)
+        n_ok = len(xs)
+        # error, sigma, pdf_sigma and pdf_sigma_se, each as (x, y)
+        stats = (math.nan,) * 8
+        if n_ok:
+            def spread(values, scale=1.0):
+                return float(np.std(values, ddof=1) / scale) if n_ok > 1 else 0.0
 
-                stats = (
-                    abs(float(np.mean(xs)) - opos.x), abs(float(np.mean(ys)) - opos.y),
-                    spread(xs), spread(ys), float(np.mean(pdf_sx)), float(np.mean(pdf_sy)),
-                    spread(pdf_sx, math.sqrt(n_ok)), spread(pdf_sy, math.sqrt(n_ok)),
-                )
-            # A cell with no success has failed every trial, so it is invalid.
-            rows.append(SweepRow(
-                baseline, oi, opos.x, opos.y, *stats,
-                n_trials=config.trials_per_point, n_failed=failed,
-                valid=failed <= config.trials_per_point // 2,
-            ))
+            stats = (
+                abs(float(np.mean(xs)) - opos.x), abs(float(np.mean(ys)) - opos.y),
+                spread(xs), spread(ys), float(np.mean(pdf_sx)), float(np.mean(pdf_sy)),
+                spread(pdf_sx, math.sqrt(n_ok)), spread(pdf_sy, math.sqrt(n_ok)),
+            )
+        # A cell with no success has failed every trial, so it is invalid.
+        rows.append(SweepRow(
+            baseline, oi, opos.x, opos.y, *stats,
+            n_trials=config.trials_per_point, n_failed=failed,
+            valid=failed <= config.trials_per_point // 2,
+        ))
     return SweepResult(config=config, rows=tuple(rows))

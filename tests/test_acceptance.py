@@ -9,7 +9,6 @@ import dataclasses
 import json
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,22 +133,20 @@ def test_c4_two_person_study():
     both_ok = 0
     successes = 0
     correct_assoc = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial in range(100):
-            params = nt.AcquisitionParams(rng_seed=trial)
-            res = nt.run_two_person(scene, params, DEFAULT_GRID)
-            if not res.ok or len(res.tracks) != 2:
-                continue
-            successes += 1
-            got = sorted(t.position for t in res.tracks)
-            errs = [
-                (abs(gx - tx), abs(gy - ty))
-                for (gx, gy), (tx, ty) in zip(got, sorted(truths))
-            ]
-            if all(ex < 0.5 and ey < 0.5 for ex, ey in errs):
-                both_ok += 1
-                correct_assoc += 1
+    for trial in range(100):
+        params = nt.AcquisitionParams(rng_seed=trial)
+        res = nt.run_two_person(scene, params, DEFAULT_GRID)
+        if not res.ok or len(res.tracks) != 2:
+            continue
+        successes += 1
+        got = sorted(t.position for t in res.tracks)
+        errs = [
+            (abs(gx - tx), abs(gy - ty))
+            for (gx, gy), (tx, ty) in zip(got, sorted(truths))
+        ]
+        if all(ex < 0.5 and ey < 0.5 for ex, ey in errs):
+            both_ok += 1
+            correct_assoc += 1
     assoc_rate = correct_assoc / successes if successes else 0.0
     _verdict(
         "C4 two-person localization and association",
@@ -317,17 +314,15 @@ def test_c9_degradation_direction():
 
     def failure_count(scene, n=60):
         failures = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for trial in range(n):
-                params = nt.AcquisitionParams(system_throughput=kappa, rng_seed=trial)
-                try:
-                    res = nt.run_two_person(scene, params, DEFAULT_GRID)
-                except (ValueError, RuntimeError):
-                    failures += 1
-                    continue
-                if not res.ok or len(res.tracks) != 2:
-                    failures += 1
+        for trial in range(n):
+            params = nt.AcquisitionParams(system_throughput=kappa, rng_seed=trial)
+            try:
+                res = nt.run_two_person(scene, params, DEFAULT_GRID)
+            except (ValueError, RuntimeError):
+                failures += 1
+                continue
+            if not res.ok or len(res.tracks) != 2:
+                failures += 1
         return failures
 
     f_same = failure_count(same)

@@ -39,6 +39,7 @@ SCENE = {
 
 # Mirror-symmetric pixels and targets about the laser axis: swapping the
 # association scores identically, so two-target reconstruction is ambiguous.
+# AMBIGUOUS_NOTE is its result's note at the scene's seed and grid.
 MIRROR_SCENE = dict(
     SCENE,
     laser_spot=[0.0, 0.0, 1.0],
@@ -49,6 +50,8 @@ MIRROR_SCENE = dict(
     ],
     acquisition={"rng_seed": 0, "system_throughput": 1.0e5},
 )
+AMBIGUOUS_NOTE = ("ambiguous association; best [(-0.00, 1.45), (0.00, 1.75)] "
+                  "vs runner-up [(-0.80, 1.40), (0.80, 1.40)]")
 
 
 @pytest.fixture
@@ -276,6 +279,19 @@ class TestReconstruct:
         assert result.output == (f"error: no background histogram for pixel 0 in {sim}: "
                                  "pixel00_background.csv is missing\n")
 
+    def test_histogram_without_acquisition_time_exit_2(self, runner, scene_file, tmp_path):
+        # acq_time_s is required like every other header line.
+        sim = tmp_path / "sim"
+        assert runner.invoke(main, ["simulate", str(scene_file), "--out", str(sim)]).exit_code == 0
+        path = sim / "pixel01_signal.csv"
+        path.write_text(path.read_text().replace("# acq_time_s=1.0\n", ""))
+        result = runner.invoke(
+            main, ["reconstruct", str(scene_file), "--hist-dir", str(sim),
+                   "--out", str(tmp_path / "rec")]
+        )
+        assert result.exit_code == 2
+        assert result.output == f"error: {path}: missing header line for 'acq_time_s'\n"
+
     @pytest.mark.parametrize("kind", ["signal", "background"])
     def test_histogram_of_another_pixel_exit_2_names_file(self, runner, tmp_path, kind):
         # pixel 1's histogram under pixel 0's name would otherwise localize
@@ -395,13 +411,20 @@ class TestReconstruct:
         scene = tmp_path / "mirror.json"
         scene.write_text(json.dumps(MIRROR_SCENE))
         rec = tmp_path / "rec"
-        with pytest.warns(UserWarning, match="top assignments score within 1%"):
-            result = runner.invoke(
-                main, ["reconstruct", str(scene), "--out", str(rec), "--targets", "2", "--maps"]
-            )
+        result = runner.invoke(
+            main, ["reconstruct", str(scene), "--out", str(rec), "--targets", "2", "--maps"]
+        )
         assert result.exit_code == 0, result.output
-        assert json.loads((rec / "tracks.json").read_text())["status"] == "ambiguous"
+        doc = json.loads((rec / "tracks.json").read_text())
+        assert doc["status"] == "ambiguous"
+        assert doc["diagnostics"] == [AMBIGUOUS_NOTE]
         assert_manifest_complete_and_lists_only_written_files(rec)
+        # The tracks go to stdout; stderr names the status in the CLI's own
+        # words, then the note, and holds no warning text.
+        assert [line.split(":")[0] for line in result.stdout.splitlines()] == [
+            "target-1", "target-2"]
+        assert result.stderr == ("ambiguous association: two assignments score within 1% of "
+                                 f"each other\n  {AMBIGUOUS_NOTE}\n")
 
     def test_maps_skip_infeasible_peaks(self, runner, tmp_path):
         # histograms of the bundled scene read with a 1.4 m standoff error:
@@ -466,10 +489,8 @@ class TestReconstruct:
         else:
             doc, args, status = SCENE, [], "ok"
         scene.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the ambiguity warning
-            runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps",
-                                 "--grid-res", str(grid_res), *args])
+        runner.invoke(main, ["reconstruct", str(scene), "--out", str(rec), "--maps",
+                             "--grid-res", str(grid_res), *args])
         tracks_doc = json.loads((rec / "tracks.json").read_text())
         assert tracks_doc["status"] == status
         written = read_bytes_sorted(rec, "*map*.csv")
@@ -480,8 +501,8 @@ class TestReconstruct:
         assert len(calls) == 1
         peaks_per_pixel, r_l, pixels, grid, returned = calls[0]
         assert (returned is not None) == (status == "ok")
-        labels = {pair: track.target_label for track, det in zip(*returned or ((), ()))
-                  for pair in det}
+        labels = {pair: track.target_label
+                  for track in returned or () for pair in track.detections}
         assert pixels == [Point3(*p) for p in doc["pixels"]]
         records, want = [], {}
         for i, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
@@ -516,7 +537,7 @@ class TestReconstruct:
             assert bool(fused) == (status == "ok")
             if fused:
                 track, fused_map = localize(functools.reduce(np.add, fused), grid,
-                                            (t["x"], t["y"]), t["label"])
+                                            (t["x"], t["y"]))
                 assert (track.sigma_x, track.sigma_y, track.peak_value) == (
                     t["sigma_x"], t["sigma_y"], t["peak_value"])
                 got[f"fused_map_{t['label']}.csv"] = map_bytes(tmp_path, fused_map)
@@ -675,7 +696,7 @@ class TestSweep:
         (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.0)),
          "retrieval needs irf_sigma_s > 0, got 0.0"),
         (dict(SWEEP_DOC, d2_x={"min": -0.2, "max": -1.2, "steps": 2}),
-         "wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
+         "sweep: wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
     ], ids=["irf_sigma_zero", "d2_on_d1"])
     def test_invalid_setting_is_no_failed_trial(self, runner, tmp_path, doc, message):
         # A setting no trial can run with exits 2; it is not a row of failed trials.
@@ -686,6 +707,23 @@ class TestSweep:
         assert result.exit_code == 2
         assert result.output == f"error: {message}\n"
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("object_reflectivity", -1, "reflectivity must be >= 0, got -1"),
+        ("standoff_m", -2, "standoff_m must be > 0, got -2"),
+        ("object_reflectivity", 10**400, "int too large to convert to float"),
+    ])
+    def test_setting_a_cell_scene_refuses_exit_2_before_the_manifest(self, runner, tmp_path,
+                                                                     field, value, message):
+        # Every cell's scene is built when the document is read, so these
+        # are refused before the output directory is made.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(SWEEP_DOC, **{field: value})))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: sweep: {message}\n"
+        assert not out.exists()
 
     def test_non_finite_plane_height_exit_2(self, runner, tmp_path):
         config = tmp_path / "sweep.json"
@@ -786,7 +824,6 @@ def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
         fused = [bands[name].log_values for name, d in zip(names, feasible)
                  if d["track"] == t["label"]]
         grid = bands[names[0]].grid
-        _, fused_map = localize(functools.reduce(np.add, fused), grid, (t["x"], t["y"]),
-                                t["label"])
+        _, fused_map = localize(functools.reduce(np.add, fused), grid, (t["x"], t["y"]))
         assert map_bytes(tmp_path, fused_map) == Path(
             f"runs/rec/fused_map_{t['label']}.csv").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -243,8 +244,8 @@ class TestLocalize:
         log_density = -0.5 * (((xx - 0.7) / 0.05) ** 2 + ((yy - 0.4) / 0.1) ** 2)
         expected = np.exp(log_density)
         expected /= expected.sum() * g.cell_area
-        track, fused = localize(log_density, g, (0.71, 0.39), "target-2")
-        assert (track.position, track.target_label) == ((0.71, 0.39), "target-2")
+        track, fused = localize(log_density, g, (0.71, 0.39))
+        assert track.position == (0.71, 0.39)
         assert fused.normalized and fused.grid == g
         assert fused.values.sum() * g.cell_area == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(fused.values, expected, rtol=1e-12)
@@ -289,7 +290,7 @@ class TestAssociate:
     def test_single_target_matches_fuse_localize(self):
         truth = (0.6, 1.2)
         peaks = self.peaks_for([truth])
-        tracks, _ = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
+        tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=1)
         reference = reference_fuse([
             backproject(p[0], self.r_l, pix, self.grid)
             for p, pix in zip(peaks, self.pixels)
@@ -301,7 +302,7 @@ class TestAssociate:
 
     def test_two_targets_correctly_associated(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
-        tracks, _ = associate_and_localize(
+        tracks = associate_and_localize(
             self.peaks_for(truths), self.r_l, self.pixels, self.grid, k_targets=2
         )
         assert len(tracks) == 2
@@ -312,15 +313,14 @@ class TestAssociate:
 
     def test_two_target_spreads_and_peaks_match_fuse_localize(self, monkeypatch):
         # Each track's spreads and peak value are those of the fused map of
-        # its own detections, which are returned with it; localize builds
-        # that fused map.
+        # its own detections, which it carries; localize builds that fused map.
         fused_maps = self.record_fused_maps(monkeypatch)
         truths = [(0.5, 0.9), (1.2, 1.6)]
         peaks = self.peaks_for(truths)
-        tracks, detections = associate_and_localize(
-            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         assert [t.target_label for t in tracks] == ["target-1", "target-2"]
-        assert detections == [tuple((i, t) for i in range(4)) for t in range(2)]
+        assert [t.detections for t in tracks] == [tuple((i, t) for i in range(4))
+                                                  for t in range(2)]
         assert len(fused_maps) == 2
         for t, (track, fused) in enumerate(zip(tracks, fused_maps)):
             reference_map = reference_fuse([
@@ -346,12 +346,11 @@ class TestAssociate:
 
         monkeypatch.setattr(localization, "_band_log", recording)
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
-        tracks, detections = associate_and_localize(
-            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         stride = localization._SEED_STRIDE
         lattice = (len(range(0, self.grid.ny, stride)), len(range(0, self.grid.nx, stride)))
         n_peaks = sum(len(p) for p in peaks)
-        returned = [pair for det in detections for pair in det]
+        returned = [pair for t in tracks for pair in t.detections]
         assert len(tracks) == 2
         assert band_shapes[:n_peaks] == [lattice] * n_peaks
         blocks = band_shapes[n_peaks:]
@@ -362,11 +361,11 @@ class TestAssociate:
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
-        a, _ = associate_and_localize(
+        a = associate_and_localize(
             self.peaks_for(truths), self.r_l, self.pixels, self.grid, k_targets=2
         )
         swapped = self.peaks_for(truths, order=[(1, 0), (0, 1), (1, 0), (0, 1)])
-        b, _ = associate_and_localize(swapped, self.r_l, self.pixels, self.grid, k_targets=2)
+        b = associate_and_localize(swapped, self.r_l, self.pixels, self.grid, k_targets=2)
         for ta, tb in zip(a, b):
             assert ta.position == pytest.approx(tb.position, rel=1e-9)
             assert ta.target_label == tb.target_label
@@ -380,24 +379,27 @@ class TestAssociate:
     @pytest.mark.parametrize("k_targets", [1, 2])
     def test_pixel_without_returns_serves_no_target(self, k_targets):
         # A pixel with an empty return list, inserted at any position of the
-        # inputs, leaves tracks, spreads and fused maps bit-identical; only
-        # the detections' pixel numbers, which count it, shift past it.
+        # inputs, leaves positions, spreads and fused maps bit-identical; only
+        # the pixel numbers of each track's detections, which count it, shift
+        # past it.
         rng = np.random.default_rng(k_targets)
         problems = [(self.peaks_for([(0.5, 0.9), (1.2, 1.6)][:k_targets]), self.r_l, self.pixels)]
         problems += [random_problem(rng, k_targets) for _ in range(3)]
         grid = GridSpec(-3, 3, 0, 4, 0.04, 1.0)
         for peaks, r_l, pixels in problems:
-            status, tracks, detections, fused, _ = association_outcome(
+            status, tracks, fused, _ = association_outcome(
                 associate_and_localize, peaks, r_l, pixels, grid, k_targets)
             assert status == "ok"
             for at in range(len(pixels) + 1):
                 got = association_outcome(
                     associate_and_localize, [*peaks[:at], [], *peaks[at:]], r_l,
                     [*pixels[:at], Point3(0.3, 0, 1.0), *pixels[at:]], grid, k_targets)
-                assert got[:2] == (status, tracks)
-                assert got[2] == [tuple((i + (i >= at), j) for i, j in det) for det in detections]
-                assert len(got[3]) == len(fused)
-                for a, b in zip(got[3], fused):
+                assert got[:2] == (status, [
+                    dataclasses.replace(t, detections=tuple((i + (i >= at), j)
+                                                            for i, j in t.detections))
+                    for t in tracks])
+                assert len(got[2]) == len(fused)
+                for a, b in zip(got[2], fused):
                     np.testing.assert_array_equal(a.values, b.values)
 
     def test_symmetric_layout_is_ambiguous(self):
@@ -447,9 +449,8 @@ class TestAssociate:
         normalized = self.count_calls(monkeypatch, "_normalized")
         localized = self.count_calls(monkeypatch, "localize")
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
-        tracks, detections = associate_and_localize(
-            peaks, self.r_l, self.pixels, self.grid, k_targets=2)
-        assert len(tracks) == len(detections) == 2
+        tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        assert len(tracks) == 2
         assert len(normalized) == len(localized) == 2  # not one per scored assignment (16 here)
         assert [args[2] for args in localized] == [t.position for t in tracks]
 
@@ -484,7 +485,7 @@ class TestAssociate:
         finally:
             tracemalloc.stop()
         full_grid = grid.nx * grid.ny * np.dtype(np.float64).itemsize
-        assert len(result[0]) == 2
+        assert len(result) == 2
         assert (peak_bytes - start) / full_grid <= 4.0
         assert (retained - start) / full_grid < 0.1
 
@@ -537,14 +538,13 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
         raise EmptyIntersectionError("no assignment with every target seen by two pixels")
 
     def solve(targets):
-        tracks, detections = [], []
+        tracks = []
         for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0])):
             fused = localization._normalized(log_product(det), grid)
             sigma_x, sigma_y = localization._spreads(fused)
             tracks.append(TrackEstimate(pos, sigma_x, sigma_y, float(fused.values.max()),
-                                        f"target-{i + 1}"))
-            detections.append(det)
-        return tracks, detections
+                                        f"target-{i + 1}", det))
+        return tracks
 
     ranked = sorted(candidates.values(), key=lambda e: e[0], reverse=True)
     pool = [
@@ -556,12 +556,12 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
     second_score, second = pool[1] if len(pool) > 1 else (-math.inf, None)
     if best_score - second_score < -math.log1p(-localization.AMBIGUITY_MARGIN):
         raise AmbiguousAssociationError(
-            "ambiguous", solve(best)[0], solve(second)[0], best_score, second_score)
+            "ambiguous", solve(best), solve(second), best_score, second_score)
     return solve(best)
 
 
 def association_outcome(fn, *args, **kwargs):
-    # (status, tracks, detections, fused, refined) of one association,
+    # (status, tracks, fused, refined) of one association,
     # exceptions included. fused lists every map _normalized built and
     # refined every _refine_position call, in call order, the latter as
     # (arguments, (position, log_score)).
@@ -579,15 +579,15 @@ def association_outcome(fn, *args, **kwargs):
     localization._refine_position = recording_refine
     localization._normalized = recording_normalized
     try:
-        tracks, detections = fn(*args, **kwargs)
+        tracks = fn(*args, **kwargs)
     except AmbiguousAssociationError as exc:
-        return "ambiguous", exc.best + exc.second, [], fused, refined
+        return "ambiguous", exc.best + exc.second, fused, refined
     except (InfeasibleTimeError, EmptyIntersectionError) as exc:
-        return type(exc).__name__, [], [], fused, refined
+        return type(exc).__name__, [], fused, refined
     finally:
         localization._refine_position = refine
         localization._normalized = normalized
-    return "ok", tracks, detections, fused, refined
+    return "ok", tracks, fused, refined
 
 
 def log_score(position, z, measurements):
@@ -618,12 +618,11 @@ def refined_position_bound(position, z, measurements):
 def assert_same_association(got, want):
     # Each returned target stops within REFINE_TOLERANCE of its optimum's
     # score whatever its seed, so its score agrees within the tolerance and
-    # its position within refined_position_bound. Statuses, detections,
-    # spreads, peak values, labels and fused maps are bit-identical.
-    status, tracks, detections, maps, refined = got
-    want_status, want_tracks, want_detections, want_maps, want_refined = want
+    # its position within refined_position_bound. Statuses, spreads, peak
+    # values, labels, detections and fused maps are bit-identical.
+    status, tracks, maps, refined = got
+    want_status, want_tracks, want_maps, want_refined = want
     assert status == want_status
-    assert detections == want_detections
     assert len(tracks) == len(want_tracks) and len(maps) == len(want_maps)
     calls = {position: (call, score) for call, (position, score) in refined}
     want_scores = {position: score for _, (position, score) in want_refined}
@@ -633,8 +632,9 @@ def assert_same_association(got, want):
             want_scores[ref.position], rel=0, abs=localization.REFINE_TOLERANCE)
         assert math.dist(track.position, ref.position) <= refined_position_bound(
             track.position, z, measurements)
-        assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label) == (
-            ref.sigma_x, ref.sigma_y, ref.peak_value, ref.target_label)
+        assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label,
+                track.detections) == (ref.sigma_x, ref.sigma_y, ref.peak_value,
+                                      ref.target_label, ref.detections)
     for fused, ref in zip(maps, want_maps):
         np.testing.assert_array_equal(fused.values, ref.values)
 
@@ -684,7 +684,7 @@ def test_refinement_stops_on_its_decrement_not_its_cap(monkeypatch):
         got = association_outcome(associate_and_localize, peaks, r_l, pixels, grid, 2)
         want = association_outcome(reference_associate, peaks, r_l, pixels, grid, 2)
         assert_same_association(got, want)
-        calls += got[4] + want[4]
+        calls += got[3] + want[3]
     monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
     assert all(localization._refine_position(*call) == result for call, result in calls)
 

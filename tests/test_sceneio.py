@@ -301,7 +301,7 @@ class TestReaderRefusals:
     """What the histogram reader refuses, and the loose text it still accepts."""
 
     HEADER = "# nlostrack-histogram v1\n# bin_width_s=4e-12\n# t0_offset_s=0.0\n# pixel=0\n" \
-             "bin_index,counts\n"
+             "# acq_time_s=1.0\nbin_index,counts\n"
 
     @pytest.mark.parametrize("rows, message", [
         ("0,1\n2,3\n", "non-contiguous bin indices"),
@@ -448,11 +448,12 @@ class TestMapAndTracks:
         # written by repr, so a time of many digits reads back exactly.
         path = tmp_path / "tracks.json"
         tracks = [TrackEstimate(position=(0.5, 1.0), sigma_x=0.1, sigma_y=0.2,
-                                peak_value=3.0, target_label="target-1")]
+                                peak_value=3.0, target_label="target-1",
+                                detections=((0, 0), (2, 1)))]
         peaks = [[PeakEstimate(4e-9, 1.2e-10, 30.0)], [],
                  [PeakEstimate(5e-9, 1.1e-10, 20.0), PeakEstimate(1e-8 / 3, 1e-10, 9.5)]]
         result = ScenarioResult(tracks=tracks, peaks_per_pixel=peaks, status="ok",
-                                notes=["note"], detections=[((0, 0), (2, 1))])
+                                notes=["note"])
         sceneio.write_tracks_json(path, result)
         doc = json.loads(path.read_text())
         assert list(doc) == ["status", "tracks", "detections", "diagnostics"]

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import math
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -145,20 +144,34 @@ class TestRunScenario:
                 params, offset_s=calibration_offset_s(scene, params),
             )
 
-    def test_ambiguous_association_reports_status_and_warns(self):
-        # mirror-symmetric pixels and targets: both assignments score alike
+    def test_ambiguous_association_reports_status_and_note(self, monkeypatch):
+        # Mirror-symmetric pixels and targets: both assignments score alike.
+        # No warning filter: pytest's filterwarnings = error fails on any
+        # warning. Association's best solution carries its detections; the
+        # result keeps its tracks and drops them.
+        raised, associate = [], studies.associate_and_localize
+
+        def recording_associate(*args, **kwargs):
+            try:
+                return associate(*args, **kwargs)
+            except localization.AmbiguousAssociationError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(studies, "associate_and_localize", recording_associate)
         scene = corner_scene(
             [(-0.8, 1.4), (0.8, 1.4)], reflectivity=3.0,
             pixels=(Point3(-0.6, 0.0, 1.0), Point3(0.6, 0.0, 1.0)),
             laser_spot=Point3(0.0, 0.0, 1.0),
         )
         params = AcquisitionParams(rng_seed=0, system_throughput=1.0e5)
-        with pytest.warns(UserWarning, match="top assignments score within 1%"):
-            res = run_scenario(scene, params, DEFAULT_GRID, k_targets=2)
+        res = run_scenario(scene, params, DEFAULT_GRID, k_targets=2)
         assert res.status == "ambiguous"
-        assert len(res.tracks) == 2
-        assert res.detections == []
-        assert any(n.startswith("ambiguous association") for n in res.notes)
+        assert res.notes == ["ambiguous association; best [(-0.00, 1.45), (0.00, 1.75)] "
+                             "vs runner-up [(-0.80, 1.40), (0.80, 1.40)]"]
+        [exc] = raised
+        assert len(exc.best) == 2 and all(t.detections for t in exc.best)
+        assert res.tracks == [dataclasses.replace(t, detections=()) for t in exc.best]
 
     def test_determinism(self):
         scene = corner_scene([(0.6, 1.0)])
@@ -239,8 +252,7 @@ def _reconstruct_in_order(config, seed, k_targets, order, reversed_peaks=()):
         peaks = fit_peaks(*args, **kwargs)
         return peaks[::-1] if next(flips, False) else peaks
 
-    with mock.patch.object(studies, "fit_peaks", fit_in_order), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an ambiguous association
+    with mock.patch.object(studies, "fit_peaks", fit_in_order):
         return studies.reconstruct_from_histograms(
             [signal[i] for i in order], [background[i] for i in order], scene.laser_spot,
             [scene.pixels[i] for i in order], grid, params,
@@ -253,14 +265,16 @@ def _reconstruct_in_order(config, seed, k_targets, order, reversed_peaks=()):
 @given(order=st.permutations(range(4)), seed=st.integers(0, 9))
 def test_tracks_do_not_depend_on_pixel_order(config, k_targets, order, seed):
     # Permuting the pixels together with their histograms changes only the
-    # order bands are summed in: status and track count stay, and positions
-    # and spreads agree to rounding.
+    # order bands are summed in: status and track count stay, each track's
+    # detections are the same returns, and positions and spreads agree to
+    # rounding.
     want = _reconstruct_in_order(config, seed, k_targets, (0, 1, 2, 3))
     got = _reconstruct_in_order(config, seed, k_targets, tuple(order))
     assert got.status == want.status
     assert len(got.tracks) == len(want.tracks)
     for a, b in zip(got.tracks, want.tracks):
         assert a.target_label == b.target_label
+        assert sorted((order[i], j) for i, j in a.detections) == list(b.detections)
         assert np.allclose((*a.position, a.sigma_x, a.sigma_y),
                            (*b.position, b.sigma_x, b.sigma_y), rtol=0, atol=1e-12)
 
@@ -272,10 +286,14 @@ def test_tracks_do_not_depend_on_pixel_order(config, k_targets, order, seed):
 def test_tracks_do_not_depend_on_peak_order(config, k_targets, reversed_peaks, seed):
     # A pixel has at most k_targets <= 2 peaks, so reversing some pixels'
     # peaks reaches every peak order. The bands of a target are still summed
-    # in pixel order, so status and tracks are bit-identical.
+    # in pixel order, so status and tracks are bit-identical, each track's
+    # detections naming the same returns by their new peak indices.
     want = _reconstruct_in_order(config, seed, k_targets, (0, 1, 2, 3))
     got = _reconstruct_in_order(config, seed, k_targets, (0, 1, 2, 3), tuple(reversed_peaks))
-    assert (got.status, got.tracks) == (want.status, want.tracks)
+    reordered = [dataclasses.replace(t, detections=tuple(
+        (i, got.peaks_per_pixel[i].index(want.peaks_per_pixel[i][j])) for i, j in t.detections))
+        for t in want.tracks]
+    assert (got.status, got.tracks) == (want.status, reordered)
 
 
 def _translated(config, dx):
@@ -298,9 +316,7 @@ def test_translating_scene_and_grid_along_the_wall_translates_tracks(config, k_t
     results = []
     for scene, params, grid in (_translated(config, 0.0), _translated(config, dx)):
         params = dataclasses.replace(params, rng_seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an ambiguous association
-            results.append(run_scenario(scene, params, grid, k_targets=k_targets))
+        results.append(run_scenario(scene, params, grid, k_targets=k_targets))
     want, got = results
     assert got.status == want.status
     assert len(got.tracks) == len(want.tracks)
@@ -327,15 +343,13 @@ def test_scene_without_target_yields_no_ok_track(throughput, k_targets, seed):
     scene, params, grid = sceneio.load_scene(CONFIGS / "single_person.json")
     scene = dataclasses.replace(scene, objects=())
     params = dataclasses.replace(params, rng_seed=seed, system_throughput=throughput)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an ambiguous association
-        assert run_scenario(scene, params, grid, k_targets=k_targets).status != "ok"
+    assert run_scenario(scene, params, grid, k_targets=k_targets).status != "ok"
 
 
 def test_pixel_without_returns_changes_no_track():
     # An extra pixel whose signal is its own background has no return. It
-    # keeps an empty peak list and a note, the tracks are those of the same
-    # call without it, and the detections' pixel numbers count it.
+    # keeps an empty peak list and a note, and the tracks are those of the
+    # same call without it, their detections' pixel numbers counting it.
     scene, params, grid, (signal, background) = _bundled_histograms("two_person.json", 0)
     pixels = list(scene.pixels)
     args = (grid, params, calibration_offset_s(scene, params), 2)
@@ -346,10 +360,10 @@ def test_pixel_without_returns_changes_no_track():
                                                     *background[1:]],
         scene.laser_spot, [*pixels[:1], Point3(-0.75, 0.0, 1.0), *pixels[1:]], *args)
     assert want.status == got.status == "ok"
-    assert got.tracks == want.tracks
+    assert got.tracks == [
+        dataclasses.replace(t, detections=tuple((i + (i >= 1), j) for i, j in t.detections))
+        for t in want.tracks]
     assert got.peaks_per_pixel == [*want.peaks_per_pixel[:1], [], *want.peaks_per_pixel[1:]]
-    assert got.detections == [tuple((i + (i >= 1), j) for i, j in det)
-                              for det in want.detections]
     assert "pixel 1: no peak above threshold" in got.notes
 
 
@@ -380,13 +394,11 @@ class TestRunTwoPerson:
 
         def mean_sigma(scene, n=6):
             vals = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for seed in range(n):
-                    p = AcquisitionParams(system_throughput=kappa, rng_seed=seed)
-                    res = run_two_person(scene, p, DEFAULT_GRID)
-                    if res.ok:
-                        vals.append(np.mean([t.sigma_x + t.sigma_y for t in res.tracks]))
+            for seed in range(n):
+                p = AcquisitionParams(system_throughput=kappa, rng_seed=seed)
+                res = run_two_person(scene, p, DEFAULT_GRID)
+                if res.ok:
+                    vals.append(np.mean([t.sigma_x + t.sigma_y for t in res.tracks]))
             assert vals, "no successful trials"
             return float(np.mean(vals))
 
