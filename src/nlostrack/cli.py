@@ -18,9 +18,9 @@ import click
 
 from . import localization, sceneio
 from .acquisition import calibration_offset_s
-from .localization import _check_k_targets
 from .studies import (
     PipelineError,
+    check_retrieval,
     reconstruct_from_histograms,
     run_baseline_sweep,
     simulate_scene,
@@ -116,7 +116,7 @@ def reconstruct(scene_file, hist_dir, out, seed, grid_res, targets, write_maps):
         params = dataclasses.replace(params, rng_seed=seed)
     if grid_res is not None:
         grid = dataclasses.replace(grid, resolution=grid_res)
-    _check_k_targets(targets)
+    check_retrieval(params, targets)
 
     if hist_dir is not None:
         signals, backgrounds = _read_pixel_histograms(Path(hist_dir), scene.num_pixels)

@@ -180,27 +180,27 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class EllipseBand(ProbabilityMap):
-    """One ellipse band, held as its formula.
+    """One fitted return's ellipse band, held as its formula: the record of a return.
 
-    The band of a return whose path is ``ct`` and width ``c_sigma``, over
-    cells whose two-bounce paths are ``paths``. ``log_values`` (the
-    exponent, -inf exactly where exp underflows to 0.0) and ``values`` (its
-    exp) are built on first read; ``log_rows`` evaluates a block of rows of
-    the exponent without building either, so a sum of bands need not hold
-    a full band beside it.
+    The return's foci ``r_l`` and ``r_i``, its path ``ct`` and width
+    ``c_sigma`` in meters, and the foci's path map over ``grid``, looked up
+    once. ``log_at(index)`` evaluates the exponent at any index of the grid
+    (a block of rows, the seed lattice) without building the full band.
+    ``log_values`` (the exponent, -inf exactly where exp underflows to 0.0)
+    and ``values`` (its exp) are built on first read.
     """
 
-    def __init__(self, grid: GridSpec, paths: np.ndarray, ct: float, c_sigma: float):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_formula", (paths, ct, c_sigma))
+    def __init__(self, grid: GridSpec, r_l: Point3, r_i: Point3, ct: float, c_sigma: float):
+        for name, value in (("grid", grid), ("r_l", r_l), ("r_i", r_i), ("ct", ct),
+                            ("c_sigma", c_sigma), ("_paths", path_length_map(r_l, r_i, grid))):
+            object.__setattr__(self, name, value)
 
-    def log_rows(self, rows: slice) -> np.ndarray:
-        paths, ct, c_sigma = self._formula
-        return _band_log(paths[rows], ct, c_sigma)
+    def log_at(self, index) -> np.ndarray:
+        return _band_log(self._paths[index], self.ct, self.c_sigma)
 
     @functools.cached_property
     def log_values(self) -> np.ndarray:
-        log_values = self.log_rows(slice(None))
+        log_values = self.log_at(np.s_[:])
         log_values.setflags(write=False)
         return log_values
 
@@ -209,18 +209,6 @@ class EllipseBand(ProbabilityMap):
         values = _exp(self.log_values, np.empty_like(self.log_values))
         values.setflags(write=False)
         return values
-
-
-def _ellipse(peak: PeakEstimate, r_l: Point3, r_i: Point3) -> tuple[float, float]:
-    # (c t, c sigma) of one return, in meters; InfeasibleTimeError when c t
-    # does not exceed the focus separation, so no ellipse exists.
-    ct = SPEED_OF_LIGHT * peak.t_s
-    baseline = r_l.distance_to(r_i)
-    if ct <= baseline:
-        raise InfeasibleTimeError(
-            f"c*t = {ct:.4f} m does not exceed the focus separation {baseline:.4f} m"
-        )
-    return ct, SPEED_OF_LIGHT * peak.sigma_s
 
 
 def _band_log(paths: np.ndarray, ct: float, c_sigma: float) -> np.ndarray:
@@ -244,7 +232,13 @@ def backproject(peak: PeakEstimate, r_l: Point3, r_i: Point3, grid: GridSpec) ->
     converted to meters so the exponent is dimensionless. Raises
     InfeasibleTimeError when c t does not exceed the focus separation.
     """
-    return EllipseBand(grid, path_length_map(r_l, r_i, grid), *_ellipse(peak, r_l, r_i))
+    ct = SPEED_OF_LIGHT * peak.t_s
+    baseline = r_l.distance_to(r_i)
+    if ct <= baseline:
+        raise InfeasibleTimeError(
+            f"c*t = {ct:.4f} m does not exceed the focus separation {baseline:.4f} m"
+        )
+    return EllipseBand(grid, r_l, r_i, ct, SPEED_OF_LIGHT * peak.sigma_s)
 
 
 def _normalized(log_prod: np.ndarray, grid: GridSpec) -> ProbabilityMap:
@@ -297,11 +291,11 @@ REFINE_TOLERANCE = 1e-10  # score units: 100x the rounding noise of scores near 
 _REFINE_MAX_ITER = 200  # a guard: over 200 two-person scenes no call took over 31 steps
 
 
-def _refine_position(seed_xy, z, measurements, grid):
-    """Continuous Gauss-Newton maximization of the fused log-density.
+def _refine_position(seed_xy, bands, grid):
+    """Continuous Gauss-Newton maximization of the fused log-density of ``bands``.
 
-    ``measurements`` is a list of (r_l, r_i, ct, c_sigma). The grid only
-    samples the density at cell centers, which lets the argmax slide along
+    The density is the bands' formula on the plane z = grid.z_plane. The
+    grid only samples it at cell centers, which lets the argmax slide along
     a narrow ridge by a few cells; solving on the continuous coordinates
     removes that quantization. Returns ``(position, log_score)``, the
     log-density -0.5 * sum(r^2) of the residuals r = (path - ct) / c_sigma
@@ -314,21 +308,24 @@ def _refine_position(seed_xy, z, measurements, grid):
     is the seed.
     """
     x, y = seed_xy
+    z = grid.z_plane
     limit = 10.0 * grid.resolution
+    measured = [(b.r_l.x, b.r_l.y, b.r_l.z, b.r_i.x, b.r_i.y, b.r_i.z, b.ct, b.c_sigma)
+                for b in bands]
     converged = False
     for it in range(_REFINE_MAX_ITER + 1):
         score = jxx = jxy = jyy = gx = gy = 0.0
         degenerate = False
-        for r_l, r_i, ct, c_sigma in measurements:
-            d1 = math.sqrt((x - r_l.x) ** 2 + (y - r_l.y) ** 2 + (z - r_l.z) ** 2)
-            d2 = math.sqrt((x - r_i.x) ** 2 + (y - r_i.y) ** 2 + (z - r_i.z) ** 2)
+        for lx, ly, lz, px, py, pz, ct, c_sigma in measured:
+            d1 = math.sqrt((x - lx) ** 2 + (y - ly) ** 2 + (z - lz) ** 2)
+            d2 = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
             r = (d1 + d2 - ct) / c_sigma
             score -= 0.5 * r ** 2
             if d1 == 0.0 or d2 == 0.0:
                 degenerate = True
                 continue
-            jx = ((x - r_l.x) / d1 + (x - r_i.x) / d2) / c_sigma
-            jy = ((y - r_l.y) / d1 + (y - r_i.y) / d2) / c_sigma
+            jx = ((x - lx) / d1 + (x - px) / d2) / c_sigma
+            jy = ((y - ly) / d1 + (y - py) / d2) / c_sigma
             jxx += jx * jx
             jxy += jx * jy
             jyy += jy * jy
@@ -417,16 +414,15 @@ def _fused_log(band_log, det, out):
     return total
 
 
-def _log_density(peaks_per_pixel, r_l, pixels, grid, det):
-    # One target's full-grid log-density, its one builder: the bands come
-    # from the module-level backproject and are summed a block of rows at a
-    # time, so no full-grid band is held beside the sum.
-    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid) for i, j in det}
+def _log_density(bands, grid, det):
+    # One target's full-grid log-density, its one builder: the bands of the
+    # detections ``det`` are summed a block of rows at a time, so no
+    # full-grid band is held beside the sum.
     total = np.empty((grid.ny, grid.nx))
     rows = max(1, _BLOCK_CELLS // grid.nx)
     for r0 in range(0, grid.ny, rows):
-        block = slice(r0, r0 + rows)
-        _fused_log(lambda pair: bands[pair].log_rows(block), det, out=total[block])
+        block = np.s_[r0:r0 + rows]
+        _fused_log(lambda pair: bands[pair].log_at(block), det, out=total[block])
     return total
 
 
@@ -440,8 +436,9 @@ def fused_maps(
     result's tracks have none). The arguments are association's own: a
     detection's pixel index counts both ``peaks_per_pixel`` and ``pixels``.
     """
-    log_density = functools.partial(_log_density, peaks_per_pixel, r_l, pixels, grid)
-    return {t.target_label: localize(log_density(t.detections), grid, t.position)[1]
+    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid)
+             for t in tracks for i, j in t.detections}
+    return {t.target_label: localize(_log_density(bands, grid, t.detections), grid, t.position)[1]
             for t in tracks if t.detections}
 
 
@@ -472,23 +469,17 @@ def associate_and_localize(
     if len(peaks_per_pixel) != len(pixels):
         raise ValueError("peaks_per_pixel and pixels must align")
 
-    # (c t, c sigma) of every peak that has an ellipse, keyed (pixel index,
-    # peak index), and the last InfeasibleTimeError of a peak that has none.
-    # _refine_position works on each detection's (r_l, r_i, ct, c_sigma);
-    # seeding reads its band only on the seed lattice, which is that band's
-    # own every _SEED_STRIDE-th row and column.
-    ellipses, last_error = {}, None
+    # The band of every return that has an ellipse, keyed (pixel index, peak
+    # index), and the last InfeasibleTimeError of a return that has none.
+    bands, last_error = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, peak in enumerate(peaks):
             try:
-                ellipses[ipix, ipk] = _ellipse(peak, r_l, pixel)
+                bands[ipix, ipk] = backproject(peak, r_l, pixel, grid)
             except InfeasibleTimeError as exc:
                 last_error = exc
-    measured = {(i, j): (r_l, pixels[i], *ellipse) for (i, j), ellipse in ellipses.items()}
-    lattice_paths = {i: path_length_map(r_l, pixels[i], grid)[::_SEED_STRIDE, ::_SEED_STRIDE]
-                     for i, peaks in enumerate(peaks_per_pixel) if peaks}
-    lattice = {(i, j): _band_log(lattice_paths[i], *ellipse) for (i, j), ellipse in ellipses.items()}
-    log_density = functools.partial(_log_density, peaks_per_pixel, r_l, pixels, grid)
+    lattice = {pair: band.log_at(np.s_[::_SEED_STRIDE, ::_SEED_STRIDE]) for pair, band in bands.items()}
+    log_density = functools.partial(_log_density, bands, grid)
 
     xc, yc = grid.x_centers(), grid.y_centers()
     work = np.empty((len(yc[::_SEED_STRIDE]), len(xc[::_SEED_STRIDE])))  # lattice sums
@@ -519,7 +510,7 @@ def associate_and_localize(
         key = frozenset(detections)  # quotient out target relabeling
         if key in candidates or any(len(det) < 2 for det in detections):
             continue
-        if any(pair not in measured for det in detections for pair in det):
+        if any(pair not in bands for det in detections for pair in det):
             continue
         # Score each target at the continuous optimum of its fused density:
         # the sampled cell maximum wobbles by a few percent with cell
@@ -530,9 +521,7 @@ def associate_and_localize(
             seed = _seed(det)
             if seed is None:
                 break  # this target's bands never overlap: drop the assignment
-            pos, log_score = _refine_position(
-                seed, grid.z_plane, [measured[pair] for pair in det], grid,
-            )
+            pos, log_score = _refine_position(seed, [bands[pair] for pair in det], grid)
             targets.append((pos, det))
             score += log_score
         else:

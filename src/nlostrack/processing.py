@@ -172,13 +172,14 @@ THRESHOLD_FACTOR = 4.0
 def detect_peaks(
     hist: TransientHistogram,
     max_peaks: int = 1,
-    irf_sigma_s: float = 120e-12,
+    *,
+    irf_sigma_s: float,
 ) -> list[tuple[int, float]]:
     """Rough peak candidates to seed the Gaussian fit.
 
     Smooths with a moving average of w = round(irf_sigma_s / bin width)
-    bins (30 at the defaults), keeps local maxima of the smoothed
-    histogram at or above THRESHOLD_FACTOR * sqrt(median(smoothed) + 1),
+    bins (30 for a 120 ps width in 4 ps bins), keeps local maxima of the
+    smoothed histogram at or above THRESHOLD_FACTOR * sqrt(median(smoothed) + 1),
     enforces a minimum separation of 3 instrument sigmas, and returns up
     to max_peaks (bin index, rough amplitude) pairs, strongest first. An
     empty list means nothing cleared the threshold; that is not an error.
@@ -354,7 +355,7 @@ def _floor_bins(y: np.ndarray, local: np.ndarray) -> FloorBins:
 def fit_peaks(
     hist: TransientHistogram,
     seeds: list[tuple[int, float]],
-    irf_sigma_guess: float = 120e-12,
+    irf_sigma_guess: float,
     max_iter: int = 200,
 ) -> list[PeakEstimate]:
     """Least-squares fit of a sum of Gaussians plus a constant floor.

@@ -121,6 +121,14 @@ class ScenarioResult:
         return self.status in ("ok", "ambiguous") and bool(self.tracks)
 
 
+def check_retrieval(params: AcquisitionParams, k_targets: int = 1) -> None:
+    """The one check of the retrieval settings, made before any histogram is processed."""
+    _check_k_targets(k_targets)
+    if params.irf_sigma_s <= 0:
+        # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0.
+        raise ValueError(f"retrieval needs irf_sigma_s > 0, got {params.irf_sigma_s!r}")
+
+
 def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets):
     # Subtraction is per bin and cropping only selects and reorders bins, so
     # subtracting the raw histograms first needs one offset and one crop.
@@ -156,10 +164,7 @@ def reconstruct_from_histograms(
         raise ValueError("localization needs at least two detector pixels")
     if len(signal_hists) != len(pixels) or len(background_hists) != len(pixels):
         raise ValueError("need one signal and one background histogram per pixel")
-    _check_k_targets(k_targets)
-    if params.irf_sigma_s <= 0:
-        # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0.
-        raise ValueError(f"retrieval needs irf_sigma_s > 0, got {params.irf_sigma_s!r}")
+    check_retrieval(params, k_targets)
 
     notes: list[str] = []
     peaks_per_pixel: list[list[PeakEstimate]] = []
@@ -268,6 +273,7 @@ class SweepConfig:
         if not self.object_positions:
             raise ValueError("need at least one object position")
         object.__setattr__(self, "object_positions", tuple(self.object_positions))
+        check_retrieval(self.acquisition)
         list(self.cells())  # a setting some cell's Scene refuses is refused here
 
     def d2_positions(self) -> list[Point3]:

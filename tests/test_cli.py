@@ -351,6 +351,23 @@ class TestReconstruct:
         assert result.exit_code == 2
         assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
 
+    @pytest.mark.parametrize("hist_dir", [[], ["--hist-dir", "sim"]], ids=["simulated", "read"])
+    def test_zero_irf_width_refused_before_any_histogram(self, runner, tmp_path, monkeypatch,
+                                                         hist_dir):
+        def fail(*args):
+            raise AssertionError("read or simulated a histogram")
+
+        monkeypatch.setattr("nlostrack.cli.simulate_scene", fail)
+        monkeypatch.setattr("nlostrack.cli._read_pixel_histograms", fail)
+        monkeypatch.chdir(tmp_path)
+        scene = tmp_path / "delta.json"
+        scene.write_text(json.dumps(dict(
+            SCENE, acquisition=dict(SCENE["acquisition"], irf_sigma_s=0.0))))
+        result = runner.invoke(main, ["reconstruct", str(scene), *hist_dir, "--out", "rec"])
+        assert result.exit_code == 2
+        assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
+        assert not (tmp_path / "rec").exists()
+
     def test_three_targets_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
             main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
@@ -694,19 +711,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("doc, message", [
         (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.0)),
-         "retrieval needs irf_sigma_s > 0, got 0.0"),
+         "sweep: retrieval needs irf_sigma_s > 0, got 0.0"),
         (dict(SWEEP_DOC, d2_x={"min": -0.2, "max": -1.2, "steps": 2}),
          "sweep: wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
     ], ids=["irf_sigma_zero", "d2_on_d1"])
     def test_invalid_setting_is_no_failed_trial(self, runner, tmp_path, doc, message):
-        # A setting no trial can run with exits 2; it is not a row of failed trials.
+        # A setting no trial can run with exits 2 when the document is read,
+        # before the output directory is made; it is not a row of failed trials.
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(doc))
         out = tmp_path / "x"
         result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
         assert result.exit_code == 2
         assert result.output == f"error: {message}\n"
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value, message", [
         ("object_reflectivity", -1, "reflectivity must be >= 0, got -1"),

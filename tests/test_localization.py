@@ -147,14 +147,20 @@ class TestBackproject:
 
     def test_band_is_a_read_only_map_built_on_first_read(self):
         grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
-        band = backproject(peak(3.0 / C), Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0), grid)
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0)
+        band = backproject(peak(3.0 / C, 100e-12), r_l, r_i, grid)
         assert isinstance(band, ProbabilityMap) and not band.normalized
+        assert (band.grid, band.r_l, band.r_i) == (grid, r_l, r_i)
+        assert (band.ct, band.c_sigma) == (C * (3.0 / C), C * 100e-12)
         assert "values" not in vars(band) and "log_values" not in vars(band)
-        # Blocks of rows are the full exponent's own rows, bit for bit, and
-        # reading them builds neither array.
-        blocks = [band.log_rows(slice(r0, r0 + 7)) for r0 in range(0, grid.ny, 7)]
+        # Blocks of rows and the seed lattice are the full exponent's own
+        # cells, bit for bit, and reading them builds neither array.
+        blocks = [band.log_at(np.s_[r0:r0 + 7]) for r0 in range(0, grid.ny, 7)]
+        lattice = band.log_at(np.s_[::localization._SEED_STRIDE, ::localization._SEED_STRIDE])
         assert "log_values" not in vars(band)
         np.testing.assert_array_equal(np.concatenate(blocks), band.log_values)
+        np.testing.assert_array_equal(
+            lattice, band.log_values[::localization._SEED_STRIDE, ::localization._SEED_STRIDE])
         assert band.values is band.values
         for arr in (band.values, band.log_values):
             assert not arr.flags.writeable
@@ -331,33 +337,64 @@ class TestAssociate:
                 (*localization._spreads(reference_map), reference_map.values.max()), rel=1e-12)
             np.testing.assert_allclose(fused.values, reference_map.values, rtol=1e-12, atol=0)
 
-    def test_builds_full_grid_bands_only_for_the_returned_targets(self, monkeypatch):
-        # Every peak gets one band on the seed lattice; only the returned
-        # targets' detections are back-projected over the full grid, each
-        # once, in detection order, through the module-level backproject,
-        # and evaluated in blocks of rows, never as a whole band.
-        backprojected = self.count_calls(monkeypatch, "backproject")
-        band_shapes = []
-        band_log = localization._band_log
+    @staticmethod
+    def record_band_work(monkeypatch):
+        # In call order: ("band", args) for each backproject call that returns
+        # a band, ("no ellipse", args) for one that raises, and
+        # ("log", shape) for each block of band cells evaluated.
+        events = []
+        backproject_, band_log = localization.backproject, localization._band_log
 
-        def recording(paths, *args, **kwargs):
-            band_shapes.append(paths.shape)
-            return band_log(paths, *args, **kwargs)
+        def recording_backproject(*args):
+            try:
+                band = backproject_(*args)
+            except InfeasibleTimeError:
+                events.append(("no ellipse", args))
+                raise
+            events.append(("band", args))
+            return band
 
-        monkeypatch.setattr(localization, "_band_log", recording)
+        def recording_band_log(paths, *args):
+            events.append(("log", paths.shape))
+            return band_log(paths, *args)
+
+        monkeypatch.setattr(localization, "backproject", recording_backproject)
+        monkeypatch.setattr(localization, "_band_log", recording_band_log)
+        return events
+
+    def test_builds_each_band_once_and_full_grid_rows_only_for_the_returned_targets(
+            self, monkeypatch):
+        # Each return is back-projected once, in (pixel, peak) order, before
+        # any band cell is evaluated; one with no ellipse gets no band, and
+        # is named when no assignment is left. Every band is then evaluated
+        # on the seed lattice, and only the returned targets' bands over the
+        # full grid, in blocks of rows, never whole.
+        events = self.record_band_work(monkeypatch)
         peaks = self.peaks_for([(0.5, 0.9), (1.2, 1.6)])
+        peaks[1].insert(1, peak(0.1 / C))  # c t = 0.1 m, inside the foci's 0.139 m
         tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
+        returns = [(i, j) for i, p in enumerate(peaks) for j in range(len(p))]
+        assert [(kind, args) for kind, args in events[:len(returns)]] == [
+            ("no ellipse" if (i, j) == (1, 1) else "band",
+             (peaks[i][j], self.r_l, self.pixels[i], self.grid)) for i, j in returns]
         stride = localization._SEED_STRIDE
         lattice = (len(range(0, self.grid.ny, stride)), len(range(0, self.grid.nx, stride)))
-        n_peaks = sum(len(p) for p in peaks)
-        returned = [pair for t in tracks for pair in t.detections]
-        assert len(tracks) == 2
-        assert band_shapes[:n_peaks] == [lattice] * n_peaks
-        blocks = band_shapes[n_peaks:]
+        n_bands = len(returns) - 1
+        shapes = events[len(returns):]
+        assert shapes[:n_bands] == [("log", lattice)] * n_bands
+        blocks = [shape for kind, shape in shapes[n_bands:] if kind == "log"]
+        assert len(blocks) == len(shapes) - n_bands
         assert all(rows < self.grid.ny and cols == self.grid.nx for rows, cols in blocks)
+        returned = [pair for t in tracks for pair in t.detections]
+        assert len(tracks) == 2 and (1, 1) not in returned
         assert sum(rows for rows, _ in blocks) == self.grid.ny * len(returned)
-        assert [(args[0], args[2]) for args in backprojected] == [
-            (peaks[i][j], self.pixels[i]) for i, j in returned]
+        # With no assignment left, the raised error carries that return's message.
+        with pytest.raises(InfeasibleTimeError) as direct:
+            backproject(peaks[1][1], self.r_l, self.pixels[1], self.grid)
+        with pytest.raises(InfeasibleTimeError) as info:
+            associate_and_localize([peaks[0][:1], peaks[1][1:2]], self.r_l, self.pixels[:2],
+                                   self.grid)
+        assert str(info.value) == f"no feasible assignment: {direct.value}"
 
     def test_order_invariance(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
@@ -493,18 +530,16 @@ class TestAssociate:
 def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
     # The association as first written: every candidate target is seeded at
     # the argmax of its fused log-density summed over the full grid.
-    bands, meas, infeasible = {}, {}, None
+    bands, infeasible = {}, None
     for ipix, (pixel, peaks) in enumerate(zip(pixels, peaks_per_pixel)):
         for ipk, pk in enumerate(peaks):
             try:
-                bands[ipix, ipk] = backproject(pk, r_l, pixel, grid).log_values
+                bands[ipix, ipk] = backproject(pk, r_l, pixel, grid)
             except InfeasibleTimeError as exc:
                 infeasible = exc
-                continue
-            meas[ipix, ipk] = (r_l, pixel, C * pk.t_s, C * pk.sigma_s)
 
     def log_product(det):
-        return functools.reduce(np.add, [bands[pair] for pair in det])
+        return functools.reduce(np.add, [bands[pair].log_values for pair in det])
 
     xc, yc = grid.x_centers(), grid.y_centers()
     candidates = {}
@@ -527,7 +562,7 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
             if not np.isfinite(log_prod[iy, ix]):
                 break
             pos, log_score = localization._refine_position(
-                (float(xc[ix]), float(yc[iy])), grid.z_plane, [meas[p] for p in det], grid)
+                (float(xc[ix]), float(yc[iy])), [bands[p] for p in det], grid)
             targets.append((pos, det))
             score += log_score
         else:
@@ -590,18 +625,19 @@ def association_outcome(fn, *args, **kwargs):
     return "ok", tracks, fused, refined
 
 
-def log_score(position, z, measurements):
-    # The fused log-density -0.5 * sum(r^2) that _refine_position maximizes.
+def log_score(position, bands, z):
+    # The fused log-density -0.5 * sum(r^2) of the bands on the plane at
+    # height z, which _refine_position maximizes.
     x, y = position
     r = [
-        (math.dist((x, y, z), (m_l.x, m_l.y, m_l.z))
-         + math.dist((x, y, z), (m_i.x, m_i.y, m_i.z)) - ct) / c_sigma
-        for m_l, m_i, ct, c_sigma in measurements
+        (math.dist((x, y, z), (b.r_l.x, b.r_l.y, b.r_l.z))
+         + math.dist((x, y, z), (b.r_i.x, b.r_i.y, b.r_i.z)) - b.ct) / b.c_sigma
+        for b in bands
     ]
     return -0.5 * sum(v * v for v in r)
 
 
-def refined_position_bound(position, z, measurements):
+def refined_position_bound(position, bands, z):
     # Two positions that each score within REFINE_TOLERANCE of the optimum
     # are at most this far apart. Near the optimum the score falls by
     # 0.5 d^T (J^T J) d at an offset d, so each lies within
@@ -610,7 +646,7 @@ def refined_position_bound(position, z, measurements):
         offset = np.array([position[0] - focus.x, position[1] - focus.y, z - focus.z])
         return offset / np.linalg.norm(offset)
 
-    jac = np.array([(unit(r_l) + unit(r_i))[:2] / c_sigma for r_l, r_i, _, c_sigma in measurements])
+    jac = np.array([(unit(b.r_l) + unit(b.r_i))[:2] / b.c_sigma for b in bands])
     lambda_min = np.linalg.eigvalsh(jac.T @ jac)[0]
     return 2.0 * math.sqrt(2.0 * localization.REFINE_TOLERANCE / lambda_min)
 
@@ -627,11 +663,11 @@ def assert_same_association(got, want):
     calls = {position: (call, score) for call, (position, score) in refined}
     want_scores = {position: score for _, (position, score) in want_refined}
     for track, ref in zip(tracks, want_tracks):
-        (_, z, measurements, _), score = calls[track.position]
+        (_, bands, grid), score = calls[track.position]
         assert score == pytest.approx(
             want_scores[ref.position], rel=0, abs=localization.REFINE_TOLERANCE)
         assert math.dist(track.position, ref.position) <= refined_position_bound(
-            track.position, z, measurements)
+            track.position, bands, grid.z_plane)
         assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label,
                 track.detections) == (ref.sigma_x, ref.sigma_y, ref.peak_value,
                                       ref.target_label, ref.detections)
@@ -736,22 +772,22 @@ class TestRefinePosition:
         self.r_l = Point3(-0.5, 0, 1.15)
         self.pixels = [Point3(-0.9, 0, 1.0), Point3(-0.38, 0, 0.95), Point3(-0.1, 0, 1.05)]
 
-    def measurements(self, truth, sigma_s=120e-12):
-        return [
-            (self.r_l, pix, C * tof(self.r_l, Point3(*truth, 1.0), pix), C * sigma_s)
-            for pix in self.pixels
-        ]
+    def bands(self, truth, grid, delays=(0.0, 0.0, 0.0)):
+        # Each pixel's band of a target at ``truth`` on the plane z = 1, its
+        # time late by the pixel's delay.
+        return [backproject(peak(tof(self.r_l, Point3(*truth, 1.0), pix) + delay),
+                            self.r_l, pix, grid)
+                for pix, delay in zip(self.pixels, delays)]
 
     def test_score_is_the_log_density_at_the_returned_position(self):
-        # Perturb one time so the optimum is not a perfect fit.
-        meas = self.measurements((0.6, 1.2))
-        meas[1] = meas[1][:2] + (meas[1][2] + 0.01, meas[1][3])
-        pos, score = localization._refine_position((0.64, 1.16), 1.0, meas, self.grid)
+        # Delay one time so the optimum is not a perfect fit.
+        bands = self.bands((0.6, 1.2), self.grid, delays=(0.0, 0.01 / C, 0.0))
+        pos, score = localization._refine_position((0.64, 1.16), bands, self.grid)
         assert pos != (0.64, 1.16)
         assert score < 0.0
-        assert score == pytest.approx(log_score(pos, 1.0, meas), rel=1e-12)
+        assert score == pytest.approx(log_score(pos, bands, 1.0), rel=1e-12)
         # The seed scores worse than the refined position.
-        assert log_score((0.64, 1.16), 1.0, meas) < score
+        assert log_score((0.64, 1.16), bands, 1.0) < score
 
     @pytest.mark.parametrize("truth, axis", [((1.5, 1.0), 0), ((0.3, 2.1), 1)])
     @pytest.mark.parametrize("seed", [(0.5, 1.0), (0.99, 0.01), (0.0, 0.5)])
@@ -760,24 +796,25 @@ class TestRefinePosition:
         # stops on that edge, at the best point along it, well before the
         # iteration cap.
         grid = GridSpec(-1, 1, 0, 2, 0.02, 1.0)
-        meas = self.measurements(truth)
-        pos, score = localization._refine_position(seed, 1.0, meas, grid)
+        bands = self.bands(truth, grid)
+        pos, score = localization._refine_position(seed, bands, grid)
         assert pos[axis] == (grid.x_max, grid.y_max)[axis]
         for d in (-1e-4, 1e-4):
             along = list(pos)
             along[1 - axis] += d
-            assert log_score(along, 1.0, meas) < score
+            assert log_score(along, bands, 1.0) < score
         monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
-        assert localization._refine_position(seed, 1.0, meas, grid) == (pos, score)
+        assert localization._refine_position(seed, bands, grid) == (pos, score)
 
     def test_breakdown_returns_the_seed_and_its_score(self):
-        # Seeded on the laser spot itself: a path leg has zero length there.
-        z = self.r_l.z
+        # Seeded on the laser spot itself, with the plane at its height: a
+        # path leg has zero length there.
+        grid = dataclasses.replace(self.grid, z_plane=self.r_l.z)
         seed = (self.r_l.x, self.r_l.y)
-        meas = self.measurements((0.6, 1.2))
-        pos, score = localization._refine_position(seed, z, meas, self.grid)
+        bands = self.bands((0.6, 1.2), grid)
+        pos, score = localization._refine_position(seed, bands, grid)
         assert pos == seed
-        assert score == pytest.approx(log_score(seed, z, meas), rel=1e-12)
+        assert score == pytest.approx(log_score(seed, bands, grid.z_plane), rel=1e-12)
 
 
 coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

@@ -31,6 +31,7 @@ from nlostrack import (
 from nlostrack.processing import NonConvergenceError, _crop_plan, _find_peaks
 
 BW = 4e-12
+IRF = 120e-12  # the instrument width every fit and detection here is given
 
 
 def hist_from(counts, t0=0.0, pixel=0):
@@ -212,13 +213,13 @@ class TestSubtract:
 
 class TestDetect:
     def test_empty_histogram_gives_no_peaks(self):
-        assert detect_peaks(hist_from(np.zeros(2000)), max_peaks=2) == []
+        assert detect_peaks(hist_from(np.zeros(2000)), max_peaks=2, irf_sigma_s=IRF) == []
 
     def test_two_separated_peaks_found_strongest_first(self):
         counts = gaussian_counts(6250, 8e-9, 120e-12, 300) + gaussian_counts(
             6250, 10e-9, 120e-12, 800
         )
-        found = detect_peaks(hist_from(counts), max_peaks=2)
+        found = detect_peaks(hist_from(counts), max_peaks=2, irf_sigma_s=IRF)
         assert len(found) == 2
         times = [(b + 0.5) * BW for b, _ in found]
         assert times[0] == pytest.approx(10e-9, abs=0.2e-9)
@@ -230,12 +231,12 @@ class TestDetect:
         counts = gaussian_counts(6250, 10e-9, 120e-12, 500) + gaussian_counts(
             6250, 10e-9 + 250e-12, 120e-12, 500
         )
-        found = detect_peaks(hist_from(counts), max_peaks=2)
+        found = detect_peaks(hist_from(counts), max_peaks=2, irf_sigma_s=IRF)
         assert len(found) == 1
 
     def test_max_peaks_validation(self):
         with pytest.raises(ValueError):
-            detect_peaks(hist_from([1, 2, 1]), max_peaks=0)
+            detect_peaks(hist_from([1, 2, 1]), max_peaks=0, irf_sigma_s=IRF)
 
     @pytest.mark.parametrize("n_bins", [5, 12])
     def test_histogram_shorter_than_smoothing_width_rejected(self, n_bins):
@@ -245,12 +246,12 @@ class TestDetect:
         counts = np.full(n_bins, 50)
         counts[n_bins // 2] = 400
         with pytest.raises(ValueError, match=f"{n_bins} bins is shorter than the 30-bin"):
-            detect_peaks(hist_from(counts))
+            detect_peaks(hist_from(counts), irf_sigma_s=IRF)
 
     def test_histogram_as_long_as_smoothing_width_accepted(self):
         counts = np.full(30, 50)
         counts[15] = 400
-        assert detect_peaks(hist_from(counts)) == [(15, 400.0)]
+        assert detect_peaks(hist_from(counts), irf_sigma_s=IRF) == [(15, 400.0)]
 
 
 @st.composite
@@ -309,7 +310,7 @@ class TestFit:
     def test_integer_rounded_model_residual_bound(self):
         mu, sigma, amp = 5e-9, 120e-12, 1.0e6
         h = hist_from(gaussian_counts(2500, mu, sigma, amp))
-        peaks = fit_peaks(h, [(int(mu / BW), amp)], irf_sigma_guess=120e-12)
+        peaks = fit_peaks(h, [(int(mu / BW), amp)], irf_sigma_guess=IRF)
         assert len(peaks) == 1
         assert peaks[0].t_s == pytest.approx(mu, abs=0.1 * BW)
         assert peaks[0].sigma_s == pytest.approx(sigma, rel=0.01)
@@ -327,8 +328,8 @@ class TestFit:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             h = hist_from(rng.poisson(expect))
-            seeds = detect_peaks(h, max_peaks=1)
-            got = fit_peaks(h, seeds)[0]
+            seeds = detect_peaks(h, max_peaks=1, irf_sigma_s=IRF)
+            got = fit_peaks(h, seeds, IRF)[0]
             if abs(got.t_s - mu) < bound:
                 hits += 1
         assert hits >= 95
@@ -349,9 +350,9 @@ class TestFit:
         clean = crop(subtract_background(crop(sig, TimeWindow(1e-9, 24e-9)),
                                          crop(bg, TimeWindow(1e-9, 24e-9))),
                      TimeWindow(1e-9, 24e-9))
-        seeds = detect_peaks(clean, max_peaks=2)
+        seeds = detect_peaks(clean, max_peaks=2, irf_sigma_s=IRF)
         assert len(seeds) == 2
-        got = sorted(fit_peaks(clean, seeds), key=lambda q: q.t_s)
+        got = sorted(fit_peaks(clean, seeds, IRF), key=lambda q: q.t_s)
         want = sorted(
             tof(scene.laser_spot, o.position, scene.pixels[0]) for o in scene.objects
         )
@@ -361,16 +362,16 @@ class TestFit:
     def test_degenerate_seeds_raise(self):
         h = hist_from(gaussian_counts(2000, 4e-9, 120e-12, 800))
         with pytest.raises(DegenerateFitError):
-            fit_peaks(h, [(1000, 800.0), (1010, 700.0)])
+            fit_peaks(h, [(1000, 800.0), (1010, 700.0)], IRF)
 
     def test_nonconvergence_raises(self):
         h = hist_from(gaussian_counts(2000, 4e-9, 120e-12, 800, floor=5))
         with pytest.raises(NonConvergenceError):
-            fit_peaks(h, [(200, 10.0)], max_iter=1)
+            fit_peaks(h, [(200, 10.0)], IRF, max_iter=1)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            fit_peaks(hist_from([1, 2, 1]), [])
+            fit_peaks(hist_from([1, 2, 1]), [], IRF)
 
     def test_peak_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -383,7 +384,6 @@ class TestFit:
         assert PeakEstimate(1e-9, 1e-10, 1.0, center_stderr_s=2e-12).center_stderr_s == 2e-12
 
 
-IRF = 120e-12
 
 
 def full_window_fit(h, seeds, irf_sigma_guess=IRF):
@@ -429,12 +429,12 @@ class TestFitWindows:
     def test_matches_full_window_fit(self, case, seed):
         pulses, floor = self.CASES[case]
         h = noisy_histogram(seed, pulses, floor)
-        seeds = detect_peaks(h, max_peaks=len(pulses))
+        seeds = detect_peaks(h, max_peaks=len(pulses), irf_sigma_s=IRF)
         assert len(seeds) == len(pulses)
         ref_floor, want = full_window_fit(h, seeds)
         if case == "floor_at_zero" and seed == 1:
             assert ref_floor == 0.0  # the floor sits at its lower bound
-        got = fit_peaks(h, seeds)
+        got = fit_peaks(h, seeds, IRF)
         assert len(got) == len(want)
         for est, ref in zip(got, want):
             assert (est.t_s, est.sigma_s, est.amplitude, est.center_stderr_s) == pytest.approx(
@@ -451,7 +451,7 @@ class TestFitWindows:
 
         monkeypatch.setattr(processing, "fit_gaussian_mixture", spy)
         h = noisy_histogram(0, self.CASES["two_peaks"][0], 1.0)
-        fit_peaks(h, detect_peaks(h, max_peaks=2))
+        fit_peaks(h, detect_peaks(h, max_peaks=2, irf_sigma_s=IRF), IRF)
         (n_local, far), = handed
         half = math.ceil(10 * IRF / BW)
         assert 2 * (2 * half + 1) <= n_local <= 2 * (2 * half + 3)
@@ -475,10 +475,10 @@ class TestEndToEndRecovery:
             sig = crop(apply_offset(simulate_histogram(scene, 0, p), off), window)
             bg = crop(apply_offset(simulate_background(scene, 0, p), off), window)
             clean = subtract_background(sig, bg)
-            seeds = detect_peaks(clean, max_peaks=1)
+            seeds = detect_peaks(clean, max_peaks=1, irf_sigma_s=IRF)
             if not seeds:
                 continue
-            est = fit_peaks(clean, seeds)[0]
+            est = fit_peaks(clean, seeds, IRF)[0]
             if abs(est.t_s - expect) < max(2 * BW, est.sigma_s / 3):
                 hits += 1
         assert hits >= 95

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import functools
 import json
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ from nlostrack import (
     SweepConfig,
     TooManyTargetsError,
     auto_time_window,
+    backproject,
     calibration_offset_s,
     corner_scene,
     path_length,
@@ -212,25 +215,35 @@ def test_tracks_match_reference_values(seed, k_targets):
     assert len(res.tracks) == len(want)
     z = DEFAULT_GRID.z_plane
     for track, (x, y, sx, sy, pv) in zip(res.tracks, want):
-        # The track's measurement at each pixel with returns is the peak whose
+        # The track's band at each pixel with returns is that of the peak whose
         # c*t is nearest its path. Both positions stop within the refinement's
         # tolerance of the optimum's score, which bounds how far apart they are.
-        measurements, r_l = [], DEFAULT_LASER
+        bands, r_l = [], DEFAULT_LASER
         for r_i, peaks in zip(DEFAULT_PIXELS, res.peaks_per_pixel):
             if not peaks:
                 continue
             path = path_length(r_l, Point3(x, y, z), r_i)
             pk = min(peaks, key=lambda p: abs(SPEED_OF_LIGHT * p.t_s - path))
-            measurements.append((r_l, r_i, SPEED_OF_LIGHT * pk.t_s, SPEED_OF_LIGHT * pk.sigma_s))
-        assert log_score(track.position, z, measurements) == pytest.approx(
-            log_score((x, y), z, measurements), rel=0, abs=localization.REFINE_TOLERANCE)
+            bands.append(backproject(pk, r_l, r_i, DEFAULT_GRID))
+        assert log_score(track.position, bands, z) == pytest.approx(
+            log_score((x, y), bands, z), rel=0, abs=localization.REFINE_TOLERANCE)
         assert math.dist(track.position, (x, y)) <= refined_position_bound(
-            track.position, z, measurements)
+            track.position, bands, z)
         assert (track.sigma_x, track.sigma_y, track.peak_value) == pytest.approx(
             (sx, sy, pv), rel=1e-9)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
+
+
+def test_readme_library_block_runs(capsys):
+    # README's Library block runs as written and prints the track's (x, y).
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+                if "nt.run_scenario(" in b]
+    exec(block, {})
+    position = ast.literal_eval(capsys.readouterr().out)
+    assert math.dist(position, (0.6, 1.2)) < 2 * DEFAULT_GRID.resolution
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,6 +442,11 @@ class TestSweep:
         )
         defaults.update(overrides)
         return SweepConfig(**defaults)
+
+    def test_zero_irf_width_refused_when_built(self):
+        # No trial could retrieve a track, so the config itself is refused.
+        with pytest.raises(ValueError, match=r"^retrieval needs irf_sigma_s > 0, got 0\.0$"):
+            self.small_config(acquisition=AcquisitionParams(rng_seed=21, irf_sigma_s=0.0))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="steps"):
