@@ -113,8 +113,11 @@ class TransientHistogram:
             raise ValueError("counts must be non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        if not (math.isfinite(self.bin_width_s) and self.bin_width_s > 0):
-            raise ValueError("bin_width_s must be > 0")
+        for name in ("bin_width_s", "acq_time_s"):
+            if not (math.isfinite(v := getattr(self, name)) and v > 0):
+                raise ValueError(f"{name} must be > 0, got {v!r}")
+        if not math.isfinite(self.t0_offset_s):
+            raise ValueError(f"t0_offset_s must be finite, got {self.t0_offset_s!r}")
 
     @property
     def num_bins(self) -> int:

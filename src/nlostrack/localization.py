@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,9 +89,12 @@ class GridSpec:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.resolution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMap:
-    """Non-negative density over a grid; values[iy, ix] follows y rows, x columns."""
+    """Non-negative density over a grid; values[iy, ix] follows y rows, x columns.
+
+    Maps compare and hash by identity: their values are an array.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -179,36 +182,36 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class EllipseBand(ProbabilityMap):
+@dataclass(frozen=True)
+class EllipseBand:
     """One fitted return's ellipse band, held as its formula: the record of a return.
 
     The return's foci ``r_l`` and ``r_i``, its path ``ct`` and width
     ``c_sigma`` in meters, and the foci's path map over ``grid``, looked up
-    once. ``log_at(index)`` evaluates the exponent at any index of the grid
-    (a block of rows, the seed lattice) without building the full band.
-    ``log_values`` (the exponent, -inf exactly where exp underflows to 0.0)
-    and ``values`` (its exp) are built on first read.
+    once when the band is built. ``log_at(index)`` evaluates the exponent
+    (-inf exactly where exp underflows to 0.0) at any index of the grid (a
+    block of rows, the seed lattice, by default all of it). The path map is
+    the one array a band holds.
     """
 
-    def __init__(self, grid: GridSpec, r_l: Point3, r_i: Point3, ct: float, c_sigma: float):
-        for name, value in (("grid", grid), ("r_l", r_l), ("r_i", r_i), ("ct", ct),
-                            ("c_sigma", c_sigma), ("_paths", path_length_map(r_l, r_i, grid))):
-            object.__setattr__(self, name, value)
+    grid: GridSpec
+    r_l: Point3
+    r_i: Point3
+    ct: float
+    c_sigma: float
+    _paths: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def log_at(self, index) -> np.ndarray:
+    def __post_init__(self):
+        object.__setattr__(self, "_paths", path_length_map(self.r_l, self.r_i, self.grid))
+
+    def log_at(self, index=np.s_[:]) -> np.ndarray:
         return _band_log(self._paths[index], self.ct, self.c_sigma)
 
-    @functools.cached_property
-    def log_values(self) -> np.ndarray:
-        log_values = self.log_at(np.s_[:])
-        log_values.setflags(write=False)
-        return log_values
-
-    @functools.cached_property
+    @property
     def values(self) -> np.ndarray:
-        values = _exp(self.log_values, np.empty_like(self.log_values))
-        values.setflags(write=False)
-        return values
+        """The band's exp over the full grid, a fresh array on each read."""
+        log_values = self.log_at()
+        return _exp(log_values, out=log_values)
 
 
 def _band_log(paths: np.ndarray, ct: float, c_sigma: float) -> np.ndarray:
@@ -389,18 +392,12 @@ def _check_k_targets(k_targets: int) -> None:
 
 
 def _pixel_assignments(n_peaks: int, k_targets: int):
-    # Ways one pixel's peaks can serve the targets: each target gets at most
-    # one peak, each peak serves at most one target, and as many pairings as
-    # possible are made (min(n_peaks, k) of them).
-    if n_peaks >= k_targets:
-        for chosen in itertools.permutations(range(n_peaks), k_targets):
-            yield tuple(chosen)  # index: target -> peak
-    else:
-        for targets in itertools.permutations(range(k_targets), n_peaks):
-            assignment = [None] * k_targets
-            for peak_idx, t in enumerate(targets):
-                assignment[t] = peak_idx
-            yield tuple(assignment)
+    # Ways one pixel's peaks can serve the targets, each a tuple target -> peak
+    # index or None: each target gets at most one peak, each peak serves at
+    # most one target, and min(n_peaks, k) pairings are made. The dict keeps
+    # the first of the permutations that differ only in their Nones.
+    return dict.fromkeys(
+        itertools.permutations([*range(n_peaks), *[None] * (k_targets - n_peaks)], k_targets))
 
 
 def _fused_log(band_log, det, out):

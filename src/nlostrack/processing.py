@@ -249,13 +249,15 @@ class FloorBins(NamedTuple):
     scatter: float = 0.0
 
 
+_FIT_MAX_ITER = 200  # Gauss-Newton iterations a peak fit may take
+
+
 def fit_gaussian_mixture(
     tau: np.ndarray,
     y: np.ndarray,
     p0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    max_iter: int = 200,
     floor_bins: FloorBins = FloorBins(),
 ):
     """Bounded least-squares fit of a constant floor plus Gaussian peaks.
@@ -265,7 +267,7 @@ def fit_gaussian_mixture(
     ``floor_bins`` summarises further bins where the model is the floor
     alone, so the cost, the normal equations and the degrees of freedom
     cover both. Returns (params, residual_norm, covariance). Raises
-    NonConvergenceError when no acceptable step is found within max_iter.
+    NonConvergenceError when no acceptable step is found within _FIT_MAX_ITER.
     """
     n_far, y_far, scatter_far = floor_bins
 
@@ -286,7 +288,7 @@ def fit_gaussian_mixture(
     lam = 1e-3
     converged = cost <= 1e-30
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         if converged:
             break
         jtj, g = normal_equations(jac, r, p)
@@ -321,7 +323,8 @@ def fit_gaussian_mixture(
             # No downhill step at any damping: stationary point reached.
             converged = True
     if not converged:
-        raise NonConvergenceError(f"no convergence within {max_iter} iterations, cost={cost:.3e}")
+        raise NonConvergenceError(
+            f"no convergence within {_FIT_MAX_ITER} iterations, cost={cost:.3e}")
     jtj, _ = normal_equations(jac, r, p)
     dof = max(tau.size + n_far - p.size, 1)
     try:
@@ -356,7 +359,6 @@ def fit_peaks(
     hist: TransientHistogram,
     seeds: list[tuple[int, float]],
     irf_sigma_guess: float,
-    max_iter: int = 200,
 ) -> list[PeakEstimate]:
     """Least-squares fit of a sum of Gaussians plus a constant floor.
 
@@ -396,14 +398,13 @@ def fit_peaks(
     p0, lower, upper = np.array(p0), np.array(lower), np.array(upper)
     n_peaks = len(seeds)
     params, _, cov = fit_gaussian_mixture(
-        tau[local], y[local], p0, lower, upper,
-        max_iter=max_iter, floor_bins=_floor_bins(y, local),
+        tau[local], y[local], p0, lower, upper, floor_bins=_floor_bins(y, local),
     )
     for k in range(n_peaks):
         lo, hi = _span(params[2 + 3 * k], COVER_SIGMAS * params[3 + 3 * k], bw, y.size)
         if not local[lo:hi].all():
             # A broad return: refit on every bin, from the same start.
-            params, _, cov = fit_gaussian_mixture(tau, y, p0, lower, upper, max_iter=max_iter)
+            params, _, cov = fit_gaussian_mixture(tau, y, p0, lower, upper)
             break
 
     centers = [params[2 + 3 * k] for k in range(n_peaks)]

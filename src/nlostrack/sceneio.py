@@ -273,23 +273,13 @@ def read_histogram_csv(path) -> TransientHistogram:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=1)
-def _cells_template(grid: GridSpec) -> tuple[str, ...]:
-    """The data lines of a map on ``grid``, one template per row of cells.
-
-    Each cell's line holds its centre and a ``%r`` for its value; ``%r`` of a
-    Python float is its ``str``, the shortest round-trip repr.
-    """
-    xs = [f"{x}," for x in grid.x_centers().tolist()]
-    return tuple("".join(f"{x}{y},%r\n" for x in xs) for y in grid.y_centers().tolist())
-
-
 def write_map_csv(path, pmap: ProbabilityMap):
-    # Formatting row by row and joining once sizes the text in one allocation;
-    # one % over the whole map grows its buffer step by step, which raised
-    # the peak RSS of a long run of map writes.
-    rows = zip(_cells_template(pmap.grid), pmap.values.tolist())
-    data = "".join(template % tuple(values) for template, values in rows)
+    # A cell's line is its centre and the str of its value, the shortest
+    # round-trip repr. Formatting row by row and joining once sizes the text
+    # in one allocation.
+    xs = [f"{x}," for x in pmap.grid.x_centers().tolist()]
+    rows = zip(pmap.grid.y_centers().tolist(), pmap.values.tolist())
+    data = "".join("".join([f"{x}{y},{v!r}\n" for x, v in zip(xs, values)]) for y, values in rows)
     meta = {**dataclasses.asdict(pmap.grid), "normalized": pmap.normalized}
     _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), data)
 

@@ -132,6 +132,13 @@ def check_retrieval(params: AcquisitionParams, k_targets: int = 1) -> None:
 def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets):
     # Subtraction is per bin and cropping only selects and reorders bins, so
     # subtracting the raw histograms first needs one offset and one crop.
+    # The signal must be a raw acquisition under ``params`` (subtraction holds
+    # the background to it): the window and the offset are times in its bins.
+    shape = (signal.num_bins, signal.bin_width_s, signal.t0_offset_s)
+    if shape != (params.num_bins, params.bin_width_s, 0.0):
+        raise ValueError(
+            f"signal histogram has {shape[0]} bins of {shape[1]!r} s from t0 {shape[2]!r} s; "
+            f"a raw acquisition has {params.num_bins} bins of {params.bin_width_s!r} s from 0.0 s")
     window = auto_time_window(r_l, r_i, grid, params)
     cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), window)
     seeds = detect_peaks(cleaned, max_peaks=k_targets, irf_sigma_s=params.irf_sigma_s)
@@ -321,7 +328,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: SweepConfig
     rows: tuple[SweepRow, ...]
 
 
@@ -378,4 +384,4 @@ def run_baseline_sweep(config: SweepConfig) -> SweepResult:
             n_trials=config.trials_per_point, n_failed=failed,
             valid=failed <= config.trials_per_point // 2,
         ))
-    return SweepResult(config=config, rows=tuple(rows))
+    return SweepResult(rows=tuple(rows))

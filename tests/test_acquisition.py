@@ -82,6 +82,20 @@ class TestHistogramType:
         with pytest.raises(ValueError):
             h.counts[0] = 9
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("bin_width_s", 0.0, "bin_width_s must be > 0"),
+        ("bin_width_s", math.inf, "bin_width_s must be > 0"),
+        ("t0_offset_s", math.nan, "t0_offset_s must be finite"),
+        ("t0_offset_s", -math.inf, "t0_offset_s must be finite"),
+        ("acq_time_s", -5.0, "acq_time_s must be > 0"),
+        ("acq_time_s", 0.0, "acq_time_s must be > 0"),
+        ("acq_time_s", math.nan, "acq_time_s must be > 0"),
+    ])
+    def test_rejects_non_physical_timing(self, field, value, error):
+        timing = {"bin_width_s": 4e-12, "t0_offset_s": 0.0, "acq_time_s": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{error}, got {value!r}"):
+            TransientHistogram(np.array([1, 2]), pixel_index=0, **timing)
+
 
 class TestSignalRate:
     def test_inverse_fourth_power(self):

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nlostrack
 from nlostrack import (
-    SPEED_OF_LIGHT, GridSpec, PeakEstimate, Point3, backproject, localization, localize,
-    sceneio, studies,
+    SPEED_OF_LIGHT, GridSpec, PeakEstimate, Point3, ProbabilityMap, backproject, localization,
+    localize, sceneio, studies,
 )
 from nlostrack.cli import main
 
@@ -74,6 +75,11 @@ def map_bytes(tmp_path, pmap):
     path = tmp_path / "map.csv"
     sceneio.write_map_csv(path, pmap)
     return path.read_bytes()
+
+
+def band_bytes(tmp_path, band):
+    # A band's map as the README recipe writes it.
+    return map_bytes(tmp_path, ProbabilityMap(band.grid, band.values))
 
 
 def interrupt(*args, **kwargs):
@@ -291,6 +297,38 @@ class TestReconstruct:
         )
         assert result.exit_code == 2
         assert result.output == f"error: {path}: missing header line for 'acq_time_s'\n"
+
+    RAW = "a raw acquisition has 6250 bins of 4e-12 s from 0.0 s"
+
+    @pytest.mark.parametrize("edit, files, error", [
+        (("# bin_width_s=4e-12\n", "# bin_width_s=5e-12\n"), "pixel*",
+         f"pixel 0: signal histogram has 6250 bins of 5e-12 s from t0 0.0 s; {RAW}"),
+        (("# t0_offset_s=0.0\n", "# t0_offset_s=1e-09\n"), "pixel00_*",
+         f"pixel 0: signal histogram has 6250 bins of 4e-12 s from t0 1e-09 s; {RAW}"),
+        ("\n5000,", "pixel*",
+         f"pixel 0: signal histogram has 5000 bins of 4e-12 s from t0 0.0 s; {RAW}"),
+        *[(("# acq_time_s=1.0\n", f"# acq_time_s={value}\n"), "pixel*",
+           f"{{path}}: acq_time_s must be > 0, got {value}") for value in ("-5.0", "nan", "0.0")],
+    ], ids=["bin_width", "t0_offset", "bin_count", "acq_time_negative", "acq_time_nan",
+            "acq_time_zero"])
+    def test_histogram_not_a_raw_acquisition_exit_2(self, runner, tmp_path, edit, files, error):
+        # Bins of another width or time reference, or too few of them, would
+        # be read on the scene's timebase: a track a metre off with exit 0,
+        # or no peak with exit 3. An edit is a header replacement, or a row
+        # prefix from which on the rows are dropped.
+        scene, sim, rec = CONFIGS / "single_person.json", tmp_path / "sim", tmp_path / "rec"
+        assert runner.invoke(
+            main, ["simulate", str(scene), "--out", str(sim), "--seed", "3"]).exit_code == 0
+        for path in sim.glob(files + ".csv"):
+            text = path.read_text()
+            edited = text.replace(*edit) if isinstance(edit, tuple) else text[:text.index(edit) + 1]
+            assert edited != text
+            path.write_text(edited)
+        result = runner.invoke(main, ["reconstruct", str(scene), "--hist-dir", str(sim),
+                                      "--seed", "3", "--out", str(rec)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {error.format(path=sim / 'pixel00_signal.csv')}\n"
+        assert not rec.exists()
 
     @pytest.mark.parametrize("kind", ["signal", "background"])
     def test_histogram_of_another_pixel_exit_2_names_file(self, runner, tmp_path, kind):
@@ -527,7 +565,7 @@ class TestReconstruct:
                 records.append({"pixel": i, "peak": j, "t_s": pk.t_s, "sigma_s": pk.sigma_s,
                                 "amplitude": pk.amplitude, "track": labels.get((i, j))})
                 with contextlib.suppress(localization.InfeasibleTimeError):
-                    want[f"pixel{i:02d}_peak{j}_map.csv"] = map_bytes(
+                    want[f"pixel{i:02d}_peak{j}_map.csv"] = band_bytes(
                         tmp_path, localization.backproject(pk, r_l, pixel, grid))
         assert tracks_doc["detections"] == records
         want.update(written)
@@ -546,10 +584,10 @@ class TestReconstruct:
             except localization.InfeasibleTimeError:
                 assert d["track"] is None
                 continue
-            got[f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv"] = map_bytes(
+            got[f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv"] = band_bytes(
                 tmp_path, bands[d["pixel"], d["peak"]])
         for t in tracks_doc["tracks"]:
-            fused = [bands[d["pixel"], d["peak"]].log_values
+            fused = [bands[d["pixel"], d["peak"]].log_at()
                      for d in tracks_doc["detections"] if d["track"] == t["label"]]
             assert bool(fused) == (status == "ok")
             if fused:
@@ -806,7 +844,7 @@ def test_readme_cli_section_names_exactly_the_cli_options():
 def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
     # README's band-rebuild block, run on a fresh output of the CLI section's
     # simulate and reconstruct --maps commands, writes one band map per
-    # detection with an ellipse; summing a track's bands' log_values in
+    # detection with an ellipse; summing a track's bands' log_at() in
     # listed order and passing the sum to localize gives the fused map
     # reconstruct --maps wrote, byte for byte.
     (block,) = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
@@ -820,26 +858,37 @@ def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
     assert runner.invoke(main, ["reconstruct", scene, "--hist-dir", "runs/sim",
                                 "--out", "runs/rec", "--maps"]).exit_code == 0
 
-    bands, write_map_csv = {}, sceneio.write_map_csv
+    # The maps the block writes, by path, and the bands it builds, in order.
+    written, bands = {}, []
+    write_map_csv = sceneio.write_map_csv
 
-    def recording(path, pmap):
-        bands[path] = pmap
+    def recording_write(path, pmap):
+        written[path] = pmap
         write_map_csv(path, pmap)
 
-    monkeypatch.setattr(sceneio, "write_map_csv", recording)
+    def recording_backproject(*args):
+        bands.append(backproject(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(sceneio, "write_map_csv", recording_write)
+    monkeypatch.setattr(nlostrack, "backproject", recording_backproject)
     exec(block, {})
     monkeypatch.setattr(sceneio, "write_map_csv", write_map_csv)
+    monkeypatch.setattr(nlostrack, "backproject", backproject)
 
     doc = json.loads(Path("runs/rec/tracks.json").read_text())
     loaded, _, _ = sceneio.load_scene(scene)
     feasible = [d for d in doc["detections"] if SPEED_OF_LIGHT * d["t_s"]
                 > loaded.laser_spot.distance_to(loaded.pixels[d["pixel"]])]
     names = [f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv" for d in feasible]
-    assert list(bands) == names
+    assert list(written) == names and len(bands) == len(names)
+    for pmap, band in zip(written.values(), bands):
+        assert pmap.values.tobytes() == band.values.tobytes() and not pmap.normalized
+    bands = dict(zip(names, bands))
     assert sorted(p.name for p in tmp_path.glob("pixel*_map.csv")) == sorted(names)
     assert doc["status"] == "ok" and doc["tracks"]
     for t in doc["tracks"]:
-        fused = [bands[name].log_values for name, d in zip(names, feasible)
+        fused = [bands[name].log_at() for name, d in zip(names, feasible)
                  if d["track"] == t["label"]]
         grid = bands[names[0]].grid
         _, fused_map = localize(functools.reduce(np.add, fused), grid, (t["x"], t["y"]))

@@ -40,7 +40,7 @@ def peak(t_s, sigma_s=120e-12):
 
 def reference_fuse(bands):
     # The fused map of some bands: their log-densities summed, then normalised.
-    return localization._normalized(np.sum([b.log_values for b in bands], axis=0), bands[0].grid)
+    return localization._normalized(np.sum([b.log_at() for b in bands], axis=0), bands[0].grid)
 
 
 def centered_grid(x0, y0, half=0.5, res=0.02, z=1.0):
@@ -96,6 +96,12 @@ class TestProbabilityMap:
         ok = np.full((g.ny, g.nx), 1.0 / (g.ny * g.nx * g.cell_area))
         ProbabilityMap(grid=g, values=ok, normalized=True)
 
+    def test_maps_compare_and_hash_by_identity(self):
+        g = GridSpec(0, 1, 0, 1, 0.1)
+        a, b = (ProbabilityMap(grid=g, values=np.ones((g.ny, g.nx))) for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) != hash(b) and len({a, b, a}) == 2
+
 
 class TestBackproject:
     def test_matches_closed_form_everywhere(self):
@@ -136,7 +142,7 @@ class TestBackproject:
         r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.1, 0.0, 1.05)
         p = peak(4.0 / C, sigma)
         band = backproject(p, r_l, r_i, grid)
-        core, values = band.log_values, band.values
+        core, values = band.log_at(), band.values
         np.testing.assert_array_equal(np.exp(core), values)
         zero = values == 0.0
         np.testing.assert_array_equal(np.isneginf(core), zero)
@@ -145,25 +151,45 @@ class TestBackproject:
         normal = values >= np.finfo(np.float64).tiny
         np.testing.assert_allclose(core[normal], np.log(values[normal]), rtol=1e-12, atol=1e-12)
 
-    def test_band_is_a_read_only_map_built_on_first_read(self):
+    def test_band_evaluates_any_index_of_its_exponent(self):
         grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
         r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0)
         band = backproject(peak(3.0 / C, 100e-12), r_l, r_i, grid)
-        assert isinstance(band, ProbabilityMap) and not band.normalized
         assert (band.grid, band.r_l, band.r_i) == (grid, r_l, r_i)
         assert (band.ct, band.c_sigma) == (C * (3.0 / C), C * 100e-12)
-        assert "values" not in vars(band) and "log_values" not in vars(band)
         # Blocks of rows and the seed lattice are the full exponent's own
-        # cells, bit for bit, and reading them builds neither array.
+        # cells, bit for bit.
+        full = band.log_at()
         blocks = [band.log_at(np.s_[r0:r0 + 7]) for r0 in range(0, grid.ny, 7)]
         lattice = band.log_at(np.s_[::localization._SEED_STRIDE, ::localization._SEED_STRIDE])
-        assert "log_values" not in vars(band)
-        np.testing.assert_array_equal(np.concatenate(blocks), band.log_values)
+        np.testing.assert_array_equal(np.concatenate(blocks), full)
         np.testing.assert_array_equal(
-            lattice, band.log_values[::localization._SEED_STRIDE, ::localization._SEED_STRIDE])
-        assert band.values is band.values
-        for arr in (band.values, band.log_values):
-            assert not arr.flags.writeable
+            lattice, full[::localization._SEED_STRIDE, ::localization._SEED_STRIDE])
+
+    def test_band_is_a_hashable_record_equal_by_its_fields(self):
+        grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0)
+        band = backproject(peak(3.0 / C, 100e-12), r_l, r_i, grid)
+        assert not isinstance(band, ProbabilityMap)
+        twin = localization.EllipseBand(grid, r_l, r_i, band.ct, band.c_sigma)
+        assert band == twin and hash(band) == hash(twin)
+        assert band != dataclasses.replace(band, ct=band.ct + 0.01)
+        assert band != backproject(peak(3.0 / C, 100e-12), r_l, r_i, centered_grid(0, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            band.ct = 1.0
+
+    def test_values_is_built_on_each_read_and_not_kept(self):
+        grid = GridSpec(-1, 1, 0, 2, 0.05, 1.0)
+        r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(0.5, 0.0, 1.0)
+        band = backproject(peak(3.0 / C, 100e-12), r_l, r_i, grid)
+        first, second = band.values, band.values
+        assert first is not second
+        want = np.exp(band.log_at()).view(np.int64)
+        for values in (first, second):
+            np.testing.assert_array_equal(values.view(np.int64), want)
+        # The one array a band holds is the path map its foci share.
+        arrays = [v for v in vars(band).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is path_length_map(r_l, r_i, grid)
 
     def test_underflow_bound_brackets_exp_zero(self):
         assert np.exp(np.array([_EXP_UNDERFLOW]))[0] == 0.0
@@ -539,7 +565,7 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
                 infeasible = exc
 
     def log_product(det):
-        return functools.reduce(np.add, [bands[pair].log_values for pair in det])
+        return functools.reduce(np.add, [bands[pair].log_at() for pair in det])
 
     xc, yc = grid.x_centers(), grid.y_centers()
     candidates = {}
@@ -736,7 +762,7 @@ class TestSeedFallback:
         peaks = [[peak(tof(self.r_l, t, pix), sigma_s=1e-14)]
                  for t, pix in zip(truths, self.pixels)]
         shared = functools.reduce(np.add, [
-            backproject(p[0], self.r_l, pix, grid).log_values
+            backproject(p[0], self.r_l, pix, grid).log_at()
             for p, pix in zip(peaks, self.pixels)
         ])
         got = association_outcome(associate_and_localize, peaks, self.r_l, self.pixels, grid)

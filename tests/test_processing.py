@@ -364,10 +364,13 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit_peaks(h, [(1000, 800.0), (1010, 700.0)], IRF)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        from nlostrack import processing
+
+        monkeypatch.setattr(processing, "_FIT_MAX_ITER", 1)
         h = hist_from(gaussian_counts(2000, 4e-9, 120e-12, 800, floor=5))
-        with pytest.raises(NonConvergenceError):
-            fit_peaks(h, [(200, 10.0)], IRF, max_iter=1)
+        with pytest.raises(NonConvergenceError, match="within 1 iterations"):
+            fit_peaks(h, [(200, 10.0)], IRF)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
@@ -445,9 +448,9 @@ class TestFitWindows:
 
         handed = []
 
-        def spy(tau, y, p0, lower, upper, max_iter=200, floor_bins=processing.FloorBins()):
+        def spy(tau, y, p0, lower, upper, floor_bins=processing.FloorBins()):
             handed.append((tau.size, floor_bins))
-            return fit_gaussian_mixture(tau, y, p0, lower, upper, max_iter, floor_bins)
+            return fit_gaussian_mixture(tau, y, p0, lower, upper, floor_bins)
 
         monkeypatch.setattr(processing, "fit_gaussian_mixture", spy)
         h = noisy_histogram(0, self.CASES["two_peaks"][0], 1.0)

@@ -359,9 +359,8 @@ def reference_write_map(pmap) -> bytes:
 
 
 def assert_one_cache_entry():
-    for template in (sceneio._rows_template, sceneio._cells_template):
-        info = template.cache_info()
-        assert info.maxsize == 1 and info.currsize <= 1
+    info = sceneio._rows_template.cache_info()
+    assert info.maxsize == 1 and info.currsize <= 1
 
 
 class TestWritersMatchReference:
@@ -415,14 +414,10 @@ class TestWritersMatchReference:
         grid = dataclasses.replace(grid, resolution=0.05)
         peak = PeakEstimate(t_s=9e-9, sigma_s=120e-12, amplitude=5.0)
         band = backproject(peak, scene.laser_spot, scene.pixels[0], grid)
-        assert 0 < np.count_nonzero(band.values) < band.values.size
-        sceneio.write_map_csv(tmp_path / "m.csv", band)
-        assert (tmp_path / "m.csv").read_bytes() == reference_write_map(band)
-        # A second map on the same grid, as the fused and band maps of one
-        # reconstruct are, reuses the cached template.
-        hits = sceneio._cells_template.cache_info().hits
-        sceneio.write_map_csv(tmp_path / "m2.csv", band)
-        assert sceneio._cells_template.cache_info().hits == hits + 1
+        pmap = ProbabilityMap(grid, band.values)
+        assert 0 < np.count_nonzero(pmap.values) < pmap.values.size
+        sceneio.write_map_csv(tmp_path / "m.csv", pmap)
+        assert (tmp_path / "m.csv").read_bytes() == reference_write_map(pmap)
         assert_one_cache_entry()
 
 
@@ -430,7 +425,8 @@ class TestMapAndTracks:
     def test_map_csv_shape(self, tmp_path):
         grid = GridSpec(0, 0.1, 0, 0.1, 0.02, 1.0)
         peak = PeakEstimate(t_s=10e-9, sigma_s=120e-12, amplitude=5.0)
-        pmap = backproject(peak, Point3(-0.5, 0, 1.0), Point3(0.5, 0, 1.0), grid)
+        band = backproject(peak, Point3(-0.5, 0, 1.0), Point3(0.5, 0, 1.0), grid)
+        pmap = ProbabilityMap(grid, band.values)
         path = tmp_path / "map.csv"
         sceneio.write_map_csv(path, pmap)
         lines = path.read_text().splitlines()
@@ -507,14 +503,13 @@ class TestGoldenBytes:
         )
 
     def test_sweep(self, tmp_path):
-        config = sceneio.sweep_config_from_dict(TestSweepDocument().doc())
         rows = (
             SweepRow(0.1, 0, 1.0, 0.8, 0.001, 0.25, 0.119, 0.263, 0.05, 0.07,
                      0.002, 0.003, 10, 1, True),
             SweepRow(2.5, 1, -0.5, 2.0, *[math.nan] * 8, 10, 10, False),
         )
         path = tmp_path / "sweep.csv"
-        sceneio.write_sweep_csv(path, SweepResult(config, rows))
+        sceneio.write_sweep_csv(path, SweepResult(rows))
         assert path.read_bytes() == (
             b"# nlostrack-sweep v1\n"
             b"baseline_m,object_index,truth_x,truth_y,error_x,error_y,"
