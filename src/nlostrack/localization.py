@@ -40,12 +40,10 @@ class AmbiguousAssociationError(RuntimeError):
     Carries both candidate solutions so callers can surface them.
     """
 
-    def __init__(self, message, best, second, best_score, second_score):
+    def __init__(self, message, best, second):
         super().__init__(message)
         self.best = best
         self.second = second
-        self.best_score = best_score
-        self.second_score = second_score
 
 
 @dataclass(frozen=True)
@@ -274,18 +272,18 @@ def _spreads(pmap: ProbabilityMap) -> tuple[float, float]:
 
 
 def localize(
-    log_density: np.ndarray, grid: GridSpec, position: tuple[float, float],
+    bands: list[EllipseBand], position: tuple[float, float],
 ) -> tuple[TrackEstimate, ProbabilityMap]:
-    """One target's track and fused map from its summed band log-density.
+    """One target's track and fused map from its bands, in detection order.
 
-    ``log_density`` is the target's band log-densities summed over the grid,
-    a fresh array that becomes the fused map's values. The track sits at
-    ``position``, the target's optimum on the continuous density; its
-    spreads are the fused map's second moments and its peak value the map's
-    maximum. Raises EmptyIntersectionError when the density underflows to
-    zero everywhere.
+    The fused map is the bands' log-densities summed over their grid, then
+    normalised. The track sits at ``position``, the target's optimum on the
+    continuous density; its spreads are the fused map's second moments and
+    its peak value the map's maximum. Raises EmptyIntersectionError when the
+    density underflows to zero everywhere, and ValueError when the bands'
+    grids differ.
     """
-    fused = _normalized(log_density, grid)
+    fused = _normalized(_log_density(bands), bands[0].grid)
     sigma_x, sigma_y = _spreads(fused)
     return TrackEstimate(position, sigma_x, sigma_y, float(fused.values.max())), fused
 
@@ -294,23 +292,24 @@ REFINE_TOLERANCE = 1e-10  # score units: 100x the rounding noise of scores near 
 _REFINE_MAX_ITER = 200  # a guard: over 200 two-person scenes no call took over 31 steps
 
 
-def _refine_position(seed_xy, bands, grid):
+def _refine_position(seed_xy, bands):
     """Continuous Gauss-Newton maximization of the fused log-density of ``bands``.
 
-    The density is the bands' formula on the plane z = grid.z_plane. The
-    grid only samples it at cell centers, which lets the argmax slide along
-    a narrow ridge by a few cells; solving on the continuous coordinates
-    removes that quantization. Returns ``(position, log_score)``, the
-    log-density -0.5 * sum(r^2) of the residuals r = (path - ct) / c_sigma
-    at that position. The last step taken is the first whose expected gain,
-    half the Gauss-Newton decrement g^T (J^T J)^-1 g, is below
-    REFINE_TOLERANCE, so the score is within about the tolerance of the
-    optimum's, whatever the seed. Steps are limited to ten cells and
-    clamped to the grid; a step the clamp cancels also ends the iteration.
-    On breakdown (a zero-length path leg or a singular step) the position
-    is the seed.
+    The density is the bands' formula on the plane z = z_plane of their
+    grid. The grid only samples it at cell centers, which lets the argmax
+    slide along a narrow ridge by a few cells; solving on the continuous
+    coordinates removes that quantization. Returns
+    ``(position, log_score)``, the log-density -0.5 * sum(r^2) of the
+    residuals r = (path - ct) / c_sigma at that position. The last step
+    taken is the first whose expected gain, half the Gauss-Newton decrement
+    g^T (J^T J)^-1 g, is below REFINE_TOLERANCE, so the score is within
+    about the tolerance of the optimum's, whatever the seed. Steps are
+    limited to ten cells and clamped to the grid; a step the clamp cancels
+    also ends the iteration. On breakdown (a zero-length path leg or a
+    singular step) the position is the seed.
     """
     x, y = seed_xy
+    grid = bands[0].grid
     z = grid.z_plane
     limit = 10.0 * grid.resolution
     measured = [(b.r_l.x, b.r_l.y, b.r_l.z, b.r_i.x, b.r_i.y, b.r_i.z, b.ct, b.c_sigma)
@@ -400,26 +399,30 @@ def _pixel_assignments(n_peaks: int, k_targets: int):
         itertools.permutations([*range(n_peaks), *[None] * (k_targets - n_peaks)], k_targets))
 
 
-def _fused_log(band_log, det, out):
-    # One target's band log-densities summed in detection order, the order
-    # every fused map is built in: ``band_log(pair)`` gives the (pixel, peak)
-    # pair's band; the first two are added into ``out`` and each later one in
-    # place, freed before the next is built.
-    total = np.add(band_log(det[0]), band_log(det[1]), out=out)
-    for pair in det[2:]:
-        total += band_log(pair)
-    return total
+def _fused_log(logs, out):
+    # One target's band log-densities summed into ``out`` in detection order,
+    # the order every fused map is built in: the first is copied and each
+    # later one added in place, so a generator's arrays are built one at a
+    # time, each freed before the next.
+    logs = iter(logs)
+    out[...] = next(logs)
+    for log in logs:
+        out += log
+    return out
 
 
-def _log_density(bands, grid, det):
-    # One target's full-grid log-density, its one builder: the bands of the
-    # detections ``det`` are summed a block of rows at a time, so no
-    # full-grid band is held beside the sum.
+def _log_density(bands):
+    # One target's log-density over its bands' grid, its one builder: the
+    # bands are summed a block of rows at a time, so no full-grid band is
+    # held beside the sum.
+    grid = bands[0].grid
+    if any(band.grid != grid for band in bands):
+        raise ValueError("a target's bands must share one grid")
     total = np.empty((grid.ny, grid.nx))
     rows = max(1, _BLOCK_CELLS // grid.nx)
     for r0 in range(0, grid.ny, rows):
         block = np.s_[r0:r0 + rows]
-        _fused_log(lambda pair: bands[pair].log_at(block), det, out=total[block])
+        _fused_log((band.log_at(block) for band in bands), out=total[block])
     return total
 
 
@@ -433,9 +436,8 @@ def fused_maps(
     result's tracks have none). The arguments are association's own: a
     detection's pixel index counts both ``peaks_per_pixel`` and ``pixels``.
     """
-    bands = {(i, j): backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid)
-             for t in tracks for i, j in t.detections}
-    return {t.target_label: localize(_log_density(bands, grid, t.detections), grid, t.position)[1]
+    return {t.target_label: localize([backproject(peaks_per_pixel[i][j], r_l, pixels[i], grid)
+                                      for i, j in t.detections], t.position)[1]
             for t in tracks if t.detections}
 
 
@@ -476,7 +478,6 @@ def associate_and_localize(
             except InfeasibleTimeError as exc:
                 last_error = exc
     lattice = {pair: band.log_at(np.s_[::_SEED_STRIDE, ::_SEED_STRIDE]) for pair, band in bands.items()}
-    log_density = functools.partial(_log_density, bands, grid)
 
     xc, yc = grid.x_centers(), grid.y_centers()
     work = np.empty((len(yc[::_SEED_STRIDE]), len(xc[::_SEED_STRIDE])))  # lattice sums
@@ -493,8 +494,9 @@ def associate_and_localize(
         # The target's best cell on the seed lattice. The full grid is summed
         # only when no lattice cell is finite, so a target is dropped exactly
         # when its bands share no finite cell anywhere.
-        log_prod = _fused_log(lattice.__getitem__, det, out=work)
-        return _best_cell(log_prod, _SEED_STRIDE) or _best_cell(log_density(det), 1)
+        log_prod = _fused_log(map(lattice.__getitem__, det), out=work)
+        return (_best_cell(log_prod, _SEED_STRIDE)
+                or _best_cell(_log_density([bands[pair] for pair in det]), 1))
 
     candidates = {}
     for combo in itertools.product(
@@ -518,7 +520,7 @@ def associate_and_localize(
             seed = _seed(det)
             if seed is None:
                 break  # this target's bands never overlap: drop the assignment
-            pos, log_score = _refine_position(seed, [bands[pair] for pair in det], grid)
+            pos, log_score = _refine_position(seed, [bands[pair] for pair in det])
             targets.append((pos, det))
             score += log_score
         else:
@@ -533,7 +535,7 @@ def associate_and_localize(
         # Full-grid densities are built only here, one target at a time, for
         # the targets a caller gets back; each fused map dies with its step.
         return [
-            replace(localize(log_density(det), grid, pos)[0],
+            replace(localize([bands[pair] for pair in det], pos)[0],
                     target_label=f"target-{i + 1}", detections=det)
             for i, (pos, det) in enumerate(sorted(targets, key=lambda t: t[0]))
         ]
@@ -558,7 +560,5 @@ def associate_and_localize(
             f"top assignments score within {AMBIGUITY_MARGIN:.0%} of each other",
             best=_solve(best),
             second=_solve(second),
-            best_score=best_score,
-            second_score=second_score,
         )
     return _solve(best)

@@ -124,6 +124,8 @@ def _require_same_shape(a: TransientHistogram, b: TransientHistogram):
         raise ValueError(f"bin width mismatch: {a.bin_width_s} vs {b.bin_width_s}")
     if a.t0_offset_s != b.t0_offset_s:
         raise ValueError(f"time reference mismatch: {a.t0_offset_s} vs {b.t0_offset_s}")
+    if a.acq_time_s != b.acq_time_s:
+        raise ValueError(f"acquisition time mismatch: {a.acq_time_s} vs {b.acq_time_s}")
 
 
 def subtract_background(hist: TransientHistogram, background: TransientHistogram) -> TransientHistogram:

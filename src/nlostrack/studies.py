@@ -67,22 +67,13 @@ def corner_scene(
     reflectivity: float = 3.0,
     pixels=DEFAULT_PIXELS,
     laser_spot: Point3 = DEFAULT_LASER,
-    scatterers=(),
-    scatter_height_z: float = 1.0,
-    standoff_m: float = 2.0,
 ) -> Scene:
-    """Convenience builder for the bundled corner layout, objects at ``scatter_height_z``."""
+    """Convenience builder for the bundled corner layout, objects on DEFAULT_GRID's plane."""
     objects = tuple(
-        HiddenObject(Point3(x, y, scatter_height_z), reflectivity, f"person-{i + 1}")
+        HiddenObject(Point3(x, y, DEFAULT_GRID.z_plane), reflectivity, f"person-{i + 1}")
         for i, (x, y) in enumerate(object_positions)
     )
-    return Scene(
-        laser_spot=laser_spot,
-        pixels=tuple(pixels),
-        objects=objects,
-        background_scatterers=tuple(scatterers),
-        standoff_m=standoff_m,
-    )
+    return Scene(laser_spot=laser_spot, pixels=pixels, objects=objects)
 
 
 def auto_time_window(
@@ -139,6 +130,9 @@ def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targe
         raise ValueError(
             f"signal histogram has {shape[0]} bins of {shape[1]!r} s from t0 {shape[2]!r} s; "
             f"a raw acquisition has {params.num_bins} bins of {params.bin_width_s!r} s from 0.0 s")
+    if signal.acq_time_s != params.acq_time_s:
+        raise ValueError(f"signal histogram integrates {signal.acq_time_s!r} s; "
+                         f"the scene's acquisition integrates {params.acq_time_s!r} s")
     window = auto_time_window(r_l, r_i, grid, params)
     cleaned = crop(apply_offset(subtract_background(signal, background), offset_s), window)
     seeds = detect_peaks(cleaned, max_peaks=k_targets, irf_sigma_s=params.irf_sigma_s)

@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import gc
 import json
 import re
@@ -9,7 +8,6 @@ import warnings
 from pathlib import Path
 
 import click
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -309,13 +307,20 @@ class TestReconstruct:
          f"pixel 0: signal histogram has 5000 bins of 4e-12 s from t0 0.0 s; {RAW}"),
         *[(("# acq_time_s=1.0\n", f"# acq_time_s={value}\n"), "pixel*",
            f"{{path}}: acq_time_s must be > 0, got {value}") for value in ("-5.0", "nan", "0.0")],
+        (("# acq_time_s=1.0\n", "# acq_time_s=10.0\n"), "pixel*_background",
+         "pixel 0: acquisition time mismatch: 1.0 vs 10.0"),
+        (("# acq_time_s=1.0\n", "# acq_time_s=7.0\n"), "pixel*",
+         "pixel 0: signal histogram integrates 7.0 s; the scene's acquisition integrates 1.0 s"),
     ], ids=["bin_width", "t0_offset", "bin_count", "acq_time_negative", "acq_time_nan",
-            "acq_time_zero"])
+            "acq_time_zero", "acq_time_background", "acq_time_signal"])
     def test_histogram_not_a_raw_acquisition_exit_2(self, runner, tmp_path, edit, files, error):
         # Bins of another width or time reference, or too few of them, would
         # be read on the scene's timebase: a track a metre off with exit 0,
-        # or no peak with exit 3. An edit is a header replacement, or a row
-        # prefix from which on the rows are dropped.
+        # or no peak with exit 3. A background of another integration time
+        # would be subtracted count for count, and a signal of another one
+        # read as the scene's acquisition, both with exit 0. An edit is a
+        # header replacement, or a row prefix from which on the rows are
+        # dropped.
         scene, sim, rec = CONFIGS / "single_person.json", tmp_path / "sim", tmp_path / "rec"
         assert runner.invoke(
             main, ["simulate", str(scene), "--out", str(sim), "--seed", "3"]).exit_code == 0
@@ -587,12 +592,11 @@ class TestReconstruct:
             got[f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv"] = band_bytes(
                 tmp_path, bands[d["pixel"], d["peak"]])
         for t in tracks_doc["tracks"]:
-            fused = [bands[d["pixel"], d["peak"]].log_at()
-                     for d in tracks_doc["detections"] if d["track"] == t["label"]]
-            assert bool(fused) == (status == "ok")
-            if fused:
-                track, fused_map = localize(functools.reduce(np.add, fused), grid,
-                                            (t["x"], t["y"]))
+            track_bands = [bands[d["pixel"], d["peak"]]
+                           for d in tracks_doc["detections"] if d["track"] == t["label"]]
+            assert bool(track_bands) == (status == "ok")
+            if track_bands:
+                track, fused_map = localize(track_bands, (t["x"], t["y"]))
                 assert (track.sigma_x, track.sigma_y, track.peak_value) == (
                     t["sigma_x"], t["sigma_y"], t["peak_value"])
                 got[f"fused_map_{t['label']}.csv"] = map_bytes(tmp_path, fused_map)
@@ -842,11 +846,10 @@ def test_readme_cli_section_names_exactly_the_cli_options():
 
 
 def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
-    # README's band-rebuild block, run on a fresh output of the CLI section's
+    # README's rebuild block, run on a fresh output of the CLI section's
     # simulate and reconstruct --maps commands, writes one band map per
-    # detection with an ellipse; summing a track's bands' log_at() in
-    # listed order and passing the sum to localize gives the fused map
-    # reconstruct --maps wrote, byte for byte.
+    # detection with an ellipse, then, with localize on each track's bands
+    # in listed order, the fused maps reconstruct --maps wrote, byte for byte.
     (block,) = [b for b in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
                 if "backproject(" in b]
     monkeypatch.chdir(tmp_path)
@@ -858,8 +861,9 @@ def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
     assert runner.invoke(main, ["reconstruct", scene, "--hist-dir", "runs/sim",
                                 "--out", "runs/rec", "--maps"]).exit_code == 0
 
-    # The maps the block writes, by path, and the bands it builds, in order.
-    written, bands = {}, []
+    # The maps the block writes, by path, the bands it builds, in order, and
+    # the arguments of each localize call.
+    written, bands, localized = {}, [], []
     write_map_csv = sceneio.write_map_csv
 
     def recording_write(path, pmap):
@@ -870,27 +874,31 @@ def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
         bands.append(backproject(*args))
         return bands[-1]
 
+    def recording_localize(*args):
+        localized.append(args)
+        return localize(*args)
+
     monkeypatch.setattr(sceneio, "write_map_csv", recording_write)
     monkeypatch.setattr(nlostrack, "backproject", recording_backproject)
+    monkeypatch.setattr(nlostrack, "localize", recording_localize)
     exec(block, {})
     monkeypatch.setattr(sceneio, "write_map_csv", write_map_csv)
     monkeypatch.setattr(nlostrack, "backproject", backproject)
+    monkeypatch.setattr(nlostrack, "localize", localize)
 
     doc = json.loads(Path("runs/rec/tracks.json").read_text())
     loaded, _, _ = sceneio.load_scene(scene)
     feasible = [d for d in doc["detections"] if SPEED_OF_LIGHT * d["t_s"]
                 > loaded.laser_spot.distance_to(loaded.pixels[d["pixel"]])]
     names = [f"pixel{d['pixel']:02d}_peak{d['peak']}_map.csv" for d in feasible]
-    assert list(written) == names and len(bands) == len(names)
+    fused_names = [f"fused_map_{t['label']}.csv" for t in doc["tracks"]]
+    assert list(written) == names + fused_names and len(bands) == len(names)
     for pmap, band in zip(written.values(), bands):
         assert pmap.values.tobytes() == band.values.tobytes() and not pmap.normalized
-    bands = dict(zip(names, bands))
     assert sorted(p.name for p in tmp_path.glob("pixel*_map.csv")) == sorted(names)
     assert doc["status"] == "ok" and doc["tracks"]
-    for t in doc["tracks"]:
-        fused = [bands[name].log_at() for name, d in zip(names, feasible)
-                 if d["track"] == t["label"]]
-        grid = bands[names[0]].grid
-        _, fused_map = localize(functools.reduce(np.add, fused), grid, (t["x"], t["y"]))
-        assert map_bytes(tmp_path, fused_map) == Path(
-            f"runs/rec/fused_map_{t['label']}.csv").read_bytes()
+    assert localized == [([band for band, d in zip(bands, feasible) if d["track"] == t["label"]],
+                          (t["x"], t["y"])) for t in doc["tracks"]]
+    for name in fused_names:
+        assert written[name].normalized
+        assert Path(name).read_bytes() == Path("runs/rec", name).read_bytes()

@@ -270,35 +270,84 @@ class TestBackproject:
 class TestLocalize:
     grid = GridSpec(0, 2, 0, 1, 0.02)
 
-    def test_track_and_map_of_a_density(self):
+    def bands(self):
+        # Four pixels' bands of a target at (0.7, 0.4) on the plane z = 1.
+        r_l, truth = Point3(1.0, 0.0, 1.1), Point3(0.7, 0.4, 1.0)
+        return [backproject(peak(tof(r_l, truth, pix)), r_l, pix, self.grid)
+                for pix in (Point3(x, 0.0, 1.0) for x in (0.2, 0.6, 1.3, 1.7))]
+
+    def test_normalized_map_and_spreads_of_a_density(self):
         g = self.grid
         xx, yy = np.meshgrid(g.x_centers(), g.y_centers())
         log_density = -0.5 * (((xx - 0.7) / 0.05) ** 2 + ((yy - 0.4) / 0.1) ** 2)
         expected = np.exp(log_density)
         expected /= expected.sum() * g.cell_area
-        track, fused = localize(log_density, g, (0.71, 0.39))
-        assert track.position == (0.71, 0.39)
+        fused = localization._normalized(log_density, g)
         assert fused.normalized and fused.grid == g
         assert fused.values.sum() * g.cell_area == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(fused.values, expected, rtol=1e-12)
         mean_x, mean_y = (expected * xx).sum() * g.cell_area, (expected * yy).sum() * g.cell_area
         sigma_x = math.sqrt((expected * (xx - mean_x) ** 2).sum() * g.cell_area)
         sigma_y = math.sqrt((expected * (yy - mean_y) ** 2).sum() * g.cell_area)
-        assert (track.sigma_x, track.sigma_y) == pytest.approx((sigma_x, sigma_y), rel=1e-9)
-        assert track.peak_value == fused.values.max()
+        assert localization._spreads(fused) == pytest.approx((sigma_x, sigma_y), rel=1e-9)
 
     def test_density_underflowing_everywhere_is_an_empty_intersection(self):
         g = self.grid
         log_density = np.full((g.ny, g.nx), _EXP_UNDERFLOW)
         log_density[:, : g.nx // 2] = -np.inf
         with pytest.raises(EmptyIntersectionError):
-            localize(log_density, g, (1.0, 0.5))
+            localization._normalized(log_density, g)
 
     def test_large_log_density_normalizes_to_uniform(self):
         # about 921, far past exp's overflow near 709
         g = self.grid
-        _, fused = localize(np.full((g.ny, g.nx), 2 * math.log(1e200)), g, (1.0, 0.5))
+        fused = localization._normalized(np.full((g.ny, g.nx), 2 * math.log(1e200)), g)
         np.testing.assert_allclose(fused.values, 1.0 / (g.nx * g.ny * g.cell_area), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_bands", [2, 4])
+    def test_track_and_map_are_its_bands_summed_in_order(self, n_bands):
+        # The fused map is the bands' log_at() summed in detection order,
+        # then normalised, bit for bit; the track sits at the given position
+        # with the map's spreads and maximum.
+        bands = self.bands()[:n_bands]
+        want = localization._normalized(
+            functools.reduce(np.add, [b.log_at() for b in bands]), self.grid)
+        track, fused = localize(bands, (0.71, 0.39))
+        assert fused.normalized and fused.grid == self.grid
+        assert fused.values.tobytes() == want.values.tobytes()
+        assert track == TrackEstimate((0.71, 0.39), *localization._spreads(want),
+                                      float(want.values.max()))
+
+    def test_one_band_gives_its_normalized_map(self):
+        band = self.bands()[0]
+        _, fused = localize([band], (0.7, 0.4))
+        want = localization._normalized(band.log_at(), self.grid)
+        assert fused.values.tobytes() == want.values.tobytes()
+        np.testing.assert_allclose(
+            fused.values, band.values / (band.values.sum() * self.grid.cell_area),
+            rtol=1e-12, atol=1e-300)
+
+    def test_bands_of_different_grids_are_refused(self):
+        # Two grids of one shape: summing their bands cell by cell would
+        # add densities of different places.
+        bands = self.bands()
+        shifted = dataclasses.replace(self.grid, x_min=0.5, x_max=2.5)
+        with pytest.raises(ValueError, match="^a target's bands must share one grid$"):
+            localize([bands[0], dataclasses.replace(bands[1], grid=shifted)], (0.7, 0.4))
+
+    def test_bands_are_left_as_they_were(self):
+        # localize builds the density itself: no band, and no array a band
+        # holds, is changed or made read-only, and each call's map is fresh.
+        bands = self.bands()
+        before = [(dataclasses.replace(b), b.log_at(), b._paths.flags.writeable) for b in bands]
+        first, second = localize(bands, (0.7, 0.4))[1], localize(bands, (0.7, 0.4))[1]
+        assert first.values.tobytes() == second.values.tobytes()
+        assert not np.shares_memory(first.values, second.values)
+        for band, (fresh, log_values, writeable) in zip(bands, before):
+            assert band == fresh and band._paths is fresh._paths
+            assert band.log_at().tobytes() == log_values.tobytes()
+            assert band._paths.flags.writeable == writeable
+            assert not np.shares_memory(first.values, band._paths)
 
 
 class TestAssociate:
@@ -515,7 +564,7 @@ class TestAssociate:
         tracks = associate_and_localize(peaks, self.r_l, self.pixels, self.grid, k_targets=2)
         assert len(tracks) == 2
         assert len(normalized) == len(localized) == 2  # not one per scored assignment (16 here)
-        assert [args[2] for args in localized] == [t.position for t in tracks]
+        assert [args[1] for args in localized] == [t.position for t in tracks]
 
     def test_ambiguous_result_fuses_both_solutions_once(self, monkeypatch):
         normalized = self.count_calls(monkeypatch, "_normalized")
@@ -588,7 +637,7 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
             if not np.isfinite(log_prod[iy, ix]):
                 break
             pos, log_score = localization._refine_position(
-                (float(xc[ix]), float(yc[iy])), [bands[p] for p in det], grid)
+                (float(xc[ix]), float(yc[iy])), [bands[p] for p in det])
             targets.append((pos, det))
             score += log_score
         else:
@@ -616,8 +665,7 @@ def reference_associate(peaks_per_pixel, r_l, pixels, grid, k_targets=1):
     best_score, best = pool[0]
     second_score, second = pool[1] if len(pool) > 1 else (-math.inf, None)
     if best_score - second_score < -math.log1p(-localization.AMBIGUITY_MARGIN):
-        raise AmbiguousAssociationError(
-            "ambiguous", solve(best), solve(second), best_score, second_score)
+        raise AmbiguousAssociationError("ambiguous", solve(best), solve(second))
     return solve(best)
 
 
@@ -689,11 +737,11 @@ def assert_same_association(got, want):
     calls = {position: (call, score) for call, (position, score) in refined}
     want_scores = {position: score for _, (position, score) in want_refined}
     for track, ref in zip(tracks, want_tracks):
-        (_, bands, grid), score = calls[track.position]
+        (_, bands), score = calls[track.position]
         assert score == pytest.approx(
             want_scores[ref.position], rel=0, abs=localization.REFINE_TOLERANCE)
         assert math.dist(track.position, ref.position) <= refined_position_bound(
-            track.position, bands, grid.z_plane)
+            track.position, bands, bands[0].grid.z_plane)
         assert (track.sigma_x, track.sigma_y, track.peak_value, track.target_label,
                 track.detections) == (ref.sigma_x, ref.sigma_y, ref.peak_value,
                                       ref.target_label, ref.detections)
@@ -808,7 +856,7 @@ class TestRefinePosition:
     def test_score_is_the_log_density_at_the_returned_position(self):
         # Delay one time so the optimum is not a perfect fit.
         bands = self.bands((0.6, 1.2), self.grid, delays=(0.0, 0.01 / C, 0.0))
-        pos, score = localization._refine_position((0.64, 1.16), bands, self.grid)
+        pos, score = localization._refine_position((0.64, 1.16), bands)
         assert pos != (0.64, 1.16)
         assert score < 0.0
         assert score == pytest.approx(log_score(pos, bands, 1.0), rel=1e-12)
@@ -823,14 +871,14 @@ class TestRefinePosition:
         # iteration cap.
         grid = GridSpec(-1, 1, 0, 2, 0.02, 1.0)
         bands = self.bands(truth, grid)
-        pos, score = localization._refine_position(seed, bands, grid)
+        pos, score = localization._refine_position(seed, bands)
         assert pos[axis] == (grid.x_max, grid.y_max)[axis]
         for d in (-1e-4, 1e-4):
             along = list(pos)
             along[1 - axis] += d
             assert log_score(along, bands, 1.0) < score
         monkeypatch.setattr(localization, "_REFINE_MAX_ITER", 100 * localization._REFINE_MAX_ITER)
-        assert localization._refine_position(seed, bands, grid) == (pos, score)
+        assert localization._refine_position(seed, bands) == (pos, score)
 
     def test_breakdown_returns_the_seed_and_its_score(self):
         # Seeded on the laser spot itself, with the plane at its height: a
@@ -838,9 +886,24 @@ class TestRefinePosition:
         grid = dataclasses.replace(self.grid, z_plane=self.r_l.z)
         seed = (self.r_l.x, self.r_l.y)
         bands = self.bands((0.6, 1.2), grid)
-        pos, score = localization._refine_position(seed, bands, grid)
+        pos, score = localization._refine_position(seed, bands)
         assert pos == seed
         assert score == pytest.approx(log_score(seed, bands, grid.z_plane), rel=1e-12)
+
+    def test_position_is_placed_on_its_bands_grid(self):
+        # The grid is read off the bands: the same returns back-projected on
+        # a narrower grid whose plane is higher stop on that grid's x_max and
+        # score at that plane's height.
+        bands = self.bands((1.5, 1.0), self.grid)
+        pos, score = localization._refine_position((0.5, 1.0), bands)
+        assert pos == pytest.approx((1.5, 1.0), abs=1e-6)
+        assert score == pytest.approx(log_score(pos, bands, 1.0), rel=1e-12)
+        grid = GridSpec(-1, 1, 0, 2, 0.02, 1.2)
+        moved = [dataclasses.replace(b, grid=grid) for b in bands]
+        pos, score = localization._refine_position((0.5, 1.0), moved)
+        assert pos[0] == grid.x_max
+        assert score == log_score(pos, moved, grid.z_plane)
+        assert score != log_score(pos, moved, self.grid.z_plane)
 
 
 coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)

@@ -198,6 +198,9 @@ class TestSubtract:
             subtract_background(hist_from([1, 2]), hist_from([1, 2, 3]))
         with pytest.raises(ValueError, match="time reference"):
             subtract_background(hist_from([1, 2]), hist_from([1, 2], t0=BW))
+        longer = dataclasses.replace(hist_from([1, 2]), acq_time_s=10.0)
+        with pytest.raises(ValueError, match=r"^acquisition time mismatch: 1\.0 vs 10\.0$"):
+            subtract_background(hist_from([1, 2]), longer)
 
     def test_dominant_peak_survives_subtraction(self):
         scene = quiet_scene()
