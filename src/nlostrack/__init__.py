@@ -46,7 +46,6 @@ from .studies import (
     reconstruct_from_histograms,
     run_baseline_sweep,
     run_scenario,
-    run_two_person,
     simulate_scene,
 )
 

@@ -84,12 +84,13 @@ class AcquisitionParams:
         return int(round(self.window_s / self.bin_width_s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransientHistogram:
     """Binned photon-count record for one detector pixel.
 
     ``t0_offset_s`` is the time of the left edge of bin 0 relative to the
     laser-at-wall instant; raw histograms carry 0 until calibrated.
+    Histograms compare and hash by identity: their counts are an array.
     """
 
     counts: np.ndarray
@@ -127,24 +128,9 @@ class TransientHistogram:
     def span_s(self) -> float:
         return self.num_bins * self.bin_width_s
 
-    @property
-    def total_counts(self) -> int:
-        return int(self.counts.sum())
-
     def bin_centers_s(self) -> np.ndarray:
         """Bin center times relative to the laser-at-wall instant."""
         return self.t0_offset_s + (np.arange(self.num_bins) + 0.5) * self.bin_width_s
-
-    def __eq__(self, other):
-        if not isinstance(other, TransientHistogram):
-            return NotImplemented
-        return (
-            np.array_equal(self.counts, other.counts)
-            and self.bin_width_s == other.bin_width_s
-            and self.t0_offset_s == other.t0_offset_s
-            and self.pixel_index == other.pixel_index
-            and self.acq_time_s == other.acq_time_s
-        )
 
 
 def expected_signal_rate(

@@ -126,8 +126,11 @@ class TrackEstimate:
     detections: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not (self.sigma_x >= 0 and self.sigma_y >= 0):
-            raise ValueError("sigma_x and sigma_y must be >= 0")
+        if not all(map(math.isfinite, self.position)):
+            raise ValueError(f"position must be finite, got {self.position!r}")
+        for name in ("sigma_x", "sigma_y", "peak_value"):
+            if not (math.isfinite(v := getattr(self, name)) and v >= 0):
+                raise ValueError(f"{name} must be >= 0, got {v!r}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -207,7 +210,8 @@ class EllipseBand:
 
     @property
     def values(self) -> np.ndarray:
-        """The band's exp over the full grid, a fresh array on each read."""
+        """``np.exp(self.log_at())``, bit for bit, a fresh array on each read. Only
+        the benchmark's band-cell counter reads it (ROADMAP item 10)."""
         log_values = self.log_at()
         return _exp(log_values, out=log_values)
 

@@ -52,12 +52,11 @@ class PeakEstimate:
     center_stderr_s: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_s)):
-            raise ValueError("t_s must be finite")
-        if not (self.sigma_s > 0):
-            raise ValueError(f"sigma_s must be > 0, got {self.sigma_s!r}")
-        if not (self.amplitude > 0):
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude!r}")
+        if not math.isfinite(self.t_s):
+            raise ValueError(f"t_s must be finite, got {self.t_s!r}")
+        for name in ("sigma_s", "amplitude"):
+            if not (math.isfinite(v := getattr(self, name)) and v > 0):
+                raise ValueError(f"{name} must be > 0, got {v!r}")
 
 
 def apply_offset(hist: TransientHistogram, t0_s: float) -> TransientHistogram:

@@ -1,4 +1,4 @@
-"""End-to-end experiment runners: single target, two targets, baseline sweep.
+"""End-to-end experiment runners: one or two targets per scenario, and the baseline sweep.
 
 Each runner drives the full chain (simulate signal and background,
 subtract, apply the calibration offset, crop to the window of interest,
@@ -238,9 +238,8 @@ def _fmt_tracks(tracks) -> str:
 
 
 def run_two_person(scene: Scene, params: AcquisitionParams, grid: GridSpec) -> ScenarioResult:
-    """Two-target variant of run_scenario for a scene with two hidden objects."""
-    if len(scene.objects) != 2:
-        raise ValueError("two-person study needs exactly two hidden objects in the scene")
+    """``run_scenario(..., k_targets=2)``: the frozen benchmark's entry point alone, to be
+    deleted with the benchmark change that calls ``run_scenario`` (ROADMAP item 7)."""
     return run_scenario(scene, params, grid, k_targets=2)
 
 

@@ -1,31 +1,28 @@
+import numpy as np
 import pytest
 
-from nlostrack import AcquisitionParams, GridSpec, HiddenObject, Point3, Scene
+from nlostrack import AcquisitionParams
+from nlostrack.studies import DEFAULT_GRID, corner_scene
+
+
+def same_histogram(a, b) -> bool:
+    """Whether two histograms hold the same counts and the same four metadata fields.
+
+    Histograms compare by identity, so the tests compare their contents here.
+    """
+    return (np.array_equal(a.counts, b.counts)
+            and (a.bin_width_s, a.t0_offset_s, a.pixel_index, a.acq_time_s)
+            == (b.bin_width_s, b.t0_offset_s, b.pixel_index, b.acq_time_s))
 
 
 @pytest.fixture
 def default_grid():
-    return GridSpec(x_min=-3.0, x_max=3.0, y_min=0.0, y_max=4.0, resolution=0.02, z_plane=1.0)
+    return DEFAULT_GRID
 
 
 @pytest.fixture
-def corner_pixels():
-    return (
-        Point3(-0.9, 0.0, 1.0),
-        Point3(-0.62, 0.0, 1.08),
-        Point3(-0.38, 0.0, 0.95),
-        Point3(-0.1, 0.0, 1.05),
-    )
-
-
-@pytest.fixture
-def one_person_scene(corner_pixels):
-    return Scene(
-        laser_spot=Point3(-0.5, 0.0, 1.15),
-        pixels=corner_pixels,
-        objects=(HiddenObject(Point3(0.6, 1.2, 1.0), 3.0, "person-1"),),
-        standoff_m=2.0,
-    )
+def one_person_scene():
+    return corner_scene([(0.6, 1.2)])
 
 
 @pytest.fixture

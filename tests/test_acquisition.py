@@ -24,6 +24,7 @@ from nlostrack import (
 )
 from nlostrack import acquisition, sceneio
 from nlostrack.acquisition import _MAXLOG, _add_gaussian_mass, _erf
+from conftest import same_histogram
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +77,20 @@ class TestHistogramType:
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError, match="integers"):
             TransientHistogram(np.array([1.5, 2.0]), 4e-12, 0.0, 0, 1.0)
+
+    @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.ones((2, 3), np.int64)])
+    def test_rejects_empty_or_multidimensional_counts(self, counts):
+        with pytest.raises(ValueError, match="^counts must be a non-empty 1-D array$"):
+            TransientHistogram(counts, 4e-12, 0.0, 0, 1.0)
+
+    def test_integral_float_counts_stored_as_int(self):
+        h = TransientHistogram(np.array([1.0, 2.0]), 4e-12, 0.0, 0, 1.0)
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [1, 2]
+
+    def test_histograms_compare_and_hash_by_identity(self):
+        a, b = (TransientHistogram(np.array([1, 2]), 4e-12, 0.0, 0, 1.0) for _ in range(2))
+        assert a == a and a != b and same_histogram(a, b)
+        assert hash(a) != hash(b) and len({a, b, a}) == 2
 
     def test_counts_are_readonly(self):
         h = TransientHistogram(np.array([1, 2, 3]), 4e-12, 0.0, 0, 1.0)
@@ -237,7 +252,7 @@ class TestSimulate:
         scene = make_scene()
         p = AcquisitionParams(dark_rate_hz=0.0, rng_seed=1)
         h = simulate_histogram(scene, 0, p)
-        assert h.total_counts == 0
+        assert int(h.counts.sum()) == 0
 
     def test_dark_only_totals(self):
         # 1000 Hz dark for 1 s: mean total 1000 spread over 6250 bins (0.16 each);
@@ -246,7 +261,7 @@ class TestSimulate:
         totals = []
         for seed in range(100):
             p = AcquisitionParams(dark_rate_hz=1000.0, rng_seed=seed)
-            totals.append(simulate_histogram(scene, 0, p).total_counts)
+            totals.append(int(simulate_histogram(scene, 0, p).counts.sum()))
         se = math.sqrt(1000.0 / 100)
         assert abs(np.mean(totals) - 1000.0) < 3 * se
         mu = expected_counts(scene, 0, AcquisitionParams(dark_rate_hz=1000.0))
@@ -278,8 +293,8 @@ class TestSimulate:
     def test_determinism(self):
         scene = make_scene(objects=[HiddenObject(Point3(0.6, 1.2, 1.0), 3.0)])
         p = AcquisitionParams(rng_seed=17)
-        assert simulate_histogram(scene, 0, p) == simulate_histogram(scene, 0, p)
-        assert simulate_background(scene, 0, p) == simulate_background(scene, 0, p)
+        assert same_histogram(simulate_histogram(scene, 0, p), simulate_histogram(scene, 0, p))
+        assert same_histogram(simulate_background(scene, 0, p), simulate_background(scene, 0, p))
 
     def test_background_removes_object_contribution(self):
         # Poisson additivity: mean(signal total) - mean(background total)
@@ -292,8 +307,8 @@ class TestSimulate:
         for seed in range(100):
             p = dataclasses.replace(base, rng_seed=seed)
             diff.append(
-                simulate_histogram(scene, 0, p).total_counts
-                - simulate_background(scene, 0, p).total_counts
+                int(simulate_histogram(scene, 0, p).counts.sum())
+                - int(simulate_background(scene, 0, p).counts.sum())
             )
         expect = expected_signal_rate(scene, 0, obj, base) * base.acq_time_s
         sig_var = expected_counts(scene, 0, base).sum() + expected_counts(
@@ -335,6 +350,11 @@ class TestSimulate:
 
         np.testing.assert_array_equal(simulate_histogram(scene, 1, p).counts, poisson(mu, 0))
         np.testing.assert_array_equal(simulate_background(scene, 1, p).counts, poisson(bg, 1))
+
+    @pytest.mark.parametrize("pixel_index", [-1, 2])
+    def test_pixel_index_out_of_range_refused(self, pixel_index):
+        with pytest.raises(IndexError, match=f"^pixel_index {pixel_index} out of range$"):
+            expected_counts(make_scene(), pixel_index, AcquisitionParams())
 
     def test_aliasing_refused(self):
         # 10 m of path at 40 MHz exceeds the 7.5 m unambiguous range

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -77,7 +78,7 @@ def map_bytes(tmp_path, pmap):
 
 def band_bytes(tmp_path, band):
     # A band's map as the README recipe writes it.
-    return map_bytes(tmp_path, ProbabilityMap(band.grid, band.values))
+    return map_bytes(tmp_path, ProbabilityMap(band.grid, np.exp(band.log_at())))
 
 
 def interrupt(*args, **kwargs):
@@ -894,7 +895,7 @@ def test_readme_band_rebuild_recipe(runner, tmp_path, monkeypatch):
     fused_names = [f"fused_map_{t['label']}.csv" for t in doc["tracks"]]
     assert list(written) == names + fused_names and len(bands) == len(names)
     for pmap, band in zip(written.values(), bands):
-        assert pmap.values.tobytes() == band.values.tobytes() and not pmap.normalized
+        assert pmap.values.tobytes() == np.exp(band.log_at()).tobytes() and not pmap.normalized
     assert sorted(p.name for p in tmp_path.glob("pixel*_map.csv")) == sorted(names)
     assert doc["status"] == "ok" and doc["tracks"]
     assert localized == [([band for band, d in zip(bands, feasible) if d["track"] == t["label"]],

@@ -81,6 +81,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="pairwise distinct"):
             Scene(laser_spot=Point3(0, 0, 1), pixels=(Point3(0, 0, 1),))
 
+    def test_scene_needs_a_pixel(self):
+        with pytest.raises(ValueError, match="^scene needs at least one detector pixel$"):
+            Scene(laser_spot=Point3(0, 0, 1), pixels=())
+
+    def test_scene_rejects_two_component_normal(self):
+        with pytest.raises(ValueError, match="^wall_normal must have three components$"):
+            Scene(laser_spot=Point3(0, 0, 1), pixels=(Point3(1, 0, 1),), wall_normal=(0.0, 1.0))
+
     def test_scene_rejects_non_unit_normal(self):
         with pytest.raises(ValueError, match="unit length"):
             Scene(

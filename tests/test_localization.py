@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -103,6 +104,17 @@ class TestProbabilityMap:
         assert hash(a) != hash(b) and len({a, b, a}) == 2
 
 
+@pytest.mark.parametrize("args, error", [
+    (((0.0, 0.0), math.inf, 0.1, 1.0), "sigma_x must be >= 0, got inf"),
+    (((0.0, 0.0), 0.1, -0.1, 1.0), "sigma_y must be >= 0, got -0.1"),
+    (((0.0, 0.0), 0.1, 0.1, math.nan), "peak_value must be >= 0, got nan"),
+    (((0.0, math.inf), 0.1, 0.1, 1.0), "position must be finite, got (0.0, inf)"),
+])
+def test_track_estimate_refuses_non_finite_and_negative_numbers(args, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        TrackEstimate(*args)
+
+
 class TestBackproject:
     def test_matches_closed_form_everywhere(self):
         rng = np.random.default_rng(7)
@@ -113,14 +125,14 @@ class TestBackproject:
             r_i = Point3(rng.uniform(-1, 1), 0.0, rng.uniform(0.8, 1.3))
             sigma = rng.uniform(50e-12, 500e-12)
             t = (r_l.distance_to(r_i) + rng.uniform(0.5, 5.0)) / C
-            pmap = backproject(peak(t, sigma), r_l, r_i, grid)
+            band = backproject(peak(t, sigma), r_l, r_i, grid)
             iy = rng.integers(0, grid.ny)
             ix = rng.integers(0, grid.nx)
             cell = Point3(xc[ix], yc[iy], grid.z_plane)
             want = math.exp(
                 -((path_length(r_l, cell, r_i) - C * t) ** 2) / (2 * (C * sigma) ** 2)
             )
-            got = pmap.values[iy, ix]
+            got = np.exp(band.log_at())[iy, ix]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_matches_closed_form_on_full_grid(self):
@@ -129,7 +141,7 @@ class TestBackproject:
         t, sigma = 5.0 / C, 0.04 / C
         ct, cs = C * t, C * sigma
         r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.9, 0.0, 1.0)
-        got = backproject(peak(t, sigma), r_l, r_i, grid).values
+        got = np.exp(backproject(peak(t, sigma), r_l, r_i, grid).log_at())
         d1 = np.sqrt((xs[None, :] - r_l.x) ** 2 + (ys[:, None] - r_l.y) ** 2 + (1.0 - r_l.z) ** 2)
         d2 = np.sqrt((xs[None, :] - r_i.x) ** 2 + (ys[:, None] - r_i.y) ** 2 + (1.0 - r_i.z) ** 2)
         want = np.exp(-0.5 * ((d1 + d2 - ct) / cs) ** 2)
@@ -142,8 +154,8 @@ class TestBackproject:
         r_l, r_i = Point3(-0.5, 0.0, 1.15), Point3(-0.1, 0.0, 1.05)
         p = peak(4.0 / C, sigma)
         band = backproject(p, r_l, r_i, grid)
-        core, values = band.log_at(), band.values
-        np.testing.assert_array_equal(np.exp(core), values)
+        core = band.log_at()
+        values = np.exp(core)
         zero = values == 0.0
         np.testing.assert_array_equal(np.isneginf(core), zero)
         assert sigma > 100e-12 or zero.any()
@@ -228,36 +240,36 @@ class TestBackproject:
         radius = C * t / 2
         grid = GridSpec(-3.2, 3.2, 0, 4, 0.02, 1.0)
         sigma = 120e-12
-        pmap = backproject(peak(t, sigma), focus, focus, grid)
+        values = np.exp(backproject(peak(t, sigma), focus, focus, grid).log_at())
         xc, yc = grid.x_centers(), grid.y_centers()
         xx, yy = np.meshgrid(xc, yc)
         dist = np.sqrt((xx - focus.x) ** 2 + (yy - focus.y) ** 2)
         on_circle = np.abs(dist - radius) < grid.resolution
         assert on_circle.any()
         floor = math.exp(-((2 * C * 120e-12 * 0) + 2 * grid.resolution) ** 2 / (2 * (C * sigma) ** 2))
-        assert pmap.values[on_circle].min() >= floor
+        assert values[on_circle].min() >= floor
 
     def test_truth_cell_scores_near_one(self):
         r_l, r_i = Point3(0, 0, 1), Point3(1, 0, 1)
         truth = Point3(0.5, 2.0, 1.0)
         grid = centered_grid(0.5, 2.0)
         t = tof(r_l, truth, r_i)
-        pmap = backproject(peak(t), r_l, r_i, grid)
+        values = np.exp(backproject(peak(t), r_l, r_i, grid).log_at())
         ix = int(np.argmin(np.abs(grid.x_centers() - truth.x)))
         iy = int(np.argmin(np.abs(grid.y_centers() - truth.y)))
-        assert pmap.values[iy, ix] >= 0.999
+        assert values[iy, ix] >= 0.999
 
     def test_wider_sigma_same_argmax_lower_contrast(self):
         r_l, r_i = Point3(0, 0, 1), Point3(1, 0, 1)
         truth = Point3(0.5, 2.0, 1.0)
         grid = centered_grid(0.5, 2.0, half=0.4)
         t = tof(r_l, truth, r_i)
-        narrow = backproject(peak(t, 120e-12), r_l, r_i, grid)
-        wide = backproject(peak(t, 1200e-12), r_l, r_i, grid)
-        assert np.argmax(narrow.values) == np.argmax(wide.values)
-        band = narrow.values > 1e-6
-        contrast_narrow = narrow.values.max() / narrow.values[band].min()
-        contrast_wide = wide.values.max() / wide.values[band].min()
+        narrow = np.exp(backproject(peak(t, 120e-12), r_l, r_i, grid).log_at())
+        wide = np.exp(backproject(peak(t, 1200e-12), r_l, r_i, grid).log_at())
+        assert np.argmax(narrow) == np.argmax(wide)
+        band = narrow > 1e-6
+        contrast_narrow = narrow.max() / narrow[band].min()
+        contrast_wide = wide.max() / wide[band].min()
         assert contrast_wide < contrast_narrow
 
     def test_infeasible_time(self):
@@ -323,9 +335,9 @@ class TestLocalize:
         _, fused = localize([band], (0.7, 0.4))
         want = localization._normalized(band.log_at(), self.grid)
         assert fused.values.tobytes() == want.values.tobytes()
+        values = np.exp(band.log_at())
         np.testing.assert_allclose(
-            fused.values, band.values / (band.values.sum() * self.grid.cell_area),
-            rtol=1e-12, atol=1e-300)
+            fused.values, values / (values.sum() * self.grid.cell_area), rtol=1e-12, atol=1e-300)
 
     def test_bands_of_different_grids_are_refused(self):
         # Two grids of one shape: summing their bands cell by cell would
@@ -367,6 +379,11 @@ class TestAssociate:
                 ps = [ps[j] for j in order[i]]
             out.append(ps)
         return out
+
+    def test_peaks_and_pixels_must_align(self):
+        peaks = self.peaks_for([(0.6, 1.2)])
+        with pytest.raises(ValueError, match="^peaks_per_pixel and pixels must align$"):
+            associate_and_localize(peaks[:-1], self.r_l, self.pixels, self.grid)
 
     def test_single_target_matches_fuse_localize(self):
         truth = (0.6, 1.2)
@@ -920,13 +937,13 @@ def test_backproject_formula_property(lx, ix, extra, sigma):
     r_i = Point3(ix, 0.0, 0.95)
     grid = GridSpec(-2, 2, 0, 3, 0.1, 1.0)
     t = (r_l.distance_to(r_i) + extra) / C
-    pmap = backproject(peak(t, sigma), r_l, r_i, grid)
-    assert pmap.values.max() <= 1.0
+    values = np.exp(backproject(peak(t, sigma), r_l, r_i, grid).log_at())
+    assert values.max() <= 1.0
     xc, yc = grid.x_centers(), grid.y_centers()
     iy, ix_ = 7, 11
     cell = Point3(xc[ix_], yc[iy], 1.0)
     want = math.exp(-((path_length(r_l, cell, r_i) - C * t) ** 2) / (2 * (C * sigma) ** 2))
-    assert pmap.values[iy, ix_] == pytest.approx(want, rel=1e-12, abs=5e-324)
+    assert values[iy, ix_] == pytest.approx(want, rel=1e-12, abs=5e-324)
 
 
 @given(

@@ -29,6 +29,7 @@ from nlostrack import (
     tof,
 )
 from nlostrack.processing import NonConvergenceError, _crop_plan, _find_peaks
+from conftest import same_histogram
 
 BW = 4e-12
 IRF = 120e-12  # the instrument width every fit and detection here is given
@@ -60,16 +61,19 @@ class TestWindow:
             TimeWindow(-1e-9, 1e-9)
         with pytest.raises(ValueError):
             TimeWindow(2e-9, 1e-9)
+        for bounds in [(0.0, math.inf), (math.nan, 1e-9)]:
+            with pytest.raises(ValueError, match="^window bounds must be finite$"):
+                TimeWindow(*bounds)
 
 
 class TestApplyOffset:
     def test_zero_offset_identity(self):
         h = hist_from([1, 2, 3])
-        assert apply_offset(h, 0.0) == h
+        assert apply_offset(h, 0.0) is h
 
     def test_offset_roundtrip(self):
         h = hist_from([5, 0, 7, 1], t0=0.0)
-        assert apply_offset(apply_offset(h, 3e-12), -3e-12) == h
+        assert same_histogram(apply_offset(apply_offset(h, 3e-12), -3e-12), h)
 
     def test_offset_bound(self):
         h = hist_from([1] * 10)
@@ -91,7 +95,7 @@ class TestCrop:
     def test_full_span_unchanged(self):
         h = hist_from([1, 2, 3, 4], t0=1e-9)
         out = crop(h, TimeWindow(1e-9, 1e-9 + 4 * BW))
-        assert out == h
+        assert same_histogram(out, h)
 
     def test_disjoint_window_errors(self):
         h = hist_from([1, 2, 3, 4])
@@ -110,7 +114,7 @@ class TestCrop:
         mu = 10e-9
         h = hist_from(gaussian_counts(6250, mu, 120e-12, 5e4))
         out = crop(h, TimeWindow(mu - 1e-9, mu + 1e-9))
-        assert out.total_counts >= 0.999 * h.total_counts
+        assert int(out.counts.sum()) >= 0.999 * int(h.counts.sum())
 
     def test_wrapped_histogram_reassembled(self):
         # calibration offsets leave early bins at negative times; crop must
@@ -120,7 +124,7 @@ class TestCrop:
         counts[10] = 100  # raw position near the start: late canonical time
         h = TransientHistogram(counts, BW, -20 * BW, 0, 1.0)
         out = crop(h, TimeWindow(0.0, n * BW))
-        assert out.total_counts == 100
+        assert int(out.counts.sum()) == 100
         centers = out.bin_centers_s()
         assert np.all(np.diff(centers) > 0)
         peak_time = centers[np.argmax(out.counts)]
@@ -177,17 +181,17 @@ def test_crop_matches_reference_algorithm(n, offset, start, length, seed):
             crop(hist, window)
         return
     got = crop(hist, window)
-    assert got == expected
+    assert same_histogram(got, expected)
     assert got.t0_offset_s == expected.t0_offset_s  # bit for bit, not approximately
     # the same window again is served from the plan, with the same result
-    assert crop(hist, window) == expected
+    assert same_histogram(crop(hist, window), expected)
 
 
 class TestSubtract:
     def test_self_subtraction_zero(self):
         h = hist_from([3, 1, 4, 1, 5])
         out = subtract_background(h, h)
-        assert out.total_counts == 0
+        assert int(out.counts.sum()) == 0
 
     def test_clamped_at_zero(self):
         out = subtract_background(hist_from([3, 10]), hist_from([5, 4]))
@@ -198,6 +202,9 @@ class TestSubtract:
             subtract_background(hist_from([1, 2]), hist_from([1, 2, 3]))
         with pytest.raises(ValueError, match="time reference"):
             subtract_background(hist_from([1, 2]), hist_from([1, 2], t0=BW))
+        wider = dataclasses.replace(hist_from([1, 2]), bin_width_s=2 * BW)
+        with pytest.raises(ValueError, match=r"^bin width mismatch: 4e-12 vs 8e-12$"):
+            subtract_background(hist_from([1, 2]), wider)
         longer = dataclasses.replace(hist_from([1, 2]), acq_time_s=10.0)
         with pytest.raises(ValueError, match=r"^acquisition time mismatch: 1\.0 vs 10\.0$"):
             subtract_background(hist_from([1, 2]), longer)
@@ -380,10 +387,16 @@ class TestFit:
             fit_peaks(hist_from([1, 2, 1]), [], IRF)
 
     def test_peak_estimate_validation(self):
-        with pytest.raises(ValueError):
-            PeakEstimate(t_s=1e-9, sigma_s=0.0, amplitude=1.0)
-        with pytest.raises(ValueError):
-            PeakEstimate(t_s=1e-9, sigma_s=1e-10, amplitude=0.0)
+        for args, error in [
+            ((1e-9, 0.0, 1.0), "sigma_s must be > 0, got 0.0"),
+            ((1e-9, math.inf, 1.0), "sigma_s must be > 0, got inf"),
+            ((1e-9, 1e-10, 0.0), "amplitude must be > 0, got 0.0"),
+            ((1e-8, 1e-10, math.inf), "amplitude must be > 0, got inf"),
+            ((math.nan, 1e-10, 1.0), "t_s must be finite, got nan"),
+            ((-math.inf, 1e-10, 1.0), "t_s must be finite, got -inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                PeakEstimate(*args)
         # The stderr is keyword-only: a fourth positional value is refused.
         with pytest.raises(TypeError):
             PeakEstimate(1e-9, 1e-10, 1.0, 2)
@@ -428,13 +441,15 @@ class TestFitWindows:
         "floor_at_zero": ([(8e-9, IRF, 30.0)], 0.0),
         "broad_4x": ([(10e-9, 4 * IRF, 30.0)], 1.0),
         "broad_8x": ([(12e-9, 8 * IRF, 20.0)], 1.0),
+        # 400 bins, all within the seed's window: no floor-only bins.
+        "covered": ([(0.8e-9, IRF, 60.0)], 2.0, 400),
     }
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_full_window_fit(self, case, seed):
-        pulses, floor = self.CASES[case]
-        h = noisy_histogram(seed, pulses, floor)
+        pulses, floor, *n_bins = self.CASES[case]
+        h = noisy_histogram(seed, pulses, floor, *n_bins)
         seeds = detect_peaks(h, max_peaks=len(pulses), irf_sigma_s=IRF)
         assert len(seeds) == len(pulses)
         ref_floor, want = full_window_fit(h, seeds)

@@ -29,7 +29,6 @@ from nlostrack import (
     path_length,
     run_baseline_sweep,
     run_scenario,
-    run_two_person,
     tof,
 )
 from nlostrack import localization, sceneio, studies
@@ -147,6 +146,17 @@ class TestRunScenario:
                 params, offset_s=calibration_offset_s(scene, params),
             )
 
+    def test_missing_background_histogram_refused(self):
+        scene = corner_scene([(0.6, 1.0)])
+        params = AcquisitionParams(rng_seed=3)
+        signal, background = studies.simulate_scene(scene, params)
+        with pytest.raises(ValueError,
+                           match="^need one signal and one background histogram per pixel$"):
+            studies.reconstruct_from_histograms(
+                signal, background[:-1], scene.laser_spot, list(scene.pixels), DEFAULT_GRID,
+                params, offset_s=calibration_offset_s(scene, params),
+            )
+
     def test_ambiguous_association_reports_status_and_note(self, monkeypatch):
         # Mirror-symmetric pixels and targets: both assignments score alike.
         # No warning filter: pytest's filterwarnings = error fails on any
@@ -205,11 +215,9 @@ REFERENCE_TRACKS = {
 
 @pytest.mark.parametrize("seed,k_targets", sorted(REFERENCE_TRACKS))
 def test_tracks_match_reference_values(seed, k_targets):
-    params = AcquisitionParams(rng_seed=seed)
-    if k_targets == 1:
-        res = run_scenario(corner_scene([(0.6, 1.2)]), params, DEFAULT_GRID)
-    else:
-        res = run_two_person(corner_scene([(0.4, 1.0), (1.0, 1.8)]), params, DEFAULT_GRID)
+    truths = [(0.6, 1.2)] if k_targets == 1 else [(0.4, 1.0), (1.0, 1.8)]
+    res = run_scenario(corner_scene(truths), AcquisitionParams(rng_seed=seed), DEFAULT_GRID,
+                       k_targets=k_targets)
     assert res.status == "ok"
     want = REFERENCE_TRACKS[(seed, k_targets)]
     assert len(res.tracks) == len(want)
@@ -380,20 +388,36 @@ def test_pixel_without_returns_changes_no_track():
     assert "pixel 1: no peak above threshold" in got.notes
 
 
+@pytest.mark.parametrize("resolution", [0.08, 0.2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_narrow_bands_on_a_coarse_grid_are_seeded_from_the_full_grid(resolution, seed):
+    # An 8 ps instrument width makes each band a few millimetres wide, so on
+    # a coarse grid the target's bands share no finite seed-lattice cell.
+    # Association then seeds the fit from the full-grid sum; without that
+    # fallback every seed here reports no_target.
+    scene, params, grid = sceneio.load_scene(CONFIGS / "single_person.json")
+    params = dataclasses.replace(params, irf_sigma_s=8e-12, system_throughput=1e5,
+                                 rng_seed=seed)
+    res = run_scenario(scene, params, dataclasses.replace(grid, resolution=resolution))
+    assert res.status == "ok"
+    assert math.dist(res.tracks[0].position, (0.6, 1.2)) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["single_person.json", "two_person.json"])
+def test_bundled_configs_hold_the_default_layout(name):
+    scene, _, grid = sceneio.load_scene(CONFIGS / name)
+    assert (scene.laser_spot, scene.pixels, grid) == (DEFAULT_LASER, DEFAULT_PIXELS, DEFAULT_GRID)
+
+
 class TestRunTwoPerson:
     def test_both_localized_within_half_meter(self):
         truths = [(0.5, 0.9), (1.2, 1.6)]
         scene = corner_scene(truths, reflectivity=5.0)
-        res = run_two_person(scene, AcquisitionParams(rng_seed=4), DEFAULT_GRID)
+        res = run_scenario(scene, AcquisitionParams(rng_seed=4), DEFAULT_GRID, k_targets=2)
         assert res.ok and len(res.tracks) == 2
         got = sorted(t.position for t in res.tracks)
         for (gx, gy), (tx, ty) in zip(got, sorted(truths)):
             assert abs(gx - tx) < 0.5 and abs(gy - ty) < 0.5
-
-    def test_requires_two_objects(self):
-        scene = corner_scene([(0.6, 1.0)])
-        with pytest.raises(ValueError, match="exactly two"):
-            run_two_person(scene, AcquisitionParams(), DEFAULT_GRID)
 
     def test_opposite_corners_larger_sigma_than_same_corner(self):
         # two pixels, targets on either corner, wall-angle losses on: the
@@ -409,7 +433,7 @@ class TestRunTwoPerson:
             vals = []
             for seed in range(n):
                 p = AcquisitionParams(system_throughput=kappa, rng_seed=seed)
-                res = run_two_person(scene, p, DEFAULT_GRID)
+                res = run_scenario(scene, p, DEFAULT_GRID, k_targets=2)
                 if res.ok:
                     vals.append(np.mean([t.sigma_x + t.sigma_y for t in res.tracks]))
             assert vals, "no successful trials"
@@ -424,7 +448,7 @@ class TestRunTwoPerson:
             [(0.5, 0.9), (-2.8, 0.45)], reflectivity=1.0,
             pixels=(Point3(-1.4, 0, 1.0), Point3(-0.8, 0, 1.05)),
         )
-        res = run_two_person(scene, AcquisitionParams(rng_seed=5), DEFAULT_GRID)
+        res = run_scenario(scene, AcquisitionParams(rng_seed=5), DEFAULT_GRID, k_targets=2)
         assert res.status == "no_target"
         assert res.tracks == []
 
@@ -455,6 +479,8 @@ class TestSweep:
             self.small_config(trials_per_point=5)
         with pytest.raises(ValueError, match="object"):
             self.small_config(object_positions=())
+        with pytest.raises(ValueError, match="^d2_x_range bounds must be finite$"):
+            self.small_config(d2_x_range=(-0.4, math.inf, 3))
 
     def test_rows_and_determinism(self):
         config = self.small_config()
