@@ -8,7 +8,9 @@ document, such as ``scene.objects[0].reflectivity``. Every CSV has one layout: a
 versioned ``# <format>`` line, ``# key=value`` header lines, the column line,
 then comma-separated rows with '.' decimals (Python float repr) and
 ``true``/``false`` booleans. The reader checks the format and column lines and
-refuses a file missing a header line it reads.
+refuses a file missing a header line it reads. Histogram and map data rows are
+built, and histogram rows parsed, with whole-array operations or one ``%`` per
+row, not with Python work per bin or cell.
 """
 
 from __future__ import annotations
@@ -205,26 +207,46 @@ def _text(value) -> str:
     return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-def _write_table(path, fmt: str, meta: dict, columns, data: str):
+def _write_table(path, fmt: str, meta: dict, columns, data: bytes):
     """Write the CSV layout; ``data`` is the data lines, each ending in a newline."""
     header = [f"# {fmt}", *(f"# {key}={_text(value)}" for key, value in meta.items())]
-    Path(path).write_text("\n".join([*header, ",".join(columns)]) + "\n" + data)
+    with open(path, "wb") as f:
+        f.write(("\n".join([*header, ",".join(columns)]) + "\n").encode())
+        f.write(data)
 
 
-def _read_table(path, fmt: str, columns) -> tuple[dict[str, str], list[str]]:
-    """Check the format and column lines; return the header values and the data lines.
-
-    Blank lines are skipped and lines stripped only up to the column line; the
-    data lines are returned as read, for ``np.loadtxt`` to parse.
-    """
-    lines = Path(path).read_text().splitlines()
-    head, rows = [], []
+def _split_head(text: str) -> tuple[list[str], list[str]]:
+    """The stripped non-blank lines up to and including the first not starting
+    with '#', and the lines after that one, as read."""
+    lines = text.splitlines()
+    head = []
     for i, line in enumerate(map(str.strip, lines)):
         if line:
             head.append(line)
             if not line.startswith("#"):
-                rows = lines[i + 1:]
-                break
+                return head, lines[i + 1:]
+    return head, []
+
+
+def _read_table(path, fmt: str, columns) -> tuple[dict[str, str], bytes | list[str]]:
+    """Check the format and column lines; return the header values and the data.
+
+    Blank lines are skipped and lines stripped only up to the column line. In
+    an ASCII file whose column line is exactly the expected one between two
+    '\n', only the lines before it are split, and the data comes back as the
+    bytes after it. Any other file is split whole, and the data comes back as
+    its lines, as read, for ``np.loadtxt`` to parse.
+    """
+    raw = Path(path).read_bytes()
+    column_line = f"\n{','.join(columns)}\n".encode()
+    cut = raw.find(column_line) + len(column_line)
+    head, rows = _split_head(raw[:cut].decode() if cut >= len(column_line) and raw.isascii()
+                             else "")
+    # No line after the first one not starting with '#': that line is the column line found.
+    if head and not rows:
+        rows = raw[cut:]
+    else:
+        head, rows = _split_head(Path(path).read_text())
     end = next((i for i, line in enumerate(head) if not line.startswith("#")), len(head))
     for at, expected in ((0, f"# {fmt}"), (end, ",".join(columns))):
         found = head[at] if at < len(head) else None
@@ -235,35 +257,78 @@ def _read_table(path, fmt: str, columns) -> tuple[dict[str, str], list[str]]:
 
 
 _HISTOGRAM_COLUMNS = ("bin_index", "counts")
+# 10**k at index k: 10**18 bounds an 18-digit number, the most an int64 always holds.
+_TENS = 10 ** np.arange(19, dtype=np.int64)
+_NEWLINE, _COMMA, _ZERO = b"\n,0"  # as byte values
 
 
 @functools.lru_cache(maxsize=1)
-def _rows_template(num_bins: int) -> str:
-    """The data lines of a ``num_bins`` histogram, with a ``%d`` for each count."""
-    return "".join(f"{i},%d\n" for i in range(num_bins))
+def _zero_rows(num_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The data lines of an all-zero ``num_bins`` histogram as read-only bytes,
+    and the index of each line's count digit."""
+    rows = np.frombuffer("".join(f"{i},0\n" for i in range(num_bins)).encode(), np.uint8)
+    return rows, np.flatnonzero(rows == _NEWLINE) - 1
 
 
 def write_histogram_csv(path, hist: TransientHistogram):
+    """Write ``hist``; its data rows are the cached zero rows with the counts' digits set."""
     meta = {"bin_width_s": hist.bin_width_s, "t0_offset_s": hist.t0_offset_s,
             "pixel": hist.pixel_index, "acq_time_s": hist.acq_time_s}
-    data = _rows_template(hist.counts.size) % tuple(hist.counts.tolist())
-    _write_table(path, HISTOGRAM_FORMAT, meta, _HISTOGRAM_COLUMNS, data)
+    zero_rows, at = _zero_rows(hist.counts.size)
+    rows = zero_rows.copy()
+    rows[at] += (hist.counts % 10).astype(np.uint8)
+    lead = hist.counts // 10
+    big = np.flatnonzero(lead)
+    if big.size:
+        # A count >= 10 gets the digits of count // 10 put in before its last digit.
+        lead = lead[big]
+        width = np.searchsorted(_TENS, lead, side="right")
+        # Each digit's power of ten, most significant first.
+        place = np.repeat(np.cumsum(width), width) - np.arange(width.sum()) - 1
+        digits = np.repeat(lead, width) // _TENS[place] % 10
+        rows = np.insert(rows, np.repeat(at[big], width), digits.astype(np.uint8) + _ZERO)
+    _write_table(path, HISTOGRAM_FORMAT, meta, _HISTOGRAM_COLUMNS, rows.tobytes())
+
+
+def _canonical_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two columns of ``data`` if it is the writer's rows, else None.
+
+    The writer's rows are ``<digits>,<digits>\\n``, each field of 1 to 18
+    digits, the last row ending in its newline. Each column is parsed one
+    digit place at a time, over all its fields at once.
+    """
+    b = np.frombuffer(data, np.uint8)
+    if b.size == 0 or b[-1] != _NEWLINE or b.max() > _ZERO + 9:
+        return None
+    ends = np.flatnonzero(b < _ZERO)  # the comma or newline after each field
+    if ends.size % 2 or np.any(b[ends[0::2]] != _COMMA) or np.any(b[ends[1::2]] != _NEWLINE):
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > 18:
+        return None
+    digits, columns = b - np.uint8(_ZERO), []
+    for end, width in zip(ends.reshape(-1, 2).T, widths.reshape(-1, 2).T):
+        values = digits[end - 1].astype(np.int64)
+        for place in range(1, width.max()):
+            values += np.where(width > place, digits[end - 1 - place], 0) * _TENS[place]
+        columns.append(values)
+    return tuple(columns)
 
 
 def read_histogram_csv(path) -> TransientHistogram:
+    """Read a histogram file. Rows as the writer writes them are parsed in one
+    pass and any others by ``np.loadtxt``; both give the same histogram or the
+    same refusal, which names the file."""
     meta, rows = _read_table(path, HISTOGRAM_FORMAT, _HISTOGRAM_COLUMNS)
-    # np.loadtxt skips empty lines but refuses ones holding only whitespace;
-    # the reader accepts both as blank.
-    rows = list(itertools.filterfalse(str.isspace, rows))
-    if not any(rows):
-        raise ValueError(f"{path}: no histogram rows")
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
-                           dtype=[(name, np.int64) for name in _HISTOGRAM_COLUMNS])
-        if not np.array_equal(table["bin_index"], np.arange(table.size)):
+        if isinstance(rows, bytes):
+            index, counts = _canonical_columns(rows) or _loose_columns(rows.decode().splitlines())
+        else:
+            index, counts = _loose_columns(rows)
+        if not np.array_equal(index, np.arange(index.size)):
             raise ValueError("non-contiguous bin indices")
         return TransientHistogram(
-            counts=table["counts"], bin_width_s=float(meta["bin_width_s"]),
+            counts=counts, bin_width_s=float(meta["bin_width_s"]),
             t0_offset_s=float(meta["t0_offset_s"]), pixel_index=int(meta["pixel"]),
             acq_time_s=float(meta["acq_time_s"]),
         )
@@ -273,15 +338,30 @@ def read_histogram_csv(path) -> TransientHistogram:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _loose_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of any data lines ``np.loadtxt`` reads as whole numbers."""
+    # np.loadtxt skips empty lines but refuses ones holding only whitespace;
+    # the reader accepts both as blank.
+    rows = list(itertools.filterfalse(str.isspace, rows))
+    if not any(rows):
+        raise ValueError("no histogram rows")
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                       dtype=[(name, np.int64) for name in _HISTOGRAM_COLUMNS])
+    return table["bin_index"], table["counts"]
+
+
 def write_map_csv(path, pmap: ProbabilityMap):
-    # A cell's line is its centre and the str of its value, the shortest
-    # round-trip repr. Formatting row by row and joining once sizes the text
-    # in one allocation.
-    xs = [f"{x}," for x in pmap.grid.x_centers().tolist()]
-    rows = zip(pmap.grid.y_centers().tolist(), pmap.values.tolist())
-    data = "".join("".join([f"{x}{y},{v!r}\n" for x, v in zip(xs, values)]) for y, values in rows)
+    """Write ``pmap``, one ``x,y,value`` line per cell, the value by its
+    shortest round-trip repr.
+
+    One template per write holds a row's lines, with a NUL for the row's y
+    and a ``%r`` for each value.
+    """
+    template = "".join([f"{x},\0,%r\n" for x in pmap.grid.x_centers().tolist()])
+    rows = zip(map(str, pmap.grid.y_centers().tolist()), pmap.values.tolist())
+    data = "".join([template.replace("\0", y) % tuple(values) for y, values in rows])
     meta = {**dataclasses.asdict(pmap.grid), "normalized": pmap.normalized}
-    _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), data)
+    _write_table(path, MAP_FORMAT, meta, ("x", "y", "value"), data.encode())
 
 
 _SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
@@ -289,7 +369,7 @@ _SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def write_sweep_csv(path, result: SweepResult):
     data = "".join(",".join(map(_text, dataclasses.astuple(r))) + "\n" for r in result.rows)
-    _write_table(path, SWEEP_FORMAT, {}, _SWEEP_COLUMNS, data)
+    _write_table(path, SWEEP_FORMAT, {}, _SWEEP_COLUMNS, data.encode())
 
 
 # ---------------------------------------------------------------------------

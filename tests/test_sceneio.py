@@ -3,6 +3,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -332,6 +333,97 @@ class TestReaderRefusals:
         assert sceneio.read_histogram_csv(path).counts.tolist() == [4, 2]
 
 
+def loosen(data: bytes, row: int) -> bytes:
+    """The histogram file ``data`` with CRLF endings, data row ``row`` padded
+    and a blank line before it."""
+    head, column_line, rows = data.partition(b"bin_index,counts\n")
+    lines = rows.split(b"\n")[:-1]
+    lines[row] = b" %s ,\t%s " % tuple(lines[row].split(b","))
+    lines.insert(row, b"")
+    return (head + column_line + b"\n".join(lines) + b"\n").replace(b"\n", b"\r\n")
+
+
+def read_or_refusal(path):
+    """The counts read from ``path``, or the refusal's text after the path."""
+    try:
+        return sceneio.read_histogram_csv(path).counts.tolist()
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ")
+        return message[len(f"{path}: "):]
+
+
+@st.composite
+def canonical_looking_rows(draw):
+    """Data rows of digits, commas and newlines that may break the writer's
+    layout: leading zeros, empty fields, skipped indices, counts of up to 20
+    digits, no final newline."""
+    digits = st.from_regex(r"[0-9]{0,20}", fullmatch=True)
+    rows, index = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        index += draw(st.sampled_from([1, 1, 1, 2]))
+        zeros = "0" * draw(st.sampled_from([0, 0, 1, 17]))
+        field = draw(st.sampled_from([f"{zeros}{index - 1}", ""]) | digits)
+        count = draw(st.integers(0, 2**63 - 1).map(str) | digits)
+        rows.append(f"{field},{count}")
+    return "\n".join(rows) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestReaderPaths:
+    """The writer's rows are parsed in one pass; every other text goes
+    through ``np.loadtxt``. Both give the same histogram or the same refusal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7000),
+        high=st.sampled_from([0, 9, 10, 1000, 2**40, 2**63 - 1]),
+        head=st.lists(st.integers(0, 2**63 - 1), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+        row=st.integers(0, 6999),
+    )
+    def test_written_and_loosened_files_read_alike(self, tmp_path_factory, n, high, head,
+                                                   seed, row):
+        counts = np.random.default_rng(seed).integers(0, high, n, endpoint=True)
+        counts[:len(head)] = head[:n]
+        h = TransientHistogram(counts, 4e-12, -1.3e-8, 3, 1.0)
+        path = tmp_path_factory.mktemp("paths") / "h.csv"
+        sceneio.write_histogram_csv(path, h)
+        # Counts of 19 digits are read by the loose path; all others in one pass.
+        nineteen_digits = int(counts.max() >= 10**18)
+        with mock.patch.object(sceneio, "_loose_columns", wraps=sceneio._loose_columns) as loose:
+            assert same_histogram(sceneio.read_histogram_csv(path), h)
+            assert loose.call_count == nineteen_digits
+            path.write_bytes(loosen(path.read_bytes(), row % n))
+            assert same_histogram(sceneio.read_histogram_csv(path), h)
+            assert loose.call_count == nineteen_digits + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=canonical_looking_rows())
+    def test_canonical_looking_rows_read_as_loose_ones(self, tmp_path_factory, rows):
+        directory = tmp_path_factory.mktemp("edge")
+        as_written, loose = directory / "lf.csv", directory / "crlf.csv"
+        as_written.write_bytes((TestReaderRefusals.HEADER + rows).encode())
+        loose.write_bytes(as_written.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_or_refusal(as_written) == read_or_refusal(loose)
+
+    @pytest.mark.parametrize("rows, want", [
+        ("00,5\n01,007\n", [5, 7]),
+        ("0,999999999999999999\n", [10**18 - 1]),
+        ("0,9223372036854775807\n", [2**63 - 1]),
+        ("0,9223372036854775808\n", "could not convert string '9223372036854775808'"),
+        ("0,4\n1,2", [4, 2]),
+        ("0,4\n,2\n", "could not convert string '' to int64 at row 1, column 1."),
+        ("0,4\n2,2\n", "non-contiguous bin indices"),
+    ])
+    def test_edge_rows(self, tmp_path, rows, want):
+        as_written, loose = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        as_written.write_text(TestReaderRefusals.HEADER + rows)
+        loose.write_bytes(as_written.read_bytes().replace(b"\n", b"\r\n"))
+        got = read_or_refusal(as_written)
+        assert got == read_or_refusal(loose)
+        assert got == want if isinstance(want, list) else want in got
+
+
 def reference_table(fmt, meta, columns, rows) -> bytes:
     # The table writer as first written: every line joined, rows included.
     header = [f"# {fmt}", *(f"# {key}={sceneio._text(value)}" for key, value in meta.items())]
@@ -360,7 +452,7 @@ def reference_write_map(pmap) -> bytes:
 
 
 def assert_one_cache_entry():
-    info = sceneio._rows_template.cache_info()
+    info = sceneio._zero_rows.cache_info()
     assert info.maxsize == 1 and info.currsize <= 1
 
 
