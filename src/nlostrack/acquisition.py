@@ -168,82 +168,26 @@ def calibration_offset_s(scene: Scene, params: AcquisitionParams) -> float:
     return -math.fmod(round_trip, params.window_s)
 
 
-# Cephes erf/erfc (ndtr.c, S. L. Moshier), which scipy.special.erf evaluates.
-# With libm's exp and C's evaluation order this port equals scipy's erf bit
-# for bit; numpy's own exp is 1 ulp off on some inputs, which is enough to
-# change a pulse's intensities and so every Poisson draw. The leading 1.0 of
-# each denominator is the coefficient Cephes' p1evl implies (1.0 * x is x).
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
-          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); Cephes takes erfc as 0 where x * x exceeds it
-
-
-def _polevl(x, coef):
-    # Horner, one multiply and one add per step (no fused multiply-add).
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """The error function of a float array, equal to ``scipy.special.erf``."""
-    a = np.abs(x)
-    y = np.ones_like(a)  # erf where a * a > _MAXLOG, and at inf
-    small = a <= 1.0
-    s = a[small]
-    z = s * s
-    y[small] = s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    with np.errstate(over="ignore"):
-        tail = ~small & ~(a * a > _MAXLOG)  # keeps nan, which stays nan
-    near = tail & (a < 8.0)
-    for part, num, den in ((near, _ERFC_P, _ERFC_Q), (tail & ~near, _ERFC_R, _ERFC_S)):
-        t = a[part]
-        if t.size:
-            e = np.fromiter(map(math.exp, (-t * t).tolist()), np.float64, t.size)
-            y[part] = 1.0 - e * _polevl(t, num) / _polevl(t, den)
-    return np.copysign(y, x)
-
-
 def _add_gaussian_mass(out, bin_width, sigma, pulses):
     """Add total * Integral_bin N(t; mu, sigma) dt to each bin of ``out`` in place.
 
-    ``pulses`` is a sequence of (mu, total). Bin indices fold modulo the
-    histogram length (the timebase is periodic with the laser repetition).
-    sigma == 0 drops each mass into the single bin containing its mu. One
-    ``_erf`` call covers every pulse, and the masses are added in pulse
-    order, so the sums equal those of adding one pulse at a time.
+    ``pulses`` is a sequence of (mu, total), added one pulse at a time. Bin
+    indices fold modulo the histogram length (the timebase is periodic with
+    the laser repetition). sigma == 0 drops each mass into the single bin
+    containing its mu.
     """
-    if not pulses:
-        return
     nbins = out.shape[0]
-    if sigma <= 0.0:
-        for mu, total in pulses:
+    for mu, total in pulses:
+        if sigma <= 0.0:
             out[int(math.floor(mu / bin_width)) % nbins] += total
-        return
-    scale = sigma * math.sqrt(2.0)
-    bins, args = [], []
-    for mu, _ in pulses:
+            continue
         lo = int(math.floor((mu - 8.0 * sigma) / bin_width))
         hi = int(math.ceil((mu + 8.0 * sigma) / bin_width))
-        bins.append(np.arange(lo, hi + 1, dtype=np.int64) % nbins)
         edges = np.arange(lo, hi + 2, dtype=np.float64) * bin_width
-        args.append((edges - mu) / scale)
-    cdfs = np.split(_erf(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
-    mass = [0.5 * total * (cdf[1:] - cdf[:-1]) for (_, total), cdf in zip(pulses, cdfs)]
-    np.add.at(out, np.concatenate(bins), np.concatenate(mass))
+        args = ((edges - mu) / (sigma * math.sqrt(2.0))).tolist()
+        cdf = np.fromiter(map(math.erf, args), np.float64, len(args))
+        idx = np.arange(lo, hi + 1, dtype=np.int64) % nbins
+        np.add.at(out, idx, 0.5 * total * (cdf[1:] - cdf[:-1]))
 
 
 def expected_counts(

@@ -115,9 +115,14 @@ class ScenarioResult:
 def check_retrieval(params: AcquisitionParams, k_targets: int = 1) -> None:
     """The one check of the retrieval settings, made before any histogram is processed."""
     _check_k_targets(k_targets)
+    # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0 and
+    # below a tenth of a bin.
     if params.irf_sigma_s <= 0:
-        # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0.
         raise ValueError(f"retrieval needs irf_sigma_s > 0, got {params.irf_sigma_s!r}")
+    if 10 * params.irf_sigma_s < params.bin_width_s:
+        raise ValueError(
+            f"retrieval needs 10 * irf_sigma_s >= bin_width_s, got irf_sigma_s "
+            f"{params.irf_sigma_s!r} and bin_width_s {params.bin_width_s!r}")
 
 
 def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets):

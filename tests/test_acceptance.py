@@ -119,10 +119,24 @@ def test_c3_single_person_study():
     )
 
 
+def _fuses_its_persons_returns(result, track, scene):
+    # Every (pixel, peak) the track fuses is, of that pixel's returns, the one
+    # nearest in time to the time of flight of the person nearest the track.
+    person = min(scene.objects,
+                 key=lambda o: math.dist(track.position, (o.position.x, o.position.y)))
+    for pixel, peak in track.detections:
+        tof = nt.tof(scene.laser_spot, person.position, scene.pixels[pixel])
+        times = [p.t_s for p in result.peaks_per_pixel[pixel]]
+        if int(np.argmin(np.abs(np.subtract(times, tof)))) != peak:
+            return False
+    return bool(track.detections)
+
+
 def test_c4_two_person_study():
     # returns separated by >= 1 ns at every pixel; both targets within 0.5 m
     # in >= 85% of 100 trials; the chosen peak association matches the truth
-    # in >= 95% of the successful trials
+    # in >= 95% of the successful trials: every detection of both tracks is
+    # its person's return
     truths = [(0.5, 0.9), (1.2, 1.6)]
     scene = nt.corner_scene(truths, reflectivity=5.0)
     for i, pix in enumerate(scene.pixels):
@@ -146,6 +160,7 @@ def test_c4_two_person_study():
         ]
         if all(ex < 0.5 and ey < 0.5 for ex, ey in errs):
             both_ok += 1
+        if all(_fuses_its_persons_returns(res, t, scene) for t in res.tracks):
             correct_assoc += 1
     assoc_rate = correct_assoc / successes if successes else 0.0
     _verdict(

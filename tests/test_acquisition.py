@@ -23,7 +23,7 @@ from nlostrack import (
     tof,
 )
 from nlostrack import acquisition, sceneio
-from nlostrack.acquisition import _MAXLOG, _add_gaussian_mass, _erf
+from nlostrack.acquisition import _add_gaussian_mass
 from conftest import same_histogram
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -172,27 +172,6 @@ class TestGaussianMass:
         assert out[-200:].sum() > 50.0
 
 
-def assert_same_bits(got, want):
-    # nan may differ in its payload; every other value must match bit for bit.
-    nan = np.isnan(want)
-    np.testing.assert_array_equal(np.isnan(got), nan)
-    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
-
-
-def test_erf_matches_scipy_bit_for_bit():
-    erf = pytest.importorskip("scipy.special").erf
-    rng = np.random.default_rng(0)
-    edges = [0.0, 1.0, 8.0, math.sqrt(_MAXLOG), 1e300]
-    around = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
-    special = np.array([*edges, *around, 5e-324, np.inf, np.nan])
-    x = np.concatenate([
-        rng.uniform(-40.0, 40.0, 600_000),
-        rng.uniform(-6.0, 6.0, 400_000),  # the span a pulse integral evaluates
-        special, -special,
-    ])
-    assert_same_bits(_erf(x), erf(x))
-
-
 def scipy_gaussian_mass(out, bin_width, sigma, pulses):
     """The pulse integral as computed with scipy.special.erf, one pulse at a time."""
     erf = pytest.importorskip("scipy.special").erf
@@ -210,16 +189,29 @@ def scipy_gaussian_mass(out, bin_width, sigma, pulses):
 
 
 def assert_intensities_match_scipy(scene, params):
-    got = [expected_counts(scene, i, params, with_objects)
-           for i in range(scene.num_pixels) for with_objects in (True, False)]
+    # math.erf and scipy's erf differ by a few ulp on some edges, so a bin may
+    # move by rounding of its pulses' masses; no Poisson draw of it may move.
+    keys = [(i, with_objects) for i in range(scene.num_pixels) for with_objects in (True, False)]
+    got = [expected_counts(scene, i, params, with_objects) for i, with_objects in keys]
+    totals = []
+
+    def reference(out, bin_width, sigma, pulses):
+        totals.append(sum(total for _, total in pulses))
+        scipy_gaussian_mass(out, bin_width, sigma, pulses)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(acquisition, "_add_gaussian_mass", scipy_gaussian_mass)
+        m.setattr(acquisition, "_add_gaussian_mass", reference)
         acquisition._intensity.cache_clear()
-        want = [expected_counts(scene, i, params, with_objects)
-                for i in range(scene.num_pixels) for with_objects in (True, False)]
+        want = [expected_counts(scene, i, params, with_objects) for i, with_objects in keys]
     acquisition._intensity.cache_clear()
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    for (i, _), g, w, total in zip(keys, got, want, totals):
+        assert np.abs(g - w).max() <= 4 * np.finfo(np.float64).eps * total
+        if g.tobytes() == w.tobytes():
+            continue  # equal intensities give equal draws
+        for seed in range(50):
+            for stream in (0, 1):
+                draws = [np.random.default_rng([seed, i, stream]).poisson(mu) for mu in (g, w)]
+                np.testing.assert_array_equal(*draws)
 
 
 @pytest.mark.parametrize("name", ["single_person.json", "two_person.json"])

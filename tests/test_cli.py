@@ -412,6 +412,17 @@ class TestReconstruct:
         assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
         assert not (tmp_path / "rec").exists()
 
+    def test_irf_width_below_a_tenth_of_a_bin_exit_2(self, runner, tmp_path):
+        scene = tmp_path / "narrow.json"
+        scene.write_text(json.dumps(dict(
+            SCENE, acquisition=dict(SCENE["acquisition"], irf_sigma_s=0.2e-12))))
+        out = tmp_path / "rec"
+        result = runner.invoke(main, ["reconstruct", str(scene), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == ("error: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
+                                 "got irf_sigma_s 2e-13 and bin_width_s 4e-12\n")
+        assert not out.exists()
+
     def test_three_targets_exit_2(self, runner, scene_file, tmp_path):
         result = runner.invoke(
             main, ["reconstruct", str(scene_file), "--out", str(tmp_path / "rec"),
@@ -755,9 +766,12 @@ class TestSweep:
     @pytest.mark.parametrize("doc, message", [
         (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.0)),
          "sweep: retrieval needs irf_sigma_s > 0, got 0.0"),
+        (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.2e-12)),
+         "sweep: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
+         "got irf_sigma_s 2e-13 and bin_width_s 4e-12"),
         (dict(SWEEP_DOC, d2_x={"min": -0.2, "max": -1.2, "steps": 2}),
          "sweep: wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
-    ], ids=["irf_sigma_zero", "d2_on_d1"])
+    ], ids=["irf_sigma_zero", "irf_sigma_below_a_tenth_of_a_bin", "d2_on_d1"])
     def test_invalid_setting_is_no_failed_trial(self, runner, tmp_path, doc, message):
         # A setting no trial can run with exits 2 when the document is read,
         # before the output directory is made; it is not a row of failed trials.
