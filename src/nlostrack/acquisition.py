@@ -157,6 +157,23 @@ def expected_signal_rate(
     return params.system_throughput * obj.reflectivity * geom / (d1 * d1 * d2 * d2)
 
 
+def flight_time_s(
+    scene: Scene, pixel_index: int, obj: HiddenObject, params: AcquisitionParams
+) -> float:
+    """Two-bounce time of flight of one scatterer seen by one pixel.
+
+    Raises AliasingError when it exceeds the repetition period: its return
+    would fold onto the next pulse's.
+    """
+    t = tof(scene.laser_spot, obj.position, scene.pixels[pixel_index])
+    if t > params.window_s:
+        raise AliasingError(
+            f"time of flight {t:.3e} s of {obj.label or 'scatterer'} exceeds the "
+            f"repetition period {params.window_s:.3e} s; returns would alias"
+        )
+    return t
+
+
 def calibration_offset_s(scene: Scene, params: AcquisitionParams) -> float:
     """Offset that re-references raw histogram times to the laser-at-wall instant.
 
@@ -219,12 +236,7 @@ def _intensity(scene, pixel_index, params, include_objects):
         emitters += list(scene.objects)
     pulses = []
     for obj in emitters:
-        t = tof(scene.laser_spot, obj.position, scene.pixels[pixel_index])
-        if t > window:
-            raise AliasingError(
-                f"time of flight {t:.3e} s of {obj.label or 'scatterer'} exceeds the "
-                f"repetition period {window:.3e} s; returns would alias"
-            )
+        t = flight_time_s(scene, pixel_index, obj, params)
         total = expected_signal_rate(scene, pixel_index, obj, params) * params.acq_time_s
         if total > 0.0:
             pulses.append((math.fmod(t + sync_delay, window), total))

@@ -348,6 +348,20 @@ def _span(center: float, half: float, bw: float, n: int) -> tuple[int, int]:
     return max(0, math.floor((center - half) / bw)), min(n, math.ceil((center + half) / bw) + 1)
 
 
+def width_box(bin_width_s: float, irf_sigma_s: float) -> tuple[float, float]:
+    """The fit's bounds on a return's Gaussian width, [bin width, 10 * irf_sigma_s], in s.
+
+    Raises ValueError when the box is empty, which includes every
+    irf_sigma_s <= 0: no width could be fitted.
+    """
+    lo, hi = bin_width_s, 10.0 * irf_sigma_s
+    if not hi >= lo:
+        raise ValueError(
+            f"retrieval needs 10 * irf_sigma_s >= bin_width_s, got irf_sigma_s "
+            f"{irf_sigma_s!r} and bin_width_s {bin_width_s!r}")
+    return lo, hi
+
+
 def _floor_bins(y: np.ndarray, local: np.ndarray) -> FloorBins:
     far = y[~local]
     if far.size == 0:
@@ -363,9 +377,10 @@ def fit_peaks(
 ) -> list[PeakEstimate]:
     """Least-squares fit of a sum of Gaussians plus a constant floor.
 
-    Seeded by detect_peaks output. Centers are bounded to the histogram
-    extent and sigmas to [bin width, 10 * irf_sigma_guess]. Components
-    whose amplitude fits to zero are dropped.
+    Seeded by detect_peaks output, each width starting at irf_sigma_guess.
+    Centers are bounded to the histogram extent and sigmas to ``width_box``
+    (ValueError when it is empty). Components whose amplitude fits to zero
+    are dropped.
 
     The fit solves the least-squares problem over every bin of ``hist``, but
     evaluates the Gaussians only on the bins within +-10 irf_sigma_guess of
@@ -379,20 +394,20 @@ def fit_peaks(
         raise ValueError("seeds must be non-empty")
     # Fit on a nanosecond axis so the normal equations stay well conditioned.
     scale = 1e-9
+    sig_lo, sig_hi = (w / scale for w in width_box(hist.bin_width_s, irf_sigma_guess))
     t = hist.bin_centers_s()
     tau = (t - t[0]) / scale
     y = hist.counts.astype(np.float64)
     bw = hist.bin_width_s / scale
-    sig0 = max(irf_sigma_guess / scale, bw)
-    sig_hi = 10.0 * irf_sigma_guess / scale
 
     p0 = [float(np.median(y))]
     lower = [0.0]
     upper = [max(float(y.max()), 1.0)]
     local = np.zeros(y.size, dtype=bool)
     for bin_idx, amp in seeds:
-        p0 += [max(float(amp), 1.0), float(tau[bin_idx]), sig0]
-        lower += [1e-12, float(tau[0]), bw]
+        # fit_gaussian_mixture clips a start width outside the box into it.
+        p0 += [max(float(amp), 1.0), float(tau[bin_idx]), irf_sigma_guess / scale]
+        lower += [1e-12, float(tau[0]), sig_lo]
         upper += [np.inf, float(tau[-1]), sig_hi]
         lo, hi = _span(float(tau[bin_idx]), WINDOW_SIGMAS * irf_sigma_guess / scale, bw, y.size)
         local[lo:hi] = True

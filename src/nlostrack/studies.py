@@ -17,6 +17,7 @@ from .acquisition import (
     AcquisitionParams,
     TransientHistogram,
     calibration_offset_s,
+    flight_time_s,
     simulate_background,
     simulate_histogram,
 )
@@ -39,6 +40,7 @@ from .processing import (
     detect_peaks,
     fit_peaks,
     subtract_background,
+    width_box,
 )
 
 
@@ -115,14 +117,7 @@ class ScenarioResult:
 def check_retrieval(params: AcquisitionParams, k_targets: int = 1) -> None:
     """The one check of the retrieval settings, made before any histogram is processed."""
     _check_k_targets(k_targets)
-    # fit_peaks bounds a width to [bin width, 10 irf_sigma_s], empty at 0 and
-    # below a tenth of a bin.
-    if params.irf_sigma_s <= 0:
-        raise ValueError(f"retrieval needs irf_sigma_s > 0, got {params.irf_sigma_s!r}")
-    if 10 * params.irf_sigma_s < params.bin_width_s:
-        raise ValueError(
-            f"retrieval needs 10 * irf_sigma_s >= bin_width_s, got irf_sigma_s "
-            f"{params.irf_sigma_s!r} and bin_width_s {params.bin_width_s!r}")
+    width_box(params.bin_width_s, params.irf_sigma_s)
 
 
 def _process_pixel(signal, background, r_l, r_i, offset_s, grid, params, k_targets):
@@ -279,7 +274,14 @@ class SweepConfig:
             raise ValueError("need at least one object position")
         object.__setattr__(self, "object_positions", tuple(self.object_positions))
         check_retrieval(self.acquisition)
-        list(self.cells())  # a setting some cell's Scene refuses is refused here
+        # A setting no trial could run with is refused here: one some cell's
+        # Scene refuses, a target whose return would alias at a pixel, or a
+        # grid beyond a pixel's unambiguous range.
+        for _, _, _, scene in self.cells():
+            for i in range(scene.num_pixels):
+                flight_time_s(scene, i, scene.objects[0], self.acquisition)
+        for r_i in dict.fromkeys((self.d1_position, *self.d2_positions())):
+            auto_time_window(self.laser_spot, r_i, self.grid, self.acquisition)
 
     def d2_positions(self) -> list[Point3]:
         lo, hi, steps = self.d2_x_range

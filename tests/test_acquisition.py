@@ -144,6 +144,23 @@ class TestSignalRate:
         flat = expected_signal_rate(one_person_scene, 0, obj, AcquisitionParams(lambertian=False))
         assert 0 < lit < flat
 
+    def test_lambertian_factor_is_the_product_of_leg_cosines(self, one_person_scene):
+        # On a wall whose normal has three nonzero components, each leg's
+        # cosine is its direction's dot product with the normal.
+        normal = np.array([0.48, 0.8, 0.36])
+        scene = dataclasses.replace(one_person_scene, wall_normal=tuple(normal))
+        obj = HiddenObject(Point3(0.6, 1.2, 1.4), 1.0)
+        lit = expected_signal_rate(scene, 0, obj, AcquisitionParams(lambertian=True))
+        flat = expected_signal_rate(scene, 0, obj, AcquisitionParams(lambertian=False))
+
+        def cosine(spot):
+            leg = np.subtract(dataclasses.astuple(obj.position), dataclasses.astuple(spot))
+            return leg @ normal / np.linalg.norm(leg)
+
+        c1, c2 = cosine(scene.laser_spot), cosine(scene.pixels[0])
+        assert c1 > 0 and c2 > 0
+        assert lit == pytest.approx(flat * c1 * c2, rel=1e-12)
+
     def test_object_on_wall_spot_errors(self, one_person_scene):
         p = AcquisitionParams()
         on_pixel = HiddenObject(one_person_scene.pixels[0], 1.0)

@@ -393,7 +393,8 @@ class TestReconstruct:
                                           "--out", str(tmp_path / "rec")])
         assert caught == []
         assert result.exit_code == 2
-        assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
+        assert result.output == ("error: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
+                                 "got irf_sigma_s 0.0 and bin_width_s 4e-12\n")
 
     @pytest.mark.parametrize("hist_dir", [[], ["--hist-dir", "sim"]], ids=["simulated", "read"])
     def test_zero_irf_width_refused_before_any_histogram(self, runner, tmp_path, monkeypatch,
@@ -409,7 +410,8 @@ class TestReconstruct:
             SCENE, acquisition=dict(SCENE["acquisition"], irf_sigma_s=0.0))))
         result = runner.invoke(main, ["reconstruct", str(scene), *hist_dir, "--out", "rec"])
         assert result.exit_code == 2
-        assert result.output == "error: retrieval needs irf_sigma_s > 0, got 0.0\n"
+        assert result.output == ("error: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
+                                 "got irf_sigma_s 0.0 and bin_width_s 4e-12\n")
         assert not (tmp_path / "rec").exists()
 
     def test_irf_width_below_a_tenth_of_a_bin_exit_2(self, runner, tmp_path):
@@ -666,6 +668,7 @@ SWEEP_DOC = {
     "grid": {"x_min": -3.0, "x_max": 3.0, "y_min": 0.0, "y_max": 4.0,
              "resolution": 0.02, "z_plane": 1.0},
 }
+BUNDLED_SWEEP = json.loads((CONFIGS / "baseline_sweep.json").read_text())
 
 
 class TestInProcessRuns:
@@ -765,18 +768,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("doc, message", [
         (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.0)),
-         "sweep: retrieval needs irf_sigma_s > 0, got 0.0"),
+         "sweep: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
+         "got irf_sigma_s 0.0 and bin_width_s 4e-12"),
         (dict(SWEEP_DOC, acquisition=dict(SWEEP_DOC["acquisition"], irf_sigma_s=0.2e-12)),
          "sweep: retrieval needs 10 * irf_sigma_s >= bin_width_s, "
          "got irf_sigma_s 2e-13 and bin_width_s 4e-12"),
         (dict(SWEEP_DOC, d2_x={"min": -0.2, "max": -1.2, "steps": 2}),
          "sweep: wall spots must be pairwise distinct: pixel 0 coincides with pixel 1"),
-    ], ids=["irf_sigma_zero", "irf_sigma_below_a_tenth_of_a_bin", "d2_on_d1"])
+        # The bundled sweep with its object where the two-bounce flight time
+        # exceeds the 25 ns period, or its grid beyond every pixel's 7.49 m
+        # unambiguous range: every trial of every cell would fail.
+        (dict(BUNDLED_SWEEP, object_positions=[[1.0, 4.5, 1.0]]),
+         "sweep: time of flight 3.137e-08 s of target exceeds the repetition period "
+         "2.500e-08 s; returns would alias"),
+        (dict(BUNDLED_SWEEP, grid=dict(BUNDLED_SWEEP["grid"], y_min=9.0, y_max=12.0)),
+         "sweep: grid lies entirely beyond the unambiguous range for this pixel"),
+    ], ids=["irf_sigma_zero", "irf_sigma_below_a_tenth_of_a_bin", "d2_on_d1",
+            "object_aliases", "grid_beyond_range"])
     def test_invalid_setting_is_no_failed_trial(self, runner, tmp_path, doc, message):
         # A setting no trial can run with exits 2 when the document is read,
         # before the output directory is made; it is not a row of failed trials.
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(doc))
+        with pytest.raises(sceneio.SceneFormatError) as caught:
+            sceneio.load_sweep_config(config)
+        assert str(caught.value) == message
         out = tmp_path / "x"
         result = runner.invoke(main, ["sweep", str(config), "--out", str(out)])
         assert result.exit_code == 2

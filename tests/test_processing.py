@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -317,6 +318,23 @@ class TestFit:
         assert params[3] == pytest.approx(0.12, rel=1e-6)
         assert resid < 1e-6 * y.sum()
 
+    def test_covariance_is_the_residual_variance_times_the_inverse_normal_matrix(self):
+        # cov = inv(J'J) * cost / dof, the floor-only bins counted in J'J, the cost and the dof.
+        from nlostrack.processing import FloorBins, _mixture
+
+        tau = np.linspace(0.0, 2.0, 400)
+        noise = np.random.default_rng(5).normal(0.0, 1.0, tau.size)
+        y = 3.0 + 80.0 * np.exp(-0.5 * ((tau - 1.0) / 0.12) ** 2) + noise
+        far = FloorBins(600, 3.1, 550.0)
+        params, resid, cov = fit_gaussian_mixture(
+            tau, y, np.array([2.0, 60.0, 0.95, 0.1]), np.array([0.0, 1e-12, 0.0, 0.004]),
+            np.array([1e3, np.inf, 2.0, 1.2]), far)
+        _, jac = _mixture(tau, params)
+        jtj = jac.T @ jac
+        jtj[0, 0] += far.count
+        dof = tau.size + far.count - params.size
+        np.testing.assert_allclose(cov, np.linalg.inv(jtj) * resid**2 / dof, rtol=1e-9)
+
     def test_integer_rounded_model_residual_bound(self):
         mu, sigma, amp = 5e-9, 120e-12, 1.0e6
         h = hist_from(gaussian_counts(2500, mu, sigma, amp))
@@ -386,6 +404,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_peaks(hist_from([1, 2, 1]), [], IRF)
 
+    @pytest.mark.parametrize("irf_sigma_s", [0.0, 0.2e-12, 0.39e-12])
+    def test_empty_width_box_raises(self, irf_sigma_s):
+        h = hist_from(gaussian_counts(2000, 4e-9, 120e-12, 800))
+        with pytest.raises(ValueError, match=(
+                rf"^retrieval needs 10 \* irf_sigma_s >= bin_width_s, "
+                rf"got irf_sigma_s {irf_sigma_s!r} and bin_width_s 4e-12$")):
+            fit_peaks(h, [(1000, 800.0)], irf_sigma_s)
+
     def test_peak_estimate_validation(self):
         for args, error in [
             ((1e-9, 0.0, 1.0), "sigma_s must be > 0, got 0.0"),
@@ -403,6 +429,34 @@ class TestFit:
         assert PeakEstimate(1e-9, 1e-10, 1.0, center_stderr_s=2e-12).center_stderr_s == 2e-12
 
 
+
+
+class _Handed(Exception):
+    """Raised by a stand-in fit once it has recorded what fit_peaks handed it."""
+
+
+@settings(max_examples=50, deadline=None)
+@given(irf_sigma_s=st.floats(1e-14, 1e-9), bin_width_s=st.floats(1e-13, 1e-10))
+def test_fit_width_bounds_are_the_width_box(irf_sigma_s, bin_width_s):
+    # Every peak's width is bounded by processing's box, on the fit's ns axis
+    # (an empty box is test_empty_width_box_raises).
+    from nlostrack import processing
+
+    assume(10.0 * irf_sigma_s >= bin_width_s)
+    handed = []
+
+    def spy(tau, y, p0, lower, upper, floor_bins=processing.FloorBins()):
+        handed.append((lower[3::3], upper[3::3]))
+        raise _Handed
+
+    lo, hi = processing.width_box(bin_width_s, irf_sigma_s)
+    assert (lo, hi) == (bin_width_s, 10.0 * irf_sigma_s)
+    h = TransientHistogram(np.ones(64, dtype=np.int64), bin_width_s, 0.0, 0, 1.0)
+    with mock.patch.object(processing, "fit_gaussian_mixture", spy), pytest.raises(_Handed):
+        fit_peaks(h, [(10, 5.0), (40, 5.0)], irf_sigma_s)
+    (lower, upper), = handed
+    assert lower.tolist() == [lo / 1e-9] * 2
+    assert upper.tolist() == [hi / 1e-9] * 2
 
 
 def full_window_fit(h, seeds, irf_sigma_guess=IRF):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
@@ -47,11 +48,13 @@ class TestAutoWindow:
             assert 0.0 <= w.start_s < w.end_s <= p.window_s
 
     def test_equals_closed_form_window(self):
+        # Some DEFAULT_GRID paths exceed the period, so its windows end at the
+        # period; every path of the 2 m grid is inside it.
         p = AcquisitionParams()
-        g = DEFAULT_GRID
-        xs, ys = g.x_centers()[None, :], g.y_centers()[:, None]
         margin = 6.0 * p.irf_sigma_s + 25.0 * p.bin_width_s
-        for pix in DEFAULT_PIXELS:
+        near = GridSpec(x_min=-1.0, x_max=1.0, y_min=0.0, y_max=2.0, resolution=0.05, z_plane=1.0)
+        for g, pix in itertools.product((DEFAULT_GRID, near), DEFAULT_PIXELS):
+            xs, ys = g.x_centers()[None, :], g.y_centers()[:, None]
             d1 = np.sqrt((xs - DEFAULT_LASER.x) ** 2 + (ys - DEFAULT_LASER.y) ** 2
                          + (g.z_plane - DEFAULT_LASER.z) ** 2)
             d2 = np.sqrt((xs - pix.x) ** 2 + (ys - pix.y) ** 2 + (g.z_plane - pix.z) ** 2)
@@ -122,7 +125,7 @@ class TestRunScenario:
             raise AssertionError("processed a pixel")
 
         monkeypatch.setattr(studies, "_process_pixel", fail)
-        with pytest.raises(ValueError, match=r"irf_sigma_s > 0, got 0\.0"):
+        with pytest.raises(ValueError, match=r"got irf_sigma_s 0\.0 and bin_width_s 4e-12$"):
             studies.reconstruct_from_histograms(
                 signal, background, scene.laser_spot, list(scene.pixels), DEFAULT_GRID,
                 params, offset_s=calibration_offset_s(scene, params),
@@ -141,7 +144,7 @@ class TestRunScenario:
     def test_pipeline_error_names_pixel(self):
         # an object beyond the unambiguous range breaks simulation for pixel 0
         scene = corner_scene([(0.6, 4.8)])
-        with pytest.raises(PipelineError, match="pixel 0"):
+        with pytest.raises(PipelineError, match=r"^pixel 0: time of flight .* of person-1 exceeds"):
             run_scenario(scene, AcquisitionParams(), DEFAULT_GRID)
 
     def test_background_length_mismatch_names_pixel(self):
@@ -459,7 +462,9 @@ class TestSweep:
 
     def test_zero_irf_width_refused_when_built(self):
         # No trial could retrieve a track, so the config itself is refused.
-        with pytest.raises(ValueError, match=r"^retrieval needs irf_sigma_s > 0, got 0\.0$"):
+        with pytest.raises(ValueError, match=(
+                r"^retrieval needs 10 \* irf_sigma_s >= bin_width_s, "
+                r"got irf_sigma_s 0\.0 and bin_width_s 4e-12$")):
             self.small_config(acquisition=AcquisitionParams(rng_seed=21, irf_sigma_s=0.0))
 
     def test_validation(self):

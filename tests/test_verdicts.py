@@ -85,6 +85,12 @@ def _target_free(throughput):
     return _scenario(dataclasses.replace(scene, objects=()), params, grid)
 
 
+def _instrument_width(irf_sigma_s):
+    # The bundled single-person scene, acquired and retrieved at another instrument width.
+    scene, params, grid = _bundled("single_person.json")
+    return _scenario(scene, dataclasses.replace(params, irf_sigma_s=irf_sigma_s), grid)
+
+
 def _off_plane(z):
     scene = corner_scene([(0.6, 1.2)])
     person = dataclasses.replace(scene.objects[0], position=Point3(0.6, 1.2, z))
@@ -185,6 +191,10 @@ ROWS = [
     Row("single_person pixel 0 believed 10 cm along the wall from where it is", 1, range(20),
         _misplaced_pixel(0.1), "rejected", _is("no_target"),
         item="1: no consistency gate; the misplaced pixel's track is reported ok"),
+    Row("single_person.json at irf_sigma_s 3.6 ps, 0.9 of a 4 ps bin", 1, range(20),
+        _instrument_width(3.6e-12), "ok-right", _is("ok-right"),
+        item="9: a peak model that integrates over each bin; the model sampled at bin "
+             "centres leaves pixel 0's fit without convergence in every seed"),
     Row("C9 opposite-corner scene, 2 pixels, throughput 3.5e4", 2, range(60),
         _opposite_corner(), "two tracks", _is("ok-right", "ok-near"),
         item="3: the detector misses the across-the-corner person's weak return"),
